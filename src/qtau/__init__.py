@@ -27,13 +27,12 @@ Layout:
 - cli / suites: command-line front end and named verification suites.
 """
 
-from .algebra_core import ExactScalar, QPoly, TruncatedSeries
+from .algebra_core import QPoly, TruncatedSeries
 from .partitions import Partition
 from .phase_model import BoxSpec
 from .qboson_model import QBosonSpec
 
 __all__ = [
-    "ExactScalar",
     "QPoly",
     "TruncatedSeries",
     "Partition",

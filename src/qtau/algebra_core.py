@@ -1,10 +1,8 @@
 """Exact arithmetic carriers used everywhere else in the package.
 
-Three representations, all built on ``fractions.Fraction`` so that every
-computation downstream is exact:
+Scalars are plain ``fractions.Fraction`` values, and the two carriers
+below are built on them, so that every computation downstream is exact:
 
-  * ``ExactScalar`` -- alias for ``Fraction``.  Scalars are kept in lowest
-    terms with a positive denominator by the stdlib itself.
   * ``QPoly`` -- a univariate polynomial in the deformation parameter,
     stored densely as a tuple of coefficients, constant term first, with
     no trailing zeros.  The zero polynomial is the empty tuple.
@@ -15,16 +13,15 @@ computation downstream is exact:
 
 The module also carries the small amount of exact linear algebra the
 rest of the package needs (determinants over the rationals and over a
-commutative ring, power-series division) plus the generating series
-exp(sum_k t_k z^k) used by the Miwa-coordinate code.
+commutative ring, power-series division), the generating series
+exp(sum_k t_k z^k) used by the Miwa-coordinate code, and the one
+Jacobi-Trudi determinant that every Schur-type value is built from.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Dict, Iterable, Sequence, Tuple
-
-ExactScalar = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -174,10 +171,6 @@ def _as_qpoly(value) -> QPoly:
     raise TypeError(f"cannot coerce {type(value).__name__} to QPoly")
 
 
-def qpoly_eval(p: QPoly, q) -> Fraction:
-    return p(Fraction(q))
-
-
 # ---------------------------------------------------------------------------
 # truncated multivariate power series
 # ---------------------------------------------------------------------------
@@ -314,14 +307,6 @@ class TruncatedSeries:
                 f"cutoff={self.cutoff}, nterms={len(self.terms)})")
 
 
-def series_product(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Product of two series; truncates to the smaller cutoff.
-
-    Raises ValueError when the variable lists differ.
-    """
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # generating series of complete symmetric polynomials from generalized times
 # ---------------------------------------------------------------------------
@@ -394,6 +379,25 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
             for c in range(col, n):
                 a[r][c] -= factor * a[col][c]
     return det
+
+
+def jacobi_trudi(gens: Sequence, lam: Sequence[int],
+                 mu: Sequence[int] = ()) -> Fraction:
+    """det(c_{lam_i - mu_j - i + j}) over the one-row generators c_0, c_1, ...
+
+    ``gens`` lists c_0..c_K with K >= lam_1 + l(lam) - 1; c_k is zero for
+    k < 0.  With c_k = h_k of a point set this is the skew Schur value
+    s_{lam/mu}, which vanishes unless mu is contained in lam.
+    """
+    ell = max(len(lam), len(mu))
+    lam = tuple(lam) + (0,) * (ell - len(lam))
+    mu = tuple(mu) + (0,) * (ell - len(mu))
+
+    def c(k: int) -> Fraction:
+        return gens[k] if k >= 0 else ZERO
+
+    return det_rational([[c(lam[i] - mu[j] - i + j) for j in range(ell)]
+                         for i in range(ell)])
 
 
 def det_ring(rows: Sequence[Sequence], one=None):

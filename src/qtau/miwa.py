@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .algebra_core import ZERO, det_rational, format_rational, h_from_times
-from .partitions import Partition, weight
+from .algebra_core import ZERO, format_rational, h_from_times, jacobi_trudi
+from .partitions import Partition, normalize, weight
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,6 @@ def from_points(points: Sequence, n_max: int) -> MiwaCoords:
     return MiwaCoords(tuple(values))
 
 
-def pad(t: MiwaCoords, n_max: int) -> MiwaCoords:
-    """Extend the support with zero times (no-op when already long enough)."""
-    if t.n_max >= n_max:
-        return t
-    return MiwaCoords(t.values + (ZERO,) * (n_max - t.n_max))
-
-
 def twist(t: MiwaCoords, q) -> MiwaCoords:
     """T_n = (1 - Q^n) t_n, componentwise on the stored support."""
     qv = Fraction(q)
@@ -86,30 +79,17 @@ def twist(t: MiwaCoords, q) -> MiwaCoords:
 
 
 def schur_in_miwa(lam: Partition, t: MiwaCoords) -> Fraction:
-    """Schur value in generalized times: det(h_{lam_i - i + j}(t)).
+    """Schur value in generalized times, by Jacobi-Trudi over h_k(t).
 
-    h_k(t) is the z^k coefficient of exp(sum t_k z^k).  Errors when the
-    support is too small to be faithful (n_max < |lam|).
+    h_k(t) is the z^k coefficient of exp(sum t_k z^k), and the value is
+    ``jacobi_trudi`` over those generators, det(h_{lam_i - i + j}(t)).
+    Errors when the support is too small to be faithful (n_max < |lam|).
     """
-    if not lam:
-        return Fraction(1)
+    lam = normalize(lam)
     if t.n_max < weight(lam):
         raise ValueError(
             f"times support n_max={t.n_max} is insufficient for |lam|={weight(lam)}")
-    ell = len(lam)
-    kmax = lam[0] + ell - 1
-    hs = h_from_times(t.values, kmax)
-
-    def h(k: int) -> Fraction:
-        if k < 0:
-            return ZERO
-        return hs[k]
-
-    rows = [
-        [h(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
-        for i in range(ell)
-    ]
-    return det_rational(rows)
+    return jacobi_trudi(h_from_times(t.values, weight(lam)), lam)
 
 
 def to_json(t: MiwaCoords) -> dict:

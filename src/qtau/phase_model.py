@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .algebra_core import ONE, ZERO, det_rational
-from .miwa import MiwaCoords, pad, schur_in_miwa
+from .algebra_core import ONE, ZERO, det_rational, h_from_times, jacobi_trudi
+from .miwa import MiwaCoords
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, in_box, normalize,
                          occupation_from_partition, partitions_of, weight)
 from .symfunc import (as_points, homogeneous_list, pairwise_distinct,
-                      schur_eval, skew_schur_eval, vandermonde)
+                      skew_schur_eval, vandermonde)
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,10 @@ class BoxSpec:
 
     def partitions(self) -> List[Partition]:
         return enumerate_in_box(self.n, self.m)
+
+    def h_list(self, xs: Sequence) -> List[Fraction]:
+        """h_0..h_{M+N} of a point set: enough for every shape in the box."""
+        return homogeneous_list(xs, self.m + self.n)
 
 
 def h_entry(z, w, box: BoxSpec) -> Fraction:
@@ -79,9 +83,10 @@ def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
         return det_rational(h_matrix(xs, ys, box)) / (
             vandermonde(xs) * vandermonde(ys))
     if mode == "schur_sum":
+        hx, hy = box.h_list(xs), box.h_list(ys)
         acc = ZERO
         for lam in box.partitions():
-            acc += schur_eval(lam, xs) * schur_eval(lam, ys)
+            acc += jacobi_trudi(hx, lam) * jacobi_trudi(hy, lam)
         return acc
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -112,13 +117,12 @@ def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
         raise ValueError("site index m out of range")
     if mode == "skew_sum":
         row = (m,) if m else ()
+        hx, hy = box.h_list(xs), box.h_list(ys)
         acc = ZERO
         for mu in box.partitions():
-            acc += skew_schur_eval(mu, row, ys) * schur_eval(mu, xs)
+            acc += jacobi_trudi(hy, mu, row) * jacobi_trudi(hx, mu)
         return acc
     if mode == "det":
-        if (mm + n - 1) % 2:
-            raise ValueError("det mode requires M+N-1 even")
         if not pairwise_distinct(xs):
             raise ValueError("det mode needs pairwise-distinct points")
         hs = homogeneous_list(ys, mm + n - 1)
@@ -183,12 +187,12 @@ def correlation_skew(lam1: Partition, lam2: Partition, xs: Sequence,
     xs = as_points(xs)
     ys = as_points(ys)
     rows = min(len(xs), len(ys))
+    kmax = box.m + rows
+    hx, hy = homogeneous_list(xs, kmax), homogeneous_list(ys, kmax)
     acc = ZERO
     for mu in enumerate_in_box(rows, box.m):
-        left = skew_schur_eval(mu, lam1, xs)
-        if left == 0:
-            continue
-        acc += left * skew_schur_eval(mu, lam2, ys)
+        if contains(mu, lam1) and contains(mu, lam2):
+            acc += jacobi_trudi(hx, mu, lam1) * jacobi_trudi(hy, mu, lam2)
     return acc
 
 
@@ -217,9 +221,11 @@ def factorization_report(lam1: Partition, lam2: Partition, xs: Sequence,
     ys = as_points(ys)
     lhs = correlation_skew(lam1, lam2, xs, ys, box)
     rows = min(len(xs), len(ys))
+    kmax = box.m + rows
+    hx, hy = homogeneous_list(xs, kmax), homogeneous_list(ys, kmax)
     norm = ZERO
     for mu in enumerate_in_box(rows, box.m):
-        norm += schur_eval(mu, xs) * schur_eval(mu, ys)
+        norm += jacobi_trudi(hx, mu) * jacobi_trudi(hy, mu)
     meet = tuple(min(a, b) for a, b in zip(lam1, lam2))
     tail = ZERO
     for nu in _subpartitions(normalize(meet)):
@@ -234,9 +240,11 @@ def yankee_correlation(nu: Partition, xs: Sequence, box: BoxSpec) -> Fraction:
     xs = as_points(xs)
     if not in_box(nu, box.n, box.m):
         raise ValueError("reference partition must fit the box")
+    hx = box.h_list(xs)
     acc = ZERO
     for lam in box.partitions():
-        acc += skew_schur_eval(lam, nu, xs)
+        if contains(lam, nu):
+            acc += jacobi_trudi(hx, lam, nu)
     return acc
 
 
@@ -260,6 +268,7 @@ def hypergeometric_tau(xs: Sequence, ys: Sequence, box: BoxSpec,
         raise ValueError("need one weight per site 0..M")
     if len(xs) != box.n or len(ys) != box.n:
         raise ValueError("point sets must both have N entries")
+    hx, hy = box.h_list(xs), box.h_list(ys)
     acc = ZERO
     for mu in box.partitions():
         occ = occupation_from_partition(mu, box.n, box.m)
@@ -268,7 +277,7 @@ def hypergeometric_tau(xs: Sequence, ys: Sequence, box: BoxSpec,
             if count:
                 c *= w ** count
         if c != 0:
-            acc += c * schur_eval(mu, xs) * schur_eval(mu, ys)
+            acc += c * jacobi_trudi(hx, mu) * jacobi_trudi(hy, mu)
     return acc
 
 
@@ -285,12 +294,12 @@ def _as_times(t) -> MiwaCoords:
 def schur_pair_sum_miwa(n: int, t: MiwaCoords, tprime: MiwaCoords,
                         cutoff: int) -> Fraction:
     """sum over lam with l(lam) <= n, |lam| <= cutoff of s_lam(t) s_lam(t')."""
-    t = pad(_as_times(t), max(1, cutoff))
-    tprime = pad(_as_times(tprime), max(1, cutoff))
+    hs = h_from_times(_as_times(t).values, cutoff)
+    hs_prime = h_from_times(_as_times(tprime).values, cutoff)
     acc = ONE  # empty partition
     for d in range(1, cutoff + 1):
         for lam in partitions_of(d, max_len=n):
-            acc += schur_in_miwa(lam, t) * schur_in_miwa(lam, tprime)
+            acc += jacobi_trudi(hs, lam) * jacobi_trudi(hs_prime, lam)
     return acc
 
 
@@ -313,8 +322,6 @@ def matrix_integral_constant_term(n: int, t: MiwaCoords, tprime: MiwaCoords,
         raise ValueError("cutoff must be nonnegative")
     if sign_convention not in ("plus", "minus"):
         raise ValueError(f"unknown sign convention {sign_convention!r}")
-    from .algebra_core import h_from_times
-
     t = _as_times(t)
     tprime = _as_times(tprime)
     hs = h_from_times(t.values, cutoff + 1)
@@ -352,10 +359,10 @@ def giambelli_check(ys: Sequence, lam: Partition) -> bool:
     itself, which is the Giambelli consequence of the Plücker relations.
     """
     lam = normalize(lam)
-    ys = as_points(ys)
+    hs = homogeneous_list(ys, weight(lam))
 
     def c(shape: Partition) -> Fraction:
-        return skew_schur_eval(shape, (), ys)
+        return jacobi_trudi(hs, shape)
 
     coords = frobenius(lam)
     if not coords:

@@ -24,14 +24,17 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from .algebra_core import (ONE, ZERO, QPoly, det_ring, det_rational,
-                           mat_mul_ring, power_series_div)
-from .miwa import from_points, schur_in_miwa, twist
+                           h_from_times, jacobi_trudi, mat_mul_ring,
+                           power_series_div)
+from .miwa import from_points, twist
 from .partitions import (Partition, b_lambda, partitions_of, weight)
 from .phase_model import BoxSpec, h_matrix, scalar_product
-from .symfunc import (as_points, big_schur_eval, hall_littlewood_eval,
-                      kostka_tables, pairwise_distinct, schur_eval)
+from .symfunc import (as_points, big_schur_eval, hall_littlewood_evaluator,
+                      kostka_tables, pairwise_distinct, q_coeff_list,
+                      schur_eval)
 
 MODES = ("hl_sum", "det_quotient", "big_schur", "twisted_schur")
+SUM_MODES = ("hl_sum", "big_schur", "twisted_schur")
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,30 @@ class QBosonSpec:
         object.__setattr__(self, "q", Fraction(self.q))
 
 
-def _twisted_times(ys: Sequence, q: Fraction, n_max: int):
-    return twist(from_points(ys, n_max), q)
+def _summand(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str):
+    """lam -> the lam-th term of a partition-sum mode.
+
+    The Hall-Littlewood evaluators and the Jacobi-Trudi generator lists
+    are built once per point set, so every term of one box shares them.
+    The twisted times keep support N*M, which covers every |lam| in the box.
+    """
+    box, q = spec.box, spec.q
+    if mode == "hl_sum":
+        px = hall_littlewood_evaluator(xs, q)
+        py = hall_littlewood_evaluator(ys, q)
+        return lambda lam: b_lambda(lam)(q) * px(lam) * py(lam)
+    kmax = box.m + box.n
+    if mode == "big_schur":
+        gy = q_coeff_list(ys, q, kmax)
+    elif mode == "twisted_schur":
+        times = twist(from_points(ys, max(1, box.n * box.m)), q)
+        gy = h_from_times(times.values, kmax)
+    elif mode == "schur_sum":
+        gy = box.h_list(ys)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    hx = box.h_list(xs)
+    return lambda lam: jacobi_trudi(gy, lam) * jacobi_trudi(hx, lam)
 
 
 def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
@@ -68,13 +93,6 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     box, q = spec.box, spec.q
     if len(xs) != box.n or len(ys) != box.n:
         raise ValueError("point sets must both have N entries")
-    if mode == "hl_sum":
-        acc = ZERO
-        for lam in box.partitions():
-            acc += (b_lambda(lam)(q)
-                    * hall_littlewood_eval(lam, xs, q)
-                    * hall_littlewood_eval(lam, ys, q))
-        return acc
     if mode == "det_quotient":
         if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
             raise ValueError("det_quotient needs pairwise-distinct points")
@@ -86,17 +104,9 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
             raise ZeroDivisionError("denominator determinant vanishes")
         num = det_rational(h_matrix(xs, ys, box))
         return q ** (box.n * (box.n - 1) // 2) * num / den
-    if mode == "big_schur":
-        acc = ZERO
-        for lam in box.partitions():
-            acc += big_schur_eval(lam, ys, q) * schur_eval(lam, xs)
-        return acc
-    if mode == "twisted_schur":
-        times = _twisted_times(ys, q, max(1, box.n * box.m))
-        acc = ZERO
-        for lam in box.partitions():
-            acc += schur_in_miwa(lam, times) * schur_eval(lam, xs)
-        return acc
+    if mode in SUM_MODES:
+        term = _summand(xs, ys, spec, mode)
+        return sum((term(lam) for lam in box.partitions()), ZERO)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -126,26 +136,12 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     xs = as_points(xs)
     ys = as_points(ys)
     box, q = spec.box, spec.q
-    if mode == "hl_sum":
-        return _sum_components(
-            box, degree,
-            lambda lam: (b_lambda(lam)(q)
-                         * hall_littlewood_eval(lam, xs, q)
-                         * hall_littlewood_eval(lam, ys, q)))
-    if mode == "big_schur":
-        return _sum_components(
-            box, degree,
-            lambda lam: big_schur_eval(lam, ys, q) * schur_eval(lam, xs))
-    if mode == "twisted_schur":
-        times = _twisted_times(ys, q, max(1, box.n * box.m))
-        return _sum_components(
-            box, degree,
-            lambda lam: schur_in_miwa(lam, times) * schur_eval(lam, xs))
+    if mode in SUM_MODES:
+        return _sum_components(box, degree, _summand(xs, ys, spec, mode))
     if mode == "det_quotient":
         if q == 0:
-            return _sum_components(
-                box, degree,
-                lambda lam: schur_eval(lam, xs) * schur_eval(lam, ys))
+            return _sum_components(box, degree,
+                                   _summand(xs, ys, spec, "schur_sum"))
         if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
             raise ValueError("det_quotient needs pairwise-distinct points")
         val = box.n * (box.n - 1) // 2

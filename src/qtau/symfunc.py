@@ -1,21 +1,25 @@
 """Symmetric-function evaluation on exact rational point sets.
 
-Everything here is exact.  Schur values come from the bialternant when
-the points are pairwise distinct and from the Jacobi-Trudi determinant
-otherwise; the two routes agree and the tests exercise that.  The
-Hall-Littlewood line keeps two routes as well: the S_n symmetrization
-formula for distinct points, and a cached monomial-expansion table for
-the degenerate ones.
+Everything here is exact, and every quantity has one route.  Schur,
+skew Schur and deformed (big) Schur values are Jacobi-Trudi determinants
+det(c_{lam_i - mu_j - i + j}) over one-row generators -- h_k of the
+points, or the deformed coefficients q_k -- through
+``algebra_core.jacobi_trudi``.  A sum over a box of partitions builds
+the generator list once per point set and calls that helper directly.
 
-The monomial tables are built from the horizontal-strip branching rule
+Hall-Littlewood values and the monomial tables both come from the
+horizontal-strip branching rule
 
     P_lam(x_1..x_r; Q) = sum_mu psi_{lam/mu}(Q) x_r^{|lam/mu|} P_mu(x_1..x_{r-1}; Q)
 
 where psi picks up a factor (1 - Q^{m_j(mu)}) for every column length j
-whose multiplicity grows when the strip is removed.  Setting every psi
-weight to 1 turns the same recursion into semistandard-tableau counting,
-which is how the (classical) Kostka numbers are produced; the tests
-check both against independent brute force.
+whose multiplicity grows when the strip is removed.  Evaluated at the
+points, the recursion only multiplies and adds, so P_lam is defined at
+every Q, including the roots of unity where the symmetrization formula
+divides by zero.  Kept symbolic in Q, it gives the P-to-monomial table;
+with every psi weight set to 1 it counts semistandard tableaux, which is
+how the (classical) Kostka numbers are produced.  The tests check all of
+these against independent routes kept in ``tests/``.
 
 Kostka-Foulkes matrices are solved from the monomial tables: with
 partitions of one weight ordered decreasing-lexicographically both the
@@ -29,9 +33,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from math import prod
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .algebra_core import ONE, ZERO, QPoly, TruncatedSeries, det_rational
+from .algebra_core import ONE, ZERO, QPoly, TruncatedSeries, jacobi_trudi
 from .miwa import from_points, schur_in_miwa
 from .partitions import (Partition, contains, multiplicities, normalize,
                          partitions_of, weight)
@@ -104,79 +109,24 @@ def basis_eval(basis: str, k: int, xs: Sequence) -> Fraction:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def monomial_eval(mu: Partition, xs: Sequence) -> Fraction:
-    """Monomial symmetric polynomial m_mu on the point set."""
-    xs = as_points(xs)
-    n = len(xs)
-    if len(mu) > n:
-        return ZERO
-    padded = tuple(mu) + (0,) * (n - len(mu))
-    acc = ZERO
-    for expo in set(itertools.permutations(padded)):
-        term = ONE
-        for x, e in zip(xs, expo):
-            term *= x ** e
-        acc += term
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Schur and skew Schur values
 # ---------------------------------------------------------------------------
 
 
-def _schur_bialternant(lam: Partition, xs: PointSet) -> Fraction:
-    n = len(xs)
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    rows = [[xs[i] ** (padded[j] + n - 1 - j) for j in range(n)]
-            for i in range(n)]
-    return det_rational(rows) / vandermonde(xs)
-
-
-def _schur_jacobi_trudi(lam: Partition, xs: PointSet) -> Fraction:
-    ell = len(lam)
-    hs = homogeneous_list(xs, lam[0] + ell - 1)
-
-    def h(k):
-        return hs[k] if k >= 0 else ZERO
-
-    rows = [[h(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
-            for i in range(ell)]
-    return det_rational(rows)
-
-
 def schur_eval(lam: Partition, xs: Sequence) -> Fraction:
-    """s_lam on the point set; zero when the partition has too many rows."""
+    """s_lam = det(h_{lam_i - i + j}) on the point set."""
     lam = normalize(lam)
-    xs = as_points(xs)
-    if len(lam) > len(xs):
-        return ZERO
-    if not lam:
-        return ONE
-    if pairwise_distinct(xs):
-        return _schur_bialternant(lam, xs)
-    return _schur_jacobi_trudi(lam, xs)
+    return jacobi_trudi(homogeneous_list(xs, weight(lam)), lam)
 
 
 def skew_schur_eval(lam: Partition, mu: Partition, xs: Sequence) -> Fraction:
-    """s_{lam/mu} via det(h_{lam_i - mu_j - i + j})."""
+    """s_{lam/mu} = det(h_{lam_i - mu_j - i + j}) on the point set."""
     lam = normalize(lam)
     mu = normalize(mu)
-    xs = as_points(xs)
     if not contains(lam, mu):
         return ZERO
-    if not lam:
-        return ONE
-    ell = len(lam)
-    mu_padded = tuple(mu) + (0,) * (ell - len(mu))
-    hs = homogeneous_list(xs, lam[0] + ell - 1)
-
-    def h(k):
-        return hs[k] if 0 <= k < len(hs) else ZERO
-
-    rows = [[h(lam[i] - mu_padded[j] - (i + 1) + (j + 1)) for j in range(ell)]
-            for i in range(ell)]
-    return det_rational(rows)
+    return jacobi_trudi(homogeneous_list(xs, weight(lam)), lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -184,49 +134,28 @@ def skew_schur_eval(lam: Partition, mu: Partition, xs: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def is_horizontal_strip(lam: Partition, mu: Partition) -> bool:
-    """True when mu <= lam and lam/mu has at most one box per column."""
-    if not contains(lam, mu):
-        return False
-    mu_padded = tuple(mu) + (0,) * (len(lam) - len(mu))
-    return all(
-        lam[i + 1] <= mu_padded[i] for i in range(len(lam) - 1)
-    )
+def _strips(lam: Partition) -> Iterator[Tuple[Partition, int]]:
+    """Every mu with lam/mu a horizontal strip, with the strip size |lam/mu|.
 
-
-def _strip_predecessors(lam: Partition, size: int) -> List[Partition]:
-    """All mu with lam/mu a horizontal strip of the given size."""
-    if size < 0:
-        return []
+    Those mu are exactly the interlacing ones, lam_{i+1} <= mu_i <= lam_i,
+    so every part but the last is positive and mu comes out sorted.
+    """
     ell = len(lam)
-    out: List[Partition] = []
-
-    def rec(i: int, remaining: int, prefix: Tuple[int, ...]):
-        if i == ell:
-            if remaining == 0:
-                out.append(normalize(prefix))
-            return
-        lo = lam[i + 1] if i + 1 < ell else 0
-        hi = lam[i]
-        for mu_i in range(hi, lo - 1, -1):
-            removed = lam[i] - mu_i
-            if removed > remaining:
-                continue
-            rec(i + 1, remaining - removed, prefix + (mu_i,))
-
-    rec(0, size, ())
-    return out
+    rows = [range(lam[i], (lam[i + 1] if i + 1 < ell else 0) - 1, -1)
+            for i in range(ell)]
+    total = weight(lam)
+    for mu in itertools.product(*rows):
+        yield (mu if mu[-1] else mu[:-1]), total - sum(mu)
 
 
-def _psi_weight(lam: Partition, mu: Partition) -> QPoly:
-    """Branching weight: prod over j with m_j(mu) = m_j(lam)+1 of (1 - Q^{m_j(mu)})."""
+def _psi_exponents(lam: Partition, mu: Partition) -> List[int]:
+    """psi_{lam/mu} = prod of (1 - Q^c) over these c.
+
+    One c = m_j(mu) for every j with m_j(mu) = m_j(lam) + 1.
+    """
     ml = multiplicities(lam)
-    mm = multiplicities(mu)
-    acc = QPoly.one()
-    for j, count in mm.items():
-        if count == ml.get(j, 0) + 1:
-            acc = acc * QPoly([1] + [0] * (count - 1) + [-1])
-    return acc
+    return [count for j, count in multiplicities(mu).items()
+            if count == ml.get(j, 0) + 1]
 
 
 @lru_cache(maxsize=None)
@@ -234,9 +163,11 @@ def _chain_sum(shape: Partition, steps: Tuple[int, ...]) -> QPoly:
     if not steps:
         return QPoly.one() if not shape else QPoly.zero()
     acc = QPoly.zero()
-    for mu in _strip_predecessors(shape, steps[-1]):
-        term = _psi_weight(shape, mu) * _chain_sum(mu, steps[:-1])
-        acc = acc + term
+    for mu, size in _strips(shape):
+        if size == steps[-1]:
+            psi = prod((QPoly([1] + [0] * (c - 1) + [-1])
+                        for c in _psi_exponents(shape, mu)), start=QPoly.one())
+            acc = acc + psi * _chain_sum(mu, steps[:-1])
     return acc
 
 
@@ -244,10 +175,8 @@ def _chain_sum(shape: Partition, steps: Tuple[int, ...]) -> QPoly:
 def _chain_count(shape: Partition, steps: Tuple[int, ...]) -> int:
     if not steps:
         return 1 if not shape else 0
-    return sum(
-        _chain_count(mu, steps[:-1])
-        for mu in _strip_predecessors(shape, steps[-1])
-    )
+    return sum(_chain_count(mu, steps[:-1])
+               for mu, size in _strips(shape) if size == steps[-1])
 
 
 @lru_cache(maxsize=None)
@@ -285,51 +214,49 @@ def schur_monomial_table(d: int) -> Dict[Partition, Dict[Partition, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _v_lambda(lam: Partition, nvars: int, q: Fraction) -> Fraction:
-    """Normalization prod_i v_{m_i}(q), m_0 counting the zero parts.
+def hall_littlewood_evaluator(xs: Sequence,
+                              q) -> Callable[[Partition], Fraction]:
+    """lam -> P_lam(x; Q) on one point set, by the branching rule.
 
-    v_m(q) = prod_{j<=m} (1 + q + ... + q^{j-1}); written with q-integers
-    so q = 1 degenerates to m! instead of 0/0.
+    P_mu(x_1..x_r) is memoised by (mu, r) for as long as the returned
+    function lives, so a sum over a box of partitions reuses every value
+    the recursion meets.
     """
-    mult = list(multiplicities(lam).values())
-    mult.append(nvars - len(lam))
-    acc = ONE
-    for m in mult:
-        for j in range(1, m + 1):
-            acc *= sum((q ** i for i in range(j)), ZERO)
-    return acc
+    xs = as_points(xs)
+    q = Fraction(q)
+    # psi factors 1 - Q^c have c = m_j(mu) <= l(mu) < len(xs)
+    one_minus = [1 - q ** c for c in range(len(xs))]
+    memo: Dict[Tuple[Partition, int], Fraction] = {}
 
+    def value(lam: Partition, r: int) -> Fraction:
+        if len(lam) > r:
+            return ZERO
+        if not lam:
+            return ONE
+        if r == 1:
+            return xs[0] ** lam[0]
+        key = (lam, r)
+        if key not in memo:
+            x = xs[r - 1]
+            acc = ZERO
+            for mu, size in _strips(lam):
+                # zero terms: l(mu) >= r leaves too few variables for
+                # P_mu, and x^size vanishes at x = 0 unless size = 0
+                if len(mu) >= r or (size and not x):
+                    continue
+                psi = prod((one_minus[c] for c in _psi_exponents(lam, mu)),
+                           start=ONE)
+                if psi:
+                    acc += psi * x ** size * value(mu, r - 1)
+            memo[key] = acc
+        return memo[key]
 
-def _hl_symmetrization(lam: Partition, xs: PointSet, q: Fraction) -> Fraction:
-    n = len(xs)
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    total = ZERO
-    for perm in itertools.permutations(range(n)):
-        ys = [xs[i] for i in perm]
-        term = ONE
-        for i in range(n):
-            term *= ys[i] ** padded[i]
-        for i in range(n):
-            for j in range(i + 1, n):
-                term *= (ys[i] - q * ys[j]) / (ys[i] - ys[j])
-        total += term
-    return total / _v_lambda(lam, n, q)
+    return lambda lam: value(normalize(lam), len(xs))
 
 
 def hall_littlewood_eval(lam: Partition, xs: Sequence, q) -> Fraction:
-    """P_lam(x; Q) exactly; falls back to the monomial table on repeated points."""
-    lam = normalize(lam)
-    xs = as_points(xs)
-    q = Fraction(q)
-    if len(lam) > len(xs):
-        return ZERO
-    if not lam:
-        return ONE
-    if pairwise_distinct(xs):
-        return _hl_symmetrization(lam, xs, q)
-    row = hl_monomial_table(weight(lam))[lam]
-    return sum((coeff(q) * monomial_eval(mu, xs) for mu, coeff in row.items()),
-               ZERO)
+    """P_lam(x; Q) exactly, at every point set and every Q."""
+    return hall_littlewood_evaluator(xs, q)(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +354,7 @@ def q_coeff(m: int, ys: Sequence, q) -> Fraction:
 def big_schur_eval(lam: Partition, ys: Sequence, q) -> Fraction:
     """Deformed Schur value det(q_{lam_i - i + j}) on the point set."""
     lam = normalize(lam)
-    if not lam:
-        return ONE
-    ell = len(lam)
-    cs = q_coeff_list(ys, q, lam[0] + ell - 1)
-
-    def qc(k):
-        return cs[k] if k >= 0 else ZERO
-
-    rows = [[qc(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
-            for i in range(ell)]
-    return det_rational(rows)
+    return jacobi_trudi(q_coeff_list(ys, q, weight(lam)), lam)
 
 
 def supersymmetric_schur_eval(lam: Partition, alpha: Sequence,

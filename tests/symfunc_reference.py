@@ -1,0 +1,120 @@
+"""Second evaluation routes, kept only as references for the tests.
+
+The library evaluates each symmetric function one way: Schur-type values
+by the Jacobi-Trudi determinant and Hall-Littlewood values by the
+horizontal-strip branching rule.  The routes here are independent of
+those and are slower or defined on fewer inputs:
+
+- ``monomial_eval`` sums one term per distinct rearrangement of mu;
+- ``schur_bialternant`` divides an alternant by the Vandermonde, so it
+  needs pairwise-distinct points;
+- ``hl_symmetrization`` is the N!-term S_N symmetrization divided by
+  v_lam(Q), so it needs distinct points and v_lam(Q) != 0;
+- ``hl_via_monomials`` contracts a row of ``hl_monomial_table`` with
+  ``monomial_eval``;
+- ``big_schur_matrix`` and ``schur_in_miwa_matrix`` write the deformed
+  and time-coordinate Schur determinants out entry by entry.
+"""
+
+import itertools
+from fractions import Fraction
+
+from qtau.algebra_core import ONE, ZERO, det_rational, h_from_times
+from qtau.partitions import multiplicities, normalize, weight
+from qtau.symfunc import (as_points, hl_monomial_table, q_coeff_list,
+                          vandermonde)
+
+
+def monomial_eval(mu, xs) -> Fraction:
+    """Monomial symmetric polynomial m_mu on the point set."""
+    xs = as_points(xs)
+    n = len(xs)
+    if len(mu) > n:
+        return ZERO
+    padded = tuple(mu) + (0,) * (n - len(mu))
+    acc = ZERO
+    for expo in set(itertools.permutations(padded)):
+        term = ONE
+        for x, e in zip(xs, expo):
+            term *= x ** e
+        acc += term
+    return acc
+
+
+def schur_bialternant(lam, xs) -> Fraction:
+    """det(x_i^{lam_j + n - j}) / Vandermonde, for pairwise-distinct points."""
+    lam = normalize(lam)
+    xs = as_points(xs)
+    n = len(xs)
+    if len(lam) > n:
+        return ZERO
+    padded = lam + (0,) * (n - len(lam))
+    rows = [[xs[i] ** (padded[j] + n - 1 - j) for j in range(n)]
+            for i in range(n)]
+    return det_rational(rows) / vandermonde(xs)
+
+
+def v_lambda(lam, nvars: int, q) -> Fraction:
+    """prod_i v_{m_i}(q), m_0 counting the zero parts, with q-integers."""
+    mult = list(multiplicities(lam).values())
+    mult.append(nvars - len(lam))
+    acc = ONE
+    for m in mult:
+        for j in range(1, m + 1):
+            acc *= sum((Fraction(q) ** i for i in range(j)), ZERO)
+    return acc
+
+
+def hl_symmetrization(lam, xs, q) -> Fraction:
+    """P_lam(x; q) as the S_n symmetrization over v_lam(q)."""
+    lam = normalize(lam)
+    xs = as_points(xs)
+    q = Fraction(q)
+    n = len(xs)
+    if len(lam) > n:
+        return ZERO
+    padded = lam + (0,) * (n - len(lam))
+    total = ZERO
+    for perm in itertools.permutations(range(n)):
+        ys = [xs[i] for i in perm]
+        term = ONE
+        for i in range(n):
+            term *= ys[i] ** padded[i]
+        for i in range(n):
+            for j in range(i + 1, n):
+                term *= (ys[i] - q * ys[j]) / (ys[i] - ys[j])
+        total += term
+    return total / v_lambda(lam, n, q)
+
+
+def hl_via_monomials(lam, xs, q) -> Fraction:
+    """sum_mu hl_monomial_table(|lam|)[lam][mu](q) m_mu(x)."""
+    lam = normalize(lam)
+    row = hl_monomial_table(weight(lam))[lam]
+    return sum((coeff(Fraction(q)) * monomial_eval(mu, xs)
+                for mu, coeff in row.items()), ZERO)
+
+
+def _matrix_det(gens, lam) -> Fraction:
+    ell = len(lam)
+
+    def c(k):
+        return gens[k] if k >= 0 else ZERO
+
+    return det_rational([[c(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
+                         for i in range(ell)])
+
+
+def big_schur_matrix(lam, ys, q) -> Fraction:
+    """det(q_{lam_i - i + j}(y; q)) written out."""
+    lam = normalize(lam)
+    if not lam:
+        return ONE
+    return _matrix_det(q_coeff_list(ys, q, lam[0] + len(lam) - 1), lam)
+
+
+def schur_in_miwa_matrix(lam, t) -> Fraction:
+    """det(h_{lam_i - i + j}(t)) written out."""
+    if not lam:
+        return ONE
+    return _matrix_det(h_from_times(t.values, lam[0] + len(lam) - 1), lam)

@@ -6,8 +6,8 @@ import pytest
 
 from qtau.algebra_core import (QPoly, TruncatedSeries, det_rational, det_ring,
                                exp_generating, format_rational, h_from_times,
-                               mat_mul_ring, parse_rational, power_series_div,
-                               qpoly_eval, series_product)
+                               jacobi_trudi, mat_mul_ring, parse_rational,
+                               power_series_div)
 from qtau.miwa import from_points
 
 
@@ -21,10 +21,10 @@ def test_parse_format_round_trip():
 
 def test_qpoly_eval_examples():
     one_minus = QPoly([1, -1])          # 1 - Q
-    assert qpoly_eval(one_minus, F(0)) == 1
-    assert qpoly_eval(QPoly.gen(), F(1, 3)) == F(1, 3)
+    assert one_minus(F(0)) == 1
+    assert one_minus(-1) == 2
+    assert QPoly.gen()(F(1, 3)) == F(1, 3)
     p = QPoly([1, -1]) * QPoly([1, 0, -1])   # (1-Q)(1-Q^2)
-    assert qpoly_eval(p, F(1, 2)) == F(3, 8)
     assert p(F(1, 2)) == F(3, 8)
 
 
@@ -43,11 +43,11 @@ def test_series_product_examples():
     names = ("x",)
     one = TruncatedSeries.one(names, 2)
     x = TruncatedSeries.variable(names, 2, "x")
-    assert series_product(one + x, one - x) == one - x * x
+    assert (one + x) * (one - x) == one - x * x
     # cutoff 1 drops the quadratic term
     one1 = TruncatedSeries.one(names, 1)
     x1 = TruncatedSeries.variable(names, 1, "x")
-    sq = series_product(one1 + x1, one1 + x1)
+    sq = (one1 + x1) * (one1 + x1)
     assert sq == one1 + x1 + x1
 
     # geometric series 1/(1 - z/2): multiplying back gives 1
@@ -58,15 +58,15 @@ def test_series_product_examples():
         zpow = zpow * z
         geo = geo + zpow.scale(F(1, 2) ** k)
     assert geo.coefficient((3,)) == F(1, 8)
-    assert series_product(TruncatedSeries.one(("z",), 3) - z.scale(F(1, 2)),
-                          geo) == TruncatedSeries.one(("z",), 3)
+    assert ((TruncatedSeries.one(("z",), 3) - z.scale(F(1, 2))) * geo
+            == TruncatedSeries.one(("z",), 3))
 
 
 def test_series_mismatched_variables():
     a = TruncatedSeries.one(("x",), 2)
     b = TruncatedSeries.one(("y",), 2)
     with pytest.raises(ValueError):
-        series_product(a, b)
+        a * b
 
 
 def test_exp_generating():
@@ -89,6 +89,19 @@ def test_det_rational():
     assert det_rational([[F(1), F(2)], [F(3), F(4)]]) == -2
     assert det_rational([[F(5)]]) == 5
     assert det_rational([]) == 1
+
+
+def test_jacobi_trudi():
+    from qtau.symfunc import homogeneous_list
+    a, b = F(1, 2), F(1, 3)
+    hs = homogeneous_list([a, b], 4)
+    assert jacobi_trudi(hs, ()) == 1
+    assert jacobi_trudi(hs, (2, 1)) == a * b * (a + b)
+    assert jacobi_trudi(hs, (1, 1, 1)) == 0
+    assert jacobi_trudi(hs, (2, 1), (1,)) == (a + b) ** 2
+    # zero unless mu is contained in lam, also when mu has more rows
+    assert jacobi_trudi(hs, (1,), (2,)) == 0
+    assert jacobi_trudi(hs, (1,), (1, 1)) == 0
 
 
 def test_det_ring_matches_rational():

@@ -41,6 +41,15 @@ def test_corr(capsys):
     assert "det      = 16755" in out and "skew_sum = 16755" in out
 
 
+def test_corr_odd_parity(capsys):
+    # M+N-1 = 3 is odd; both routes still answer and agree
+    code, out, _ = run(capsys, "corr", "--n", "2", "--m", "2", "--site", "1",
+                       "--x", "1/2,1/3", "--y", "1/5")
+    assert code == 0
+    det = out.split("det      = ")[1].split()[0]
+    assert f"skew_sum = {det}" in out
+
+
 def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "--model", "qboson", "--n", "2",
                        "--m", "2", "--q", "1/4", "--x", "1/2,1/3",

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qtau.miwa import (MiwaCoords, from_points, pad, schur_in_miwa, to_json,
-                       twist, zero_coords)
+from qtau.miwa import (MiwaCoords, from_points, schur_in_miwa, to_json, twist,
+                       zero_coords)
 from qtau.symfunc import schur_eval
 
 
@@ -30,7 +30,6 @@ def test_coords_arithmetic():
     s = MiwaCoords((F(3), F(4)))
     assert (t + s).values == (4, 6)
     assert (s - t).values == (2, 2)
-    assert pad(t, 4).values == (1, 2, 0, 0)
     assert t.time(2) == 2 and t.time(5) == 0
     with pytest.raises(ValueError):
         t.time(0)

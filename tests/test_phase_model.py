@@ -63,6 +63,21 @@ def test_correlation_pinned_values():
                 == expected[site])
 
 
+def test_correlation_det_on_odd_parity_cells():
+    # M+N-1 odd: the Cauchy-Binet determinant needs no parity condition
+    from qtau import fock_oracle as oracle
+    for n, m in ((2, 2), (3, 3)):
+        box = BoxSpec(n, m)
+        xs = [F(1, 2), F(2, 3), F(1, 5)][:n]
+        for ys in ([F(1, 3), F(3, 4)][:n - 1], [F(-1, 3), F(-3, 4)][:n - 1]):
+            for site in range(m + 1):
+                det = correlation_Am(xs, ys, site, box, mode="det")
+                assert det == correlation_Am(xs, ys, site, box,
+                                             mode="skew_sum")
+                assert det == oracle.oracle_pairing("phase", box, xs, ys,
+                                                    insertion=site)
+
+
 def test_correlation_empty_y():
     # one particle created over the vacuum: only mu = (m) survives
     box = BoxSpec(1, 3)

@@ -82,6 +82,15 @@ def test_graded_agreement():
         assert graded_components(xs, ys, spec, mode, 2) == base
 
 
+def test_mode_report_at_q_minus_one():
+    # v_lam(-1) = 0 for several lam in this box, which the branching-rule
+    # evaluator never divides by
+    spec = QBosonSpec(BoxSpec(3, 2), F(-1))
+    xs, ys = [F(1, 2), F(1, 3), F(2, 5)], [F(1, 5), F(2, 7), F(3, 4)]
+    rep = mode_agreement_report(xs, ys, spec)
+    assert all(rep["graded_equal_hl"].values())
+
+
 def test_c_tilde_small():
     q = QPoly.gen()
     assert c_tilde_matrix(0) == ((QPoly.one(),),)

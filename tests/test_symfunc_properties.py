@@ -1,0 +1,87 @@
+"""Property tests: each library route against its reference in tests/.
+
+Points are signed rationals, zero and repeats included; Q is drawn from
+0, 1, -1, 2 and random signed rationals.  Sizes stay at N <= 4 and
+|lam| <= 6 so the run stays short.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qtau.algebra_core import jacobi_trudi
+from qtau.miwa import from_points, schur_in_miwa, twist
+from qtau.partitions import contains, partitions_of, weight
+from qtau.symfunc import (big_schur_eval, hall_littlewood_eval,
+                          homogeneous_list, schur_eval, skew_schur_eval)
+from symfunc_reference import (big_schur_matrix, hl_symmetrization,
+                               hl_via_monomials, schur_bialternant,
+                               schur_in_miwa_matrix, v_lambda)
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+QS = st.one_of(st.sampled_from([F(0), F(1), F(-1), F(2)]), RATIONALS)
+PARTITIONS = st.integers(0, 6).flatmap(
+    lambda d: st.sampled_from(partitions_of(d)))
+DISTINCT_POINTS = st.lists(RATIONALS, min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def points(draw):
+    """1-4 points from a small pool, so repeats and zeros come up often."""
+    pool = draw(st.lists(RATIONALS, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool + [F(0)]), min_size=1,
+                         max_size=4))
+
+
+SETTINGS = settings(max_examples=30, deadline=None)
+
+
+@SETTINGS
+@given(PARTITIONS, points(), QS)
+def test_hall_littlewood_matches_monomial_table(lam, xs, q):
+    assert hall_littlewood_eval(lam, xs, q) == hl_via_monomials(lam, xs, q)
+
+
+@SETTINGS
+@given(PARTITIONS, DISTINCT_POINTS, QS)
+def test_hall_littlewood_matches_symmetrization(lam, xs, q):
+    assume(v_lambda(lam, len(xs), q) != 0)
+    assert hall_littlewood_eval(lam, xs, q) == hl_symmetrization(lam, xs, q)
+
+
+@SETTINGS
+@given(PARTITIONS, DISTINCT_POINTS)
+def test_schur_matches_bialternant(lam, xs):
+    assert schur_eval(lam, xs) == schur_bialternant(lam, xs)
+
+
+@SETTINGS
+@given(PARTITIONS, points(), points())
+def test_skew_schur_branching(lam, xs, ys):
+    # s_lam(x, y) = sum_mu s_mu(x) s_{lam/mu}(y)
+    total = sum(schur_eval(mu, xs) * skew_schur_eval(lam, mu, ys)
+                for d in range(weight(lam) + 1) for mu in partitions_of(d))
+    assert total == schur_eval(lam, xs + ys)
+
+
+@SETTINGS
+@given(PARTITIONS, PARTITIONS, points())
+def test_jacobi_trudi_vanishes_off_containment(lam, mu, ys):
+    assume(not contains(lam, mu))
+    hs = homogeneous_list(ys, weight(lam) + weight(mu))
+    assert jacobi_trudi(hs, lam, mu) == 0
+
+
+@SETTINGS
+@given(PARTITIONS, points(), QS)
+def test_big_schur_matches_matrix(lam, ys, q):
+    assert big_schur_eval(lam, ys, q) == big_schur_matrix(lam, ys, q)
+
+
+@SETTINGS
+@given(PARTITIONS, points(), QS)
+def test_schur_in_miwa_matches_matrix(lam, xs, q):
+    t = twist(from_points(xs, max(1, weight(lam))), q)
+    assert schur_in_miwa(lam, t) == schur_in_miwa_matrix(lam, t)
+    assert schur_in_miwa(lam, t) == big_schur_eval(lam, xs, q)
