@@ -13,9 +13,10 @@ below are built on them, so that every computation downstream is exact:
 
 The module also carries the small amount of exact linear algebra the
 rest of the package needs (determinants over the rationals and over a
-commutative ring, power-series division), the generating series
-exp(sum_k t_k z^k) used by the Miwa-coordinate code, and the one
-Jacobi-Trudi determinant that every Schur-type value is built from.
+commutative ring, power-series division), the coefficients h_k(t) of
+exp(sum_k t_k z^k) that the Miwa-coordinate code builds Schur values
+from, and the one Jacobi-Trudi determinant that every Schur-type value
+is built from.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" into an exact rational; ValueError if it is none."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a finite rational p/q: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -330,18 +334,6 @@ def h_from_times(times: Sequence, kmax: int):
                 acc += k * ts[k - 1] * hs[j - k]
         hs.append(acc / j)
     return hs
-
-
-def exp_generating(times, cutoff: int) -> TruncatedSeries:
-    """exp(sum_k t_k z^k) as a truncated series in the single variable z.
-
-    ``times`` may be a plain sequence of t_1..t_n or any object with a
-    ``values`` attribute holding one (MiwaCoords qualifies).
-    """
-    values = getattr(times, "values", times)
-    hs = h_from_times(values, cutoff)
-    return TruncatedSeries(
-        ("z",), cutoff, {(k,): h for k, h in enumerate(hs)})
 
 
 # ---------------------------------------------------------------------------

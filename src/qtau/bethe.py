@@ -13,7 +13,10 @@ with the two-body scattering ratio,
 
 At Q = 0 the ratio degenerates to (-y_j)/y_i and the system collapses
 to the phase-model form y_i^{N+M} = (-1)^{N-1} prod_{j != i} y_j, which
-is why Newton continuation in Q starts from the phase solution.
+is why Newton continuation in Q starts from the phase solution.  Each
+Newton step solves its N x N complex linear system by Gaussian
+elimination on plain lists, which at desk sizes (N <= 4) needs no
+numerical library.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 MAX_NEWTON_STEPS = 80
 TARGET_RESIDUAL = 1e-10
@@ -90,7 +91,7 @@ def solve_phase(n: int, m: int,
     return BetheRoots(roots=_sorted_roots(roots), residual=res)
 
 
-def _cleared_system(ys: np.ndarray, m: int, q: float):
+def _cleared_system(ys: Sequence[complex], m: int, q: float):
     """F and its Jacobian for F_i = y_i^{M+1} P_i - R_i.
 
     P_i = prod_{j != i} (y_i - Q y_j) and R_i = prod_{j != i}
@@ -98,8 +99,8 @@ def _cleared_system(ys: np.ndarray, m: int, q: float):
     when a trial point drifts near a pole of the ratio form.
     """
     n = len(ys)
-    F = np.zeros(n, dtype=complex)
-    J = np.zeros((n, n), dtype=complex)
+    F: List[complex] = []
+    J: List[List[complex]] = []
     for i in range(n):
         yi = ys[i]
         P = complex(1.0)
@@ -108,19 +109,47 @@ def _cleared_system(ys: np.ndarray, m: int, q: float):
             if j != i:
                 P *= yi - q * ys[j]
                 R *= q * yi - ys[j]
-        F[i] = yi ** (m + 1) * P - R
+        F.append(yi ** (m + 1) * P - R)
         dP = complex(0.0)
         dR = complex(0.0)
         for j in range(n):
             if j != i:
                 dP += P / (yi - q * ys[j])
                 dR += R * q / (q * yi - ys[j])
-        J[i, i] = (m + 1) * yi ** m * P + yi ** (m + 1) * dP - dR
+        row = [complex(0.0)] * n
+        row[i] = (m + 1) * yi ** m * P + yi ** (m + 1) * dP - dR
         for k in range(n):
             if k != i:
-                J[i, k] = (-(q) * yi ** (m + 1) * P / (yi - q * ys[k])
-                           + R / (q * yi - ys[k]))
+                row[k] = (-(q) * yi ** (m + 1) * P / (yi - q * ys[k])
+                          + R / (q * yi - ys[k]))
+        J.append(row)
     return F, J
+
+
+def _solve(a: Sequence[Sequence[complex]],
+           b: Sequence[complex]) -> List[complex]:
+    """x with a x = b, by Gaussian elimination with partial pivoting."""
+    a = [list(row) for row in a]
+    b = list(b)
+    n = len(b)
+    for k in range(n):
+        p = max(range(k, n), key=lambda r: abs(a[r][k]))
+        if a[p][k] == 0:
+            raise ArithmeticError("singular Jacobian")
+        a[k], a[p] = a[p], a[k]
+        b[k], b[p] = b[p], b[k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for c in range(k + 1, n):
+                a[r][c] -= f * a[k][c]
+            b[r] -= f * b[k]
+    x = [complex(0.0)] * n
+    for k in range(n - 1, -1, -1):
+        acc = b[k]
+        for c in range(k + 1, n):
+            acc -= a[k][c] * x[c]
+        x[k] = acc / a[k][k]
+    return x
 
 
 def solve_qboson(n: int, m: int, q: float, initial: BetheRoots) -> BetheRoots:
@@ -132,7 +161,7 @@ def solve_qboson(n: int, m: int, q: float, initial: BetheRoots) -> BetheRoots:
     """
     if not 0.0 <= q < 1.0:
         raise ValueError("Q must lie in [0, 1)")
-    ys = np.array([complex(z) for z in initial.roots], dtype=complex)
+    ys = [complex(z) for z in initial.roots]
     if len(ys) != n:
         raise ValueError("initial guess has the wrong number of roots")
     for _ in range(MAX_NEWTON_STEPS):
@@ -142,20 +171,17 @@ def solve_qboson(n: int, m: int, q: float, initial: BetheRoots) -> BetheRoots:
             raise ArithmeticError(
                 "Jacobian evaluation hit a pole of the scattering ratio"
             ) from exc
-        if not np.all(np.isfinite(F)):
+        if not all(cmath.isfinite(f) for f in F):
             raise ArithmeticError("divergent Newton iterate")
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError("singular Jacobian") from exc
-        ys = ys + delta
-        if float(np.max(np.abs(delta))) < 1e-13:
+        delta = _solve(J, [-f for f in F])
+        ys = [y + d for y, d in zip(ys, delta)]
+        if max(abs(d) for d in delta) < 1e-13:
             break
-    res = residual("qboson", n, m, q, ys.tolist())
+    res = residual("qboson", n, m, q, ys)
     if not res < TARGET_RESIDUAL:
         raise ArithmeticError(
             f"Newton iteration did not converge: residual {res}")
-    return BetheRoots(roots=_sorted_roots(ys.tolist()), residual=res)
+    return BetheRoots(roots=_sorted_roots(ys), residual=res)
 
 
 def solve_qboson_continued(n: int, m: int, q: float,

@@ -24,7 +24,7 @@ from .phase_model import BoxSpec, correlation_Am, scalar_product
 from .qboson_model import (MODES, QBosonSpec, mode_agreement_report,
                            scalar_product_q)
 from .symfunc import kostka_tables, kostka_tables_json
-from .suites import SuiteConfig, desk_caps, emit_report, run_suite
+from .suites import SuiteConfig, check_caps, emit_report, run_suite
 from . import bethe as bethe_mod
 from . import fock_oracle as oracle
 
@@ -41,14 +41,13 @@ def _ints(text: str) -> List[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _check_caps(n: int, m: int, cutoff: Optional[int] = None) -> None:
-    cap_n, cap_m, cap_d = desk_caps()
-    if n > cap_n or m > cap_m or (cutoff is not None and cutoff > cap_d):
-        raise ValueError(
-            f"size exceeds the desk-scale caps (N<={cap_n}, M<={cap_m}, "
-            f"D<={cap_d}); set QTAU_MAX_SIZE to override")
-    if n < 1 or m < 0:
-        raise ValueError("need N >= 1 and M >= 0")
+def _model_q(args) -> Fraction:
+    """The --q deformation; the phase model is Q = 0 and takes no other."""
+    q = parse_rational(args.q) if args.q is not None else Fraction(0)
+    if args.model == "phase" and q != 0:
+        raise ValueError("--q is for --model qboson; "
+                         "the phase model has Q = 0")
+    return q
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -68,7 +67,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_scalar(args) -> int:
-    _check_caps(args.n, args.m)
+    check_caps(args.n, args.m)
     xs, ys = _points(args.x), _points(args.y)
     if len(xs) != args.n or len(ys) != args.n:
         raise ValueError("need exactly N values in --x and in --y")
@@ -87,7 +86,7 @@ def _cmd_scalar(args) -> int:
 
 
 def _cmd_qscalar(args) -> int:
-    _check_caps(args.n, args.m)
+    check_caps(args.n, args.m)
     xs, ys = _points(args.x), _points(args.y)
     if len(xs) != args.n or len(ys) != args.n:
         raise ValueError("need exactly N values in --x and in --y")
@@ -99,16 +98,19 @@ def _cmd_qscalar(args) -> int:
     rep = mode_agreement_report(xs, ys, spec)
     width = max(len(mode) for mode in MODES)
     for mode in MODES:
-        print(f"{mode:<{width}} = {format_rational(rep['values'][mode])}")
+        value = rep["values"].get(mode)
+        shown = ("n/a (needs pairwise-distinct points)" if value is None
+                 else format_rational(value))
+        print(f"{mode:<{width}} = {shown}")
     graded = rep["graded_equal_hl"]
-    bad = [mode for mode in MODES if not graded[mode]]
+    bad = [mode for mode in graded if not graded[mode]]
     print(f"graded agreement through degree {rep['graded_window']}: "
           + ("all modes" if not bad else "FAILS for " + ",".join(bad)))
     return 0 if not bad else 1
 
 
 def _cmd_corr(args) -> int:
-    _check_caps(args.n, args.m)
+    check_caps(args.n, args.m)
     xs, ys = _points(args.x), _points(args.y)
     if len(xs) != args.n or len(ys) != args.n - 1:
         raise ValueError("the one-point function pairs N points in --x "
@@ -129,13 +131,11 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_caps(args.n, args.m)
+    check_caps(args.n, args.m)
     xs, ys = _points(args.x), _points(args.y)
     box = BoxSpec(args.n, args.m)
-    if args.model == "phase":
-        spec = box
-    else:
-        spec = QBosonSpec(box, parse_rational(args.q))
+    q = _model_q(args)
+    spec = box if args.model == "phase" else QBosonSpec(box, q)
     if args.site is not None and args.model != "phase":
         raise ValueError("--site comparison is only wired for the "
                          "phase model")
@@ -155,13 +155,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bethe(args) -> int:
-    _check_caps(args.n, args.m)
+    check_caps(args.n, args.m)
     qn = _ints(args.qn)
+    q_used = float(_model_q(args))
     if args.model == "phase":
         result = bethe_mod.solve_phase(args.n, args.m, qn)
-        q_used = 0.0
     else:
-        q_used = float(args.q) if args.q is not None else 0.0
         result = bethe_mod.solve_qboson_continued(args.n, args.m, q_used, qn)
     payload = {
         "model": args.model,
@@ -183,12 +182,7 @@ def _cmd_bethe(args) -> int:
 
 
 def _cmd_kostka(args) -> int:
-    cap_d = desk_caps()[2]
-    if args.cutoff > cap_d:
-        raise ValueError(f"weight exceeds the desk-scale cap D<={cap_d}; "
-                         "set QTAU_MAX_SIZE to override")
-    if args.cutoff < 0:
-        raise ValueError("weight must be nonnegative")
+    check_caps(degree=args.cutoff)
     payload = kostka_tables_json(kostka_tables(args.cutoff))
     _write_out(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -213,15 +207,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    _check_caps(args.n, args.m)
+    check_caps(args.n, args.m)
     us = _points(args.u)
     if not 0 < len(us) <= args.n:
         raise ValueError("need between 1 and N spectral values in --u")
     box = BoxSpec(args.n, args.m)
-    if args.model == "phase":
-        spec = box
-    else:
-        spec = QBosonSpec(box, parse_rational(args.q))
+    q = _model_q(args)
+    spec = box if args.model == "phase" else QBosonSpec(box, q)
     vec = oracle.bethe_state(args.model, spec, us)
     basis = oracle.sector_basis(args.n, args.m)
     sector = len(us)
@@ -304,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qn", required=True,
                    help="comma-separated integer quantum numbers")
     p.add_argument("--q", default=None,
-                   help="target deformation (qboson only, float)")
+                   help="target deformation Q as p/q (qboson only)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bethe)

@@ -344,22 +344,6 @@ def _apply_ops(ops: Tuple[SectorOperator, ...], basis: SectorBasis,
     return out
 
 
-def _apply_ops_row(ops: Tuple[SectorOperator, ...], basis: SectorBasis,
-                   row_vec: List[Fraction]) -> List[Fraction]:
-    out = [ZERO] * basis.dim
-    for op in ops:
-        toff = basis.offsets[op.target]
-        soff = basis.offsets[op.source]
-        for r, row in enumerate(op.matrix):
-            rv = row_vec[toff + r]
-            if rv == 0:
-                continue
-            for c, coeff in enumerate(row):
-                if coeff != 0:
-                    out[soff + c] += rv * coeff
-    return out
-
-
 def vacuum_vector(basis: SectorBasis) -> List[Fraction]:
     vec = [ZERO] * basis.dim
     vec[0] = ONE
@@ -381,19 +365,6 @@ def bethe_state(model: str, spec, roots: Sequence) -> Tuple[Fraction, ...]:
     for u in roots:
         vec = _apply_ops(b_operator(model, spec, u * u), basis, vec)
     return tuple(vec)
-
-
-def dual_state(model: str, spec, roots: Sequence) -> Tuple[Fraction, ...]:
-    """The row <0| prod_j C(x_j) over the sector basis (roots as u-values)."""
-    n, m, q = _resolve(model, spec)
-    roots = as_points(roots)
-    if len(roots) > n:
-        raise ValueError("more roots than the particle bound")
-    basis = sector_basis(n, m)
-    row = vacuum_vector(basis)
-    for u in roots:
-        row = _apply_ops_row(c_operator(model, spec, u * u), basis, row)
-    return tuple(row)
 
 
 def partition_coefficients(basis: SectorBasis, vec: Sequence[Fraction],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .algebra_core import ZERO, format_rational, h_from_times, jacobi_trudi
+from .algebra_core import ZERO, h_from_times, jacobi_trudi
 from .partitions import Partition, normalize, weight
 
 
@@ -54,10 +54,6 @@ class MiwaCoords:
             self.time(k) - other.time(k) for k in range(1, n + 1)))
 
 
-def zero_coords(n_max: int) -> MiwaCoords:
-    return MiwaCoords((ZERO,) * n_max)
-
-
 def from_points(points: Sequence, n_max: int) -> MiwaCoords:
     """t_n = (1/n) sum_j x_j^n for n = 1..n_max."""
     if n_max < 0:
@@ -90,7 +86,3 @@ def schur_in_miwa(lam: Partition, t: MiwaCoords) -> Fraction:
         raise ValueError(
             f"times support n_max={t.n_max} is insufficient for |lam|={weight(lam)}")
     return jacobi_trudi(h_from_times(t.values, weight(lam)), lam)
-
-
-def to_json(t: MiwaCoords) -> dict:
-    return {"n_max": t.n_max, "t": [format_rational(v) for v in t.values]}

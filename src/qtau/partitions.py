@@ -35,10 +35,6 @@ def weight(lam: Partition) -> int:
     return sum(lam)
 
 
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram (column lengths)."""
     if not lam:
@@ -147,12 +143,6 @@ def enumerate_in_box(n: int, m: int) -> List[Partition]:
     return out
 
 
-def count_in_box(n: int, m: int) -> int:
-    """Binomial(n+m, n), the number of partitions in the n x m box."""
-    from math import comb
-    return comb(n + m, n)
-
-
 def multiplicities(lam: Partition) -> dict:
     """Map part value -> multiplicity (positive parts only)."""
     mult: dict = {}
@@ -204,11 +194,3 @@ def partition_from_occupation(counts: Sequence[int]) -> Tuple[Partition, int]:
     for site in range(len(counts) - 1, 0, -1):
         parts.extend([site] * counts[site])
     return tuple(parts), sum(counts)
-
-
-def to_json(lam: Partition) -> list:
-    return list(lam)
-
-
-def from_json(data: Sequence[int]) -> Partition:
-    return normalize(data)

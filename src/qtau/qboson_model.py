@@ -184,16 +184,20 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
 
     Graded agreement is judged through total degree min(M, |box|), the
     theoretically protected window; exact full-sum equality against
-    hl_sum is reported per mode as an observation.
+    hl_sum is reported per mode as an observation.  When either point
+    set repeats, det_quotient is undefined and its key is left out of
+    every dict.
     """
     window = spec.box.m
-    values = {mode: scalar_product_q(xs, ys, spec, mode) for mode in MODES}
+    modes = (MODES if pairwise_distinct(xs) and pairwise_distinct(ys)
+             else SUM_MODES)
+    values = {mode: scalar_product_q(xs, ys, spec, mode) for mode in modes}
     comps = {mode: graded_components(xs, ys, spec, mode, window)
-             for mode in MODES}
+             for mode in modes}
     graded_ok = {
-        mode: comps[mode] == comps["hl_sum"] for mode in MODES
+        mode: comps[mode] == comps["hl_sum"] for mode in modes
     }
-    exact_ok = {mode: values[mode] == values["hl_sum"] for mode in MODES}
+    exact_ok = {mode: values[mode] == values["hl_sum"] for mode in modes}
     return {
         "values": values,
         "graded_window": window,

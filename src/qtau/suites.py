@@ -47,6 +47,17 @@ def desk_caps() -> Tuple[int, int, int]:
     return (4, 6, 8)
 
 
+def check_caps(n: int = 1, m: int = 0, degree: int = 0) -> None:
+    """Reject sizes outside N >= 1, M >= 0, degree >= 0 and the desk caps."""
+    cap_n, cap_m, cap_d = desk_caps()
+    if n > cap_n or m > cap_m or degree > cap_d:
+        raise ValueError(
+            f"size exceeds the desk-scale caps (N<={cap_n}, M<={cap_m}, "
+            f"D<={cap_d}); set QTAU_MAX_SIZE to override")
+    if n < 1 or m < 0 or degree < 0:
+        raise ValueError("need N >= 1, M >= 0 and degree >= 0")
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     suite: str
@@ -59,14 +70,7 @@ class SuiteConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        cap_n, cap_m, cap_d = desk_caps()
-        if self.n_max > cap_n or self.m_max > cap_m or self.cutoff > cap_d:
-            raise ValueError(
-                "bounds exceed the desk-scale caps "
-                f"(N<={cap_n}, M<={cap_m}, D<={cap_d}); "
-                "set QTAU_MAX_SIZE to override")
-        if self.n_max < 1 or self.m_max < 0 or self.cutoff < 0:
-            raise ValueError("bounds must be positive")
+        check_caps(self.n_max, self.m_max, self.cutoff)
         if self.trials < 1:
             raise ValueError("need at least one trial")
         object.__setattr__(self, "q_values",

@@ -68,15 +68,6 @@ def vandermonde(xs: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def power_sum(k: int, xs: Sequence) -> Fraction:
-    if k < 0:
-        raise ValueError("negative power-sum index")
-    xs = as_points(xs)
-    if k == 0:
-        return Fraction(len(xs))
-    return sum((x ** k for x in xs), ZERO)
-
-
 def homogeneous_list(xs: Sequence, kmax: int) -> List[Fraction]:
     """h_0..h_kmax of the point set, by absorbing one geometric factor per point."""
     xs = as_points(xs)
@@ -85,28 +76,6 @@ def homogeneous_list(xs: Sequence, kmax: int) -> List[Fraction]:
         for k in range(1, kmax + 1):
             hs[k] += x * hs[k - 1]
     return hs
-
-
-def elementary_list(xs: Sequence, kmax: int) -> List[Fraction]:
-    xs = as_points(xs)
-    es = [ONE] + [ZERO] * kmax
-    for x in xs:
-        for k in range(kmax, 0, -1):
-            es[k] += x * es[k - 1]
-    return es
-
-
-def basis_eval(basis: str, k: int, xs: Sequence) -> Fraction:
-    """Evaluate p_k / e_k / h_k on a point set."""
-    if k < 0:
-        raise ValueError("negative degree")
-    if basis in ("p", "power"):
-        return power_sum(k, xs)
-    if basis in ("e", "elementary"):
-        return elementary_list(xs, k)[k]
-    if basis in ("h", "homogeneous", "complete"):
-        return homogeneous_list(xs, k)[k]
-    raise ValueError(f"unknown basis {basis!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +312,6 @@ def q_coeff_list(ys: Sequence, q, mmax: int) -> List[Fraction]:
         for k in range(1, mmax + 1):
             cs[k] += y * cs[k - 1]
     return cs
-
-
-def q_coeff(m: int, ys: Sequence, q) -> Fraction:
-    if m < 0:
-        raise ValueError("negative coefficient index")
-    return q_coeff_list(ys, q, m)[m]
 
 
 def big_schur_eval(lam: Partition, ys: Sequence, q) -> Fraction:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtau.algebra_core import (QPoly, TruncatedSeries, det_rational, det_ring,
-                               exp_generating, format_rational, h_from_times,
+                               format_rational, h_from_times,
                                jacobi_trudi, mat_mul_ring, parse_rational,
                                power_series_div)
 from qtau.miwa import from_points
@@ -69,17 +69,11 @@ def test_series_mismatched_variables():
         a * b
 
 
-def test_exp_generating():
-    s = exp_generating([F(1), F(0), F(0)], 3)
-    assert [s.coefficient((k,)) for k in range(4)] == [1, 1, F(1, 2), F(1, 6)]
-    assert exp_generating([], 2) == TruncatedSeries.one(("z",), 2)
-    a = F(2, 3)
-    s = exp_generating(from_points([a], 2).values, 2)
-    assert [s.coefficient((k,)) for k in range(3)] == [1, a, a * a]
-
-
 def test_h_from_times_matches_points():
     from qtau.symfunc import homogeneous_list
+    # exp(z) = 1 + z + z^2/2 + z^3/6
+    assert h_from_times([F(1), F(0), F(0)], 3) == [1, 1, F(1, 2), F(1, 6)]
+    assert h_from_times([], 2) == [1, 0, 0]
     pts = [F(1, 2), F(1, 3), F(2, 5)]
     times = from_points(pts, 5)
     assert h_from_times(times.values, 5) == homogeneous_list(pts, 5)

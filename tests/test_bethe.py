@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from qtau.bethe import (BetheRoots, residual, solve_phase, solve_qboson,
-                        solve_qboson_continued)
+from qtau.bethe import (BetheRoots, _solve, residual, solve_phase,
+                        solve_qboson, solve_qboson_continued)
 
 
 def test_single_particle_roots_of_unity():
@@ -84,3 +87,28 @@ def test_roots_are_sorted_deterministically():
     a = solve_phase(3, 3, [0, 1, 2])
     b = solve_phase(3, 3, [0, 1, 2])
     assert a == BetheRoots(b.roots, b.residual)
+
+
+def test_linear_solve():
+    a = [[2j, 1], [1, 1 + 1j]]
+    b = [1, 2j]
+    x = _solve(a, b)
+    for row, rhs in zip(a, b):
+        assert abs(sum(c * v for c, v in zip(row, x)) - rhs) < 1e-15
+    # a zero leading entry needs the row swap
+    assert _solve([[0, 1], [1, 0]], [3, 4]) == [4, 3]
+    with pytest.raises(ArithmeticError, match="singular Jacobian"):
+        _solve([[1, 2], [2, 4]], [1, 1])
+
+
+def test_solver_runs_without_numpy():
+    # a None entry in sys.modules makes any `import numpy` fail
+    code = ("import sys; sys.modules['numpy'] = None; import qtau.cli; "
+            "from qtau.bethe import solve_qboson_continued; "
+            "print(solve_qboson_continued(3, 3, 0.3, [0, 1, 2]).residual)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1e-10

@@ -34,6 +34,14 @@ def test_qscalar(capsys):
     assert "graded agreement through degree 2: all modes" in out
 
 
+def test_qscalar_repeated_points(capsys):
+    code, out, _ = run(capsys, "qscalar", "--n", "2", "--m", "2",
+                       "--q", "1/4", "--x", "1/2,1/2", "--y", "1/5,1/7")
+    assert code == 0
+    assert "det_quotient  = n/a (needs pairwise-distinct points)" in out
+    assert "graded agreement through degree 2: all modes" in out
+
+
 def test_corr(capsys):
     code, out, _ = run(capsys, "corr", "--n", "2", "--m", "3", "--site", "1",
                        "--x", "2,3", "--y", "5")
@@ -74,6 +82,28 @@ def test_bethe(capsys):
                        "--m", "3", "--qn", "0,1", "--q", "0.2",
                        "--format", "text")
     assert code == 0 and "residual" in out
+
+
+def test_bethe_rational_q(capsys):
+    code, out, _ = run(capsys, "bethe", "--model", "qboson", "--n", "2",
+                       "--m", "3", "--qn", "0,1", "--q", "1/5")
+    assert code == 0 and json.loads(out)["q"] == 0.2
+    for bad in ("inf", "nan", "1/0"):
+        code, _, err = run(capsys, "bethe", "--model", "qboson", "--n", "2",
+                           "--m", "3", "--qn", "0,1", "--q", bad)
+        assert code == 2 and "not a finite rational" in err
+
+
+def test_phase_model_rejects_nonzero_q(capsys):
+    size = ("--n", "1", "--m", "2")
+    for argv in (("bethe", "--model", "phase", *size, "--qn", "0"),
+                 ("oracle", "--model", "phase", *size, "--x", "1/2",
+                  "--y", "1/3"),
+                 ("expand", "--model", "phase", *size, "--u", "1/2")):
+        code, _, err = run(capsys, *argv, "--q", "1/4")
+        assert code == 2 and "phase model" in err
+        code, _, _ = run(capsys, *argv, "--q", "0")
+        assert code == 0
 
 
 def test_kostka(capsys):
@@ -128,6 +158,15 @@ def test_usage_errors(capsys):
     code, _, _ = run(capsys, "scalar", "--n", "1", "--m", "1",
                      "--x", "1/2", "--y", "1/3,1/4")
     assert code == 2
+    code, _, err = run(capsys, "kostka", "--cutoff", "9")
+    assert code == 2 and "desk-scale caps" in err
+    # a zero denominator is a usage error, not a failed comparison
+    code, _, err = run(capsys, "scalar", "--n", "1", "--m", "1",
+                       "--x", "1/0", "--y", "1/3")
+    assert code == 2 and "not a finite rational" in err
+    code, _, err = run(capsys, "qscalar", "--n", "1", "--m", "1",
+                       "--q", "1/0", "--x", "1/2", "--y", "1/3")
+    assert code == 2 and "not a finite rational" in err
     # argparse rejections surface as exit code 2 as well
     assert main(["scalar", "--n", "1"]) == 2
     assert main([]) == 2

@@ -91,6 +91,18 @@ def test_mode_report_at_q_minus_one():
     assert all(rep["graded_equal_hl"].values())
 
 
+def test_mode_report_repeated_points():
+    # det_quotient is undefined on a repeated point set, so its key is
+    # left out; the three sums are still compared
+    spec = QBosonSpec(BoxSpec(2, 2), F(1, 3))
+    for xs, ys in (([F(1, 2), F(1, 2)], [F(1, 5), F(2, 7)]),
+                   ([F(1, 2), F(1, 3)], [F(0), F(0)])):
+        rep = mode_agreement_report(xs, ys, spec)
+        for key in ("values", "graded_equal_hl", "exact_equal_hl"):
+            assert set(rep[key]) == {"hl_sum", "big_schur", "twisted_schur"}
+        assert all(rep["graded_equal_hl"].values())
+
+
 def test_c_tilde_small():
     q = QPoly.gen()
     assert c_tilde_matrix(0) == ((QPoly.one(),),)

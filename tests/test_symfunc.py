@@ -2,25 +2,15 @@
 
 from fractions import Fraction as F
 
-import pytest
-
 from qtau.algebra_core import QPoly
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
-from qtau.symfunc import (basis_eval, big_schur_eval, cauchy_kernel_series,
+from qtau.symfunc import (big_schur_eval, cauchy_kernel_series,
                           hall_littlewood_eval, hl_series, homogeneous_list,
-                          kostka_tables, kostka_tables_json, q_coeff,
+                          kostka_tables, kostka_tables_json, q_coeff_list,
                           schur_eval, schur_series, skew_schur_eval,
                           supersymmetric_schur_eval, vandermonde, xy_names)
 from symfunc_reference import monomial_eval, schur_bialternant
-
-
-def test_basis_eval():
-    assert basis_eval("power", 1, [F(2), F(3)]) == 5
-    assert basis_eval("elementary", 3, [F(1, 2), F(1, 3)]) == 0
-    assert basis_eval("homogeneous", 2, [F(1, 2)]) == F(1, 4)
-    with pytest.raises(ValueError):
-        basis_eval("fourier", 1, [F(1)])
 
 
 def test_schur_eval():
@@ -114,14 +104,13 @@ def test_kostka_tables_json():
     assert data["K"][0][1] == ["0", "1"]
 
 
-def test_q_coeff():
+def test_q_coeff_list():
     a = F(2, 3)
     q = F(1, 5)
-    assert q_coeff(0, [a], q) == 1
-    assert q_coeff(1, [a], q) == (1 - q) * a
+    assert q_coeff_list([a], q, 1) == [1, (1 - q) * a]
     xs = [F(1, 2), F(1, 7)]
     for m in range(4):
-        assert q_coeff(m, xs, F(0)) == basis_eval("homogeneous", m, xs)
+        assert q_coeff_list(xs, F(0), m) == homogeneous_list(xs, m)
 
 
 def test_big_schur_eval():
