@@ -21,8 +21,8 @@ Layout:
   pairings, correlations, and tau-function style sums.
 - qboson_model: the four deformed representations and the Schur-basis
   coefficient matrix of the deformed pairing.
-- fock_oracle: explicit monodromy blocks and vacuum-coefficient
-  pairings on small chains (the arbiter).
+- fock_oracle: string operators applied site by site to occupation
+  vectors, and vacuum-coefficient pairings (the arbiter).
 - bethe: numerical on-shell equation solvers (the only inexact module).
 - cli / suites: command-line front end and named verification suites.
 """

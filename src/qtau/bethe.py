@@ -155,12 +155,13 @@ def _solve(a: Sequence[Sequence[complex]],
 def solve_qboson(n: int, m: int, q: float, initial: BetheRoots) -> BetheRoots:
     """Newton refinement of the deformed equations from a given start.
 
-    Intended use is continuation: feed the phase-model solution at
-    Q = 0, then increase Q in small steps, passing each solution as the
-    next start (solve_qboson_continued wraps exactly that loop).
+    The equations are defined at every real Q, negative and Q >= 1
+    included.  Intended use is continuation: feed the phase-model
+    solution at Q = 0, then move Q towards its target in small steps,
+    passing each solution as the next start (solve_qboson_continued
+    wraps exactly that loop).  A start that Newton cannot carry to the
+    residual target raises ArithmeticError.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError("Q must lie in [0, 1)")
     ys = [complex(z) for z in initial.roots]
     if len(ys) != n:
         raise ValueError("initial guess has the wrong number of roots")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -190,8 +191,7 @@ def _cmd_kostka(args) -> int:
 
 def _cmd_verify(args) -> int:
     q_values = tuple(_points(args.q)) if args.q else None
-    kwargs = dict(suite=args.suite, seed=args.seed, trials=args.trials,
-                  out=args.out)
+    kwargs = dict(suite=args.suite, seed=args.seed, trials=args.trials)
     if args.n is not None:
         kwargs["n_max"] = args.n
     if args.m is not None:
@@ -335,10 +335,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """Join `--x -1/2` into `--x=-1/2`: argparse takes '-1/2' for an
+    option name, and no qtau option starts with '-' and a digit."""
+    out: List[str] = []
+    for token in argv:
+        if (out and re.match(r"-\d", token) and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

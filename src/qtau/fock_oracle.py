@@ -1,30 +1,28 @@
 """Occupation-basis ground truth for the lattice pairings.
 
-Everything here is brute force on purpose: monodromy entries are built
-by multiplying 2x2 operator matrices site by site, states are explicit
-occupation vectors, and pairings are read off as the vacuum coefficient
-of an explicitly assembled vector.  No determinant formula, symmetric
-function, or normalization claim enters — which is what makes the
-module usable as an arbiter for all of them.
+Everything here is brute force on purpose: string operators act on
+explicit occupation vectors one site at a time, and pairings are read
+off as the vacuum coefficient of the result.  No determinant formula,
+symmetric function, or normalization claim enters — which is what makes
+the module usable as an arbiter for all of them.
 
-Spectral parameters are handled through the substitution x = u^2.  The
-local matrix [[x^{-1/2}, phi+], [phi, x^{1/2}]], rescaled by u, becomes
-[[1, u phi+], [u phi, u^2]], so the product over sites is polynomial in
-u and the physical monodromy is u^{-(M+1)} times it.  Off-diagonal
-blocks pick up an odd power of u on every auxiliary transition, hence
-carry odd powers only; combined with the y^{M/2} (resp. x^{M/2})
-prefactor this turns the creation string B(y) = y^{M/2} B-block and the
-annihilation string C(x) = x^{M/2} C-block(1/x) into matrices whose
-entries are honest polynomials in the physical variable.  That is the
-whole trick: exact arithmetic without ever adjoining a square root.
+Site k carries the local matrix [[x^{-1/2}, phi_k+], [phi_k, x^{1/2}]]
+and the monodromy is the product over sites 0..M.  Rescaling each factor
+by u = x^{1/2} and gauging the upper auxiliary component by u turns it
+into diag(1, x) [[1, R_k], [L_k, 1]], with R_k and L_k the site's raise
+and lower tables.  The creation string B(y) = y^{M/2} B-block(y) is the
+first component of this transfer of (0, v) at x = y.  The annihilation
+string C(x) = x^{M/2} C-block(1/x), once each factor is multiplied by x,
+is the second component of the transfer of (v, 0) through
+diag(x, 1) [[1, R_k], [L_k, 1]].  Every power of x and y is an integer,
+so zero is an ordinary point and no square root is ever adjoined.
 
 One truncation subtlety is load-bearing.  A number-preserving block
 applied to a top-sector state may pass through one extra particle in
-transit (raise, then lower).  Operators are therefore assembled on a
-basis with particle bound N+1 and restricted to the bound-N basis on
-return; the prefix analysis of auxiliary paths shows one extra sector
-is exactly enough, so the restriction is lossless for every returned
-block.
+transit (raise, then lower).  The site tables therefore act on a basis
+with particle bound N+1; the prefix analysis of auxiliary paths shows
+one extra sector is exactly enough, so every returned vector and block
+lies in the bound-N basis.
 """
 
 from __future__ import annotations
@@ -34,16 +32,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import ONE, ZERO, QPoly
+from .algebra_core import ONE, ZERO
 from .partitions import (Partition, enumerate_in_box,
                          occupation_from_partition, qfactorial)
 from .phase_model import BoxSpec
 from .qboson_model import QBosonSpec
-from .symfunc import as_points
 
 MODELS = ("phase", "qboson")
 
 Occupation = Tuple[int, ...]
+Vector = Dict[int, Fraction]  # sparse: basis index -> nonzero coefficient
 
 
 @dataclass(frozen=True)
@@ -138,216 +136,121 @@ def _lower_coeff(model: str, q: Fraction, site: int, occ: int) -> Fraction:
     return ONE - q ** occ
 
 
-_U = QPoly((0, 1))
-_U2 = QPoly((0, 0, 1))
-
 # sentinel for a raise that would leave even the extended basis; the
 # auxiliary-path analysis says it can never receive a nonzero vector
 _FORBIDDEN = -1
 
 
-def _site_maps(model: str, q: Fraction, basis: SectorBasis):
-    """Per-site raise/lower tables: state index -> (target index, coeff)."""
-    index = {occ: i for i, occ in enumerate(basis.states)}
-    raises = []
-    lowers = []
-    for site in range(basis.m + 1):
-        rmap: List[Optional[Tuple[int, Fraction]]] = []
-        lmap: List[Optional[Tuple[int, Fraction]]] = []
-        for occ in basis.states:
-            raised = occ[:site] + (occ[site] + 1,) + occ[site + 1:]
-            if sum(raised) > basis.n:
-                rmap.append((_FORBIDDEN, ONE))
-            else:
-                rmap.append((index[raised],
-                             _raise_coeff(model, q, site, occ[site])))
-            if occ[site] == 0:
-                lmap.append(None)
-            else:
-                lowered = occ[:site] + (occ[site] - 1,) + occ[site + 1:]
-                lmap.append((index[lowered],
-                             _lower_coeff(model, q, site, occ[site])))
-        raises.append(rmap)
-        lowers.append(lmap)
-    return raises, lowers
+@lru_cache(maxsize=None)
+def _symbolic_blocks(model: str, n: int, m: int, q: Fraction):
+    """Per-site (raise, lower) tables on the bound-(n+1) basis.
+
+    Each table maps a state index to (target index, coeff), or to None
+    where the site is empty.  They are the monodromy's only Q-dependent
+    data; index layouts agree between the bound-n and bound-(n+1) bases
+    because sectors enumerate identically.
+    """
+    ext = sector_basis(n + 1, m)
+    index = {occ: i for i, occ in enumerate(ext.states)}
+    sites = []
+    for site in range(m + 1):
+        rmap, lmap = [], []
+        for occ in ext.states:
+            k = occ[site]
+            raised = occ[:site] + (k + 1,) + occ[site + 1:]
+            lowered = occ[:site] + (k - 1,) + occ[site + 1:]
+            rmap.append((index.get(raised, _FORBIDDEN),
+                         _raise_coeff(model, q, site, k)))
+            lmap.append((index[lowered], _lower_coeff(model, q, site, k))
+                        if k else None)
+        sites.append((tuple(rmap), tuple(lmap)))
+    return tuple(sites)
 
 
-def _apply_map(mapping, vec: Dict[int, QPoly]) -> Dict[int, QPoly]:
-    out: Dict[int, QPoly] = {}
-    for i, poly in vec.items():
-        entry = mapping[i]
+def _half_step(table, vec: Vector, base: Vector, scale: Fraction) -> Vector:
+    """scale * (base + table(vec)): one row of a site factor."""
+    out = dict(base)
+    for i, value in vec.items():
+        entry = table[i]
         if entry is None:
             continue
         dst, coeff = entry
-        if coeff == 0:
-            continue
         if dst == _FORBIDDEN:
             raise AssertionError("operator escaped the extended basis")
-        term = poly * coeff
-        out[dst] = out[dst] + term if dst in out else term
-    return out
+        if coeff:
+            term = value * coeff
+            out[dst] = out[dst] + term if dst in out else term
+    return {i: value * scale for i, value in out.items() if value and scale}
 
 
-def _shift(vec: Dict[int, QPoly], power: QPoly) -> Dict[int, QPoly]:
-    return {i: p * power for i, p in vec.items()}
+def _transfer(sites, alpha: Fraction, beta: Fraction, w1: Vector,
+              w2: Vector) -> Tuple[Vector, Vector]:
+    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn."""
+    for raises, lowers in sites:
+        w1, w2 = (_half_step(raises, w2, w1, alpha),
+                  _half_step(lowers, w1, w2, beta))
+    return w1, w2
 
 
-def _merge(a: Dict[int, QPoly], b: Dict[int, QPoly]) -> Dict[int, QPoly]:
-    out = dict(a)
-    for i, p in b.items():
-        out[i] = out[i] + p if i in out else p
-    return out
+def _in_sector(vec: Vector, basis: SectorBasis, sector: int) -> Vector:
+    """vec itself, after checking that it lies in the given sector."""
+    span = basis.sector_indices(sector)
+    if any(i not in span for i in vec):
+        raise AssertionError("result is not pure in particle number")
+    return vec
 
 
-@lru_cache(maxsize=None)
-def _symbolic_blocks(model: str, n: int, m: int, q: Fraction):
-    """Rescaled monodromy blocks as QPoly-in-u matrices, per source sector.
+def _b_string(sites, basis: SectorBasis, vec: Vector, sector: int,
+              ys: Sequence[Fraction]) -> Vector:
+    """B(y) applied for each y in turn to v in `sector`; each B(y) v is
+    the first component of the transfer of (0, v) at (1, y)."""
+    for y in ys:
+        sector += 1
+        vec = _in_sector(_transfer(sites, ONE, y, {}, vec)[0], basis, sector)
+    return vec
 
-    Returns {"A": {s: rows}, ...} where rows are indexed by the target
-    sector's partition enumeration.  Row/column layouts agree between
-    the bound-n and bound-(n+1) bases because sectors enumerate
-    identically, so the restriction is a plain slice.
-    """
-    ext = sector_basis(n + 1, m)
-    raises, lowers = _site_maps(model, q, ext)
 
-    def transfer(w1: Dict[int, QPoly], w2: Dict[int, QPoly]):
-        for site in range(m + 1):
-            new_w1 = _merge(w1, _shift(_apply_map(raises[site], w2), _U))
-            new_w2 = _merge(_shift(_apply_map(lowers[site], w1), _U),
-                            _shift(w2, _U2))
-            w1, w2 = new_w1, new_w2
-        return w1, w2
-
-    def sector_column(vec: Dict[int, QPoly], target: int, parity: int):
-        if target < 0 or target > n + 1:
-            if vec:
-                raise AssertionError("component outside the graded range")
-            return None
-        lo, hi = ext.offsets[target], ext.offsets[target + 1]
-        column = [QPoly.zero()] * (hi - lo)
-        for i, poly in vec.items():
-            if poly.is_zero():
-                continue
-            if not lo <= i < hi:
-                raise AssertionError("block is not pure in particle number")
-            for k, c in enumerate(poly.coeffs):
-                if c != 0 and k % 2 != parity:
-                    raise AssertionError("u-parity violated in a block")
-            column[i - lo] = poly
-        return column
-
-    collected: Dict[str, Dict[int, list]] = {k: {} for k in "ABCD"}
-    for s in range(n + 1):
-        cols = {k: [] for k in "ABCD"}
-        for j in ext.sector_indices(s):
-            one = {j: QPoly.one()}
-            w1, w2 = transfer(dict(one), {})
-            cols["A"].append(sector_column(w1, s, 0))
-            cols["C"].append(sector_column(w2, s - 1, 1))
-            w1, w2 = transfer({}, dict(one))
-            cols["B"].append(sector_column(w1, s + 1, 1))
-            cols["D"].append(sector_column(w2, s, 0))
-        for key, shift in (("A", 0), ("B", 1), ("C", -1), ("D", 0)):
-            target = s + shift
-            if target < 0 or target > n:
-                continue
-            width = len(cols[key])
-            height = ext.offsets[target + 1] - ext.offsets[target]
-            rows = tuple(
-                tuple(cols[key][c][r] for c in range(width))
-                for r in range(height))
-            collected[key][s] = rows
-    return collected
+def _c_string(sites, basis: SectorBasis, vec: Vector, sector: int,
+              xs: Sequence[Fraction]) -> Vector:
+    """C(x) applied for each x in turn to v in `sector`; each C(x) v is
+    the second component of the transfer of (v, 0) at (x, 1)."""
+    for x in xs:
+        sector -= 1
+        vec = _in_sector(_transfer(sites, x, ONE, vec, {})[1], basis, sector)
+    return vec
 
 
 def build_monodromy(model: str, spec, u) -> Monodromy:
-    """Evaluate the four blocks of T(x) at the point x = u**2."""
+    """Evaluate the four blocks of T(x) at the point x = u**2.
+
+    The transfer at (1, x) gives the gauged blocks A', B', C', D' from
+    unit vectors; undoing the gauge and the rescaling by u makes
+    A = A', B = u B', C = C'/u and D = D', each times u^-(M+1).
+    """
     u = Fraction(u)
     if u == 0:
         raise ValueError("u = 0")
     n, m, q = _resolve(model, spec)
-    blocks = _symbolic_blocks(model, n, m, q)
-    scale = ONE / u ** (m + 1)
+    sites = _symbolic_blocks(model, n, m, q)
+    ext = sector_basis(n + 1, m)
+    x, scale = u * u, ONE / u ** (m + 1)
 
-    def evaluated(key: str, shift: int) -> Tuple[SectorOperator, ...]:
+    def block(start: int, read: int, shift: int, factor: Fraction):
         ops = []
-        for s, rows in sorted(blocks[key].items()):
-            matrix = tuple(
-                tuple(poly(u) * scale for poly in row) for row in rows)
+        for s in range(max(0, -shift), n + 1 - max(0, shift)):
+            columns = []
+            for j in ext.sector_indices(s):
+                unit = ({j: ONE}, {}) if start == 0 else ({}, {j: ONE})
+                vec = _transfer(sites, ONE, x, *unit)[read]
+                columns.append(_in_sector(vec, ext, s + shift))
+            matrix = tuple(tuple(col.get(i, ZERO) * factor for col in columns)
+                           for i in ext.sector_indices(s + shift))
             ops.append(SectorOperator(source=s, target=s + shift,
                                       matrix=matrix))
         return tuple(ops)
 
-    return Monodromy(a=evaluated("A", 0), b=evaluated("B", 1),
-                     c=evaluated("C", -1), d=evaluated("D", 0))
-
-
-def _map_odd(poly: QPoly, base: Fraction, to_power) -> Fraction:
-    acc = ZERO
-    for d, c in enumerate(poly.coeffs):
-        if c != 0:
-            acc += c * base ** to_power(d)
-    return acc
-
-
-def b_operator(model: str, spec, y) -> Tuple[SectorOperator, ...]:
-    """The string operator B(y) = y^{M/2} B-block(y) at a physical point.
-
-    The d-th u-coefficient of the rescaled block contributes y to the
-    power (d-1)/2, which the parity assertion guarantees is an integer.
-    """
-    y = Fraction(y)
-    n, m, q = _resolve(model, spec)
-    blocks = _symbolic_blocks(model, n, m, q)
-    ops = []
-    for s, rows in sorted(blocks["B"].items()):
-        matrix = tuple(
-            tuple(_map_odd(poly, y, lambda d: (d - 1) // 2) for poly in row)
-            for row in rows)
-        ops.append(SectorOperator(source=s, target=s + 1, matrix=matrix))
-    return tuple(ops)
-
-
-def c_operator(model: str, spec, x) -> Tuple[SectorOperator, ...]:
-    """The dual string operator C(x) = x^{M/2} C-block(1/x).
-
-    Inverting the spectral parameter sends the d-th u-coefficient to x
-    to the power (2M+1-d)/2, again an integer by parity.
-    """
-    x = Fraction(x)
-    n, m, q = _resolve(model, spec)
-    blocks = _symbolic_blocks(model, n, m, q)
-    ops = []
-    for s, rows in sorted(blocks["C"].items()):
-        matrix = tuple(
-            tuple(_map_odd(poly, x, lambda d: (2 * m + 1 - d) // 2)
-                  for poly in row)
-            for row in rows)
-        ops.append(SectorOperator(source=s, target=s - 1, matrix=matrix))
-    return tuple(ops)
-
-
-def _apply_ops(ops: Tuple[SectorOperator, ...], basis: SectorBasis,
-               vec: List[Fraction]) -> List[Fraction]:
-    out = [ZERO] * basis.dim
-    for op in ops:
-        src = list(basis.sector_indices(op.source))
-        toff = basis.offsets[op.target]
-        for r, row in enumerate(op.matrix):
-            acc = ZERO
-            for c, j in enumerate(src):
-                if row[c] != 0 and vec[j] != 0:
-                    acc += row[c] * vec[j]
-            if acc != 0:
-                out[toff + r] += acc
-    return out
-
-
-def vacuum_vector(basis: SectorBasis) -> List[Fraction]:
-    vec = [ZERO] * basis.dim
-    vec[0] = ONE
-    return vec
+    return Monodromy(a=block(0, 0, 0, scale), b=block(1, 0, 1, u * scale),
+                     c=block(0, 1, -1, scale / u), d=block(1, 1, 0, scale))
 
 
 def bethe_state(model: str, spec, roots: Sequence) -> Tuple[Fraction, ...]:
@@ -357,14 +260,13 @@ def bethe_state(model: str, spec, roots: Sequence) -> Tuple[Fraction, ...]:
     so that callers fixing u keep every intermediate quantity rational.
     """
     n, m, q = _resolve(model, spec)
-    roots = as_points(roots)
-    if len(roots) > n:
+    ys = [Fraction(u) ** 2 for u in roots]
+    if len(ys) > n:
         raise ValueError("more roots than the particle bound")
     basis = sector_basis(n, m)
-    vec = vacuum_vector(basis)
-    for u in roots:
-        vec = _apply_ops(b_operator(model, spec, u * u), basis, vec)
-    return tuple(vec)
+    sites = _symbolic_blocks(model, n, m, q)
+    vec = _b_string(sites, basis, {0: ONE}, 0, ys)
+    return tuple(vec.get(i, ZERO) for i in range(basis.dim))
 
 
 def partition_coefficients(basis: SectorBasis, vec: Sequence[Fraction],
@@ -393,58 +295,41 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     to see the raw coefficient.
     """
     n, m, q = _resolve(model, spec)
-    xs = as_points(xs)
-    ys = as_points(ys)
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
     expected = len(ys) + (1 if insertion is not None else 0)
     if len(xs) != expected:
         raise ValueError("grading mismatch between x, y and the insertion")
     if expected > n:
         raise ValueError("pairing exceeds the basis particle bound")
     basis = sector_basis(n, m)
-    vec = vacuum_vector(basis)
+    sites = _symbolic_blocks(model, n, m, q)
+    vec = {0: ONE}
     if insertion is not None:
         if not 0 <= insertion <= m:
             raise ValueError("insertion site out of range")
         occ = tuple(1 if i == insertion else 0 for i in range(m + 1))
-        target = basis.states.index(occ)
         coeff = _raise_coeff(model, q, insertion, 0)
-        vec = [ZERO] * basis.dim
-        vec[target] = coeff
-    for y in ys:
-        vec = _apply_ops(b_operator(model, spec, y), basis, vec)
+        vec = {basis.states.index(occ): coeff} if coeff else {}
+    vec = _b_string(sites, basis, vec, expected - len(ys), ys)
     if normalized and model == "qboson":
-        vec = list(vec)
-        for i, value in enumerate(vec):
-            if value == 0:
-                continue
+        for i, value in vec.items():
             divisor = qfactorial(basis.states[i][0])(q)
             if divisor == 0:
                 raise ValueError(
                     "normalization undefined at this deformation value")
             vec[i] = value / divisor
-    for x in xs:
-        vec = _apply_ops(c_operator(model, spec, x), basis, vec)
-    return vec[0]
+    return _c_string(sites, basis, vec, expected, xs).get(0, ZERO)
 
 
 def commutation_check(model: str, spec, y1, y2) -> bool:
-    """True iff B(y1) and B(y2) commute block-by-block on the basis."""
+    """True iff B(y1) B(y2) = B(y2) B(y1) on each state of sectors 0..N-2."""
     n, m, q = _resolve(model, spec)
-    ops1 = {op.source: op for op in b_operator(model, spec, y1)}
-    ops2 = {op.source: op for op in b_operator(model, spec, y2)}
+    y1, y2 = Fraction(y1), Fraction(y2)
+    sites = _symbolic_blocks(model, n, m, q)
+    basis = sector_basis(n, m)
     for s in range(n - 1):
-        first = _compose(ops1[s + 1].matrix, ops2[s].matrix)
-        second = _compose(ops2[s + 1].matrix, ops1[s].matrix)
-        if first != second:
-            return False
+        for j in basis.sector_indices(s):
+            if (_b_string(sites, basis, {j: ONE}, s, (y2, y1))
+                    != _b_string(sites, basis, {j: ONE}, s, (y1, y2))):
+                return False
     return True
-
-
-def _compose(outer, inner):
-    rows = len(outer)
-    mid = len(inner)
-    cols = len(inner[0]) if mid else 0
-    return tuple(
-        tuple(sum((outer[r][k] * inner[k][c] for k in range(mid)), ZERO)
-              for c in range(cols))
-        for r in range(rows))

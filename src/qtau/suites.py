@@ -17,7 +17,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .algebra_core import QPoly, TruncatedSeries, format_rational
 from .partitions import b_lambda, enumerate_in_box, partitions_of, weight
@@ -67,7 +67,6 @@ class SuiteConfig:
     q_values: Tuple[Fraction, ...] = DEFAULT_Q_VALUES
     seed: int = 0
     trials: int = 5
-    out: Optional[str] = None
 
     def __post_init__(self):
         check_caps(self.n_max, self.m_max, self.cutoff)

@@ -75,12 +75,17 @@ def test_single_particle_any_deformation():
     assert abs(ph.roots[0] - qb.roots[0]) < 1e-12
 
 
-def test_deformation_range():
-    ph = solve_phase(2, 2, [0, 1])
-    with pytest.raises(ValueError):
-        solve_qboson(2, 2, 1.0, ph)
-    with pytest.raises(ValueError):
-        solve_qboson(2, 2, -0.1, ph)
+def test_deformation_beyond_unit_interval():
+    # the equations are defined at every real Q; continuation reaches
+    # Q = 1 and negative Q, and halving the step lands on the same roots
+    # (matched as sets: a root near angle pi may sort first or last)
+    for q in (1.0, -0.5):
+        br = solve_qboson_continued(2, 3, q, [0, 1])
+        assert br.residual < 1e-10
+        assert residual("qboson", 2, 3, q, br.roots) < 1e-10
+        fine = solve_qboson_continued(2, 3, q, [0, 1], step=0.025)
+        for a, b in ((br.roots, fine.roots), (fine.roots, br.roots)):
+            assert all(min(abs(z - w) for w in b) < 1e-8 for z in a)
 
 
 def test_roots_are_sorted_deterministically():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qtau.cli import main
 from qtau.suites import SUITES, CheckResult
 
@@ -104,6 +106,27 @@ def test_phase_model_rejects_nonzero_q(capsys):
         assert code == 2 and "phase model" in err
         code, _, _ = run(capsys, *argv, "--q", "0")
         assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("scalar", "--n", "1", "--m", "1", "--x", "-1/2", "--y", "1/3"),
+    ("scalar", "--n", "1", "--m", "1", "--x", "1/2", "--y", "-1/3"),
+    ("scalar", "--n", "2", "--m", "1", "--x", "-1/2,1/3", "--y", "1/5,1/7"),
+    ("qscalar", "--n", "1", "--m", "2", "--q", "-1/2", "--x", "1/2",
+     "--y", "1/5", "--mode", "hl_sum"),
+    ("expand", "--model", "phase", "--n", "1", "--m", "2", "--u", "-1/2"),
+], ids=["x", "y", "list", "q", "u"])
+def test_negative_rational_after_space(capsys, argv):
+    # `--x -1/2` reads the same as `--x=-1/2`
+    joined = []
+    for token in argv:
+        if token[0] == "-" and token[1].isdigit():
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (code, out) == run(capsys, *joined)[:2]
 
 
 def test_kostka(capsys):

@@ -1,5 +1,7 @@
 """Occupation-basis cross-checks for the monodromy-operator machinery."""
 
+import ast
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +30,60 @@ def test_monodromy_grading():
     assert all(op.target == op.source for op in mono.a + mono.d)
     with pytest.raises(ValueError):
         oracle.build_monodromy("phase", BoxSpec(2, 2), F(0))
+
+
+def _vacuum_column(ops):
+    """The source-sector-0 column of a graded block list, keyed by target."""
+    op = next(op for op in ops if op.source == 0)
+    return op.target, [row[0] for row in op.matrix]
+
+
+def test_monodromy_values():
+    # T(x) at x = u^2 carries the string operators: u^M B(u)|0> is the
+    # one-root string state, and at N = 1 the pairing of C(1/v^2) with
+    # B(u^2) is u^M v^-M times the vacuum entry of C(v) B(u)|0>
+    specs = [("phase", BoxSpec(n, m)) for n in (1, 2) for m in (0, 1, 3)]
+    specs += [("qboson", QBosonSpec(BoxSpec(n, m), F(1, 4)))
+              for n in (1, 2) for m in (0, 1, 3)]
+    for model, spec in specs:
+        box = spec if model == "phase" else spec.box
+        basis = oracle.sector_basis(box.n, box.m)
+        for u, v in ((F(1, 2), F(2, 3)), (F(-3, 2), F(1, 5))):
+            mono_u = oracle.build_monodromy(model, spec, u)
+            target, column = _vacuum_column(mono_u.b)
+            assert target == 1
+            state = oracle.bethe_state(model, spec, [u])
+            lo = basis.offsets[1]
+            assert [u ** box.m * c for c in column] == list(
+                state[lo:lo + len(column)])
+            assert not any(state[:lo] + state[lo + len(column):])
+            if box.n != 1:
+                continue
+            mono_v = oracle.build_monodromy(model, spec, v)
+            c_op = next(op for op in mono_v.c if op.source == 1)
+            vacuum = sum((c_op.matrix[0][k] * column[k]
+                          for k in range(len(column))), F(0))
+            raw = oracle.oracle_pairing(model, spec, [1 / v ** 2], [u ** 2],
+                                        normalized=False)
+            assert raw == u ** box.m * v ** -box.m * vacuum
+
+
+def test_oracle_imports_no_formula_code():
+    # the arbiter shares only the box specs with the formula side
+    path = os.path.join(os.path.dirname(oracle.__file__), "fock_oracle.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    allowed = {"phase_model": {"BoxSpec"}, "qboson_model": {"QBosonSpec"}}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            names = {alias.name for alias in node.names}
+            assert module not in ("symfunc", "miwa"), module
+            if module in allowed:
+                assert names <= allowed[module], (module, names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] not in ("symfunc", "miwa")
 
 
 def test_single_site_creation():
