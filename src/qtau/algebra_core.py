@@ -1,11 +1,15 @@
 """Exact arithmetic carriers used everywhere else in the package.
 
 Scalars are plain ``fractions.Fraction`` values, and the two carriers
-below are built on them, so that every computation downstream is exact:
+below hold exact coefficients, so that every computation downstream is
+exact:
 
   * ``QPoly`` -- a univariate polynomial in the deformation parameter,
     stored densely as a tuple of coefficients, constant term first, with
-    no trailing zeros.  The zero polynomial is the empty tuple.
+    no trailing zeros.  The zero polynomial is the empty tuple.  It keeps
+    the coefficients it is given: Python ints for the tables that live in
+    Z[Q] (b_lam, [n]!, Kostka-Foulkes, c-tilde), Fractions where the
+    coefficients are rational.
   * ``TruncatedSeries`` -- a multivariate power series truncated at a
     fixed total degree.  Terms live in a dict mapping exponent tuples to
     nonzero coefficients; anything past the cutoff is dropped on
@@ -47,16 +51,17 @@ def format_rational(value: Fraction) -> str:
 
 
 class QPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with int or Fraction coefficients.
 
-    Coefficients are constant-term first.  Instances are immutable and
-    hashable so they can sit inside cached tables.
+    Coefficients are constant-term first and kept as given, so integer
+    polynomials stay in Z[Q] with no gcd normalisation.  Instances are
+    immutable and hashable so they can sit inside cached tables.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -76,7 +81,7 @@ class QPoly:
 
     @staticmethod
     def constant(c) -> "QPoly":
-        return QPoly((Fraction(c),))
+        return QPoly((c,))
 
     @staticmethod
     def gen() -> "QPoly":
@@ -93,10 +98,10 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return ZERO
+        return 0
 
     # -- ring operations ----------------------------------------------------
 
@@ -122,7 +127,7 @@ class QPoly:
         other = _as_qpoly(other)
         if not self.coeffs or not other.coeffs:
             return QPoly(())
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue

@@ -38,9 +38,19 @@ class BetheRoots:
     residual: float
 
 
+def _angle(z: complex) -> float:
+    """Phase in (-pi, pi], with angles within 1e-9 of -pi read as pi.
+
+    A root on the negative real axis then sorts last whatever the sign of
+    a rounding-level imaginary part.
+    """
+    angle = math.atan2(z.imag, z.real)
+    return math.pi if angle < 1e-9 - math.pi else angle
+
+
 def _sorted_roots(values) -> Tuple[complex, ...]:
     return tuple(sorted((complex(z) for z in values),
-                        key=lambda z: (math.atan2(z.imag, z.real), abs(z))))
+                        key=lambda z: (_angle(z), abs(z))))
 
 
 def residual(model: str, n: int, m: int, q: float,

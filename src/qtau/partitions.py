@@ -15,7 +15,7 @@ its triangular solves.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .algebra_core import QPoly
 
@@ -56,19 +56,6 @@ def in_box(lam: Partition, n: int, m: int) -> bool:
     return len(lam) <= n and (not lam or lam[0] <= m)
 
 
-def dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order on partitions of equal weight."""
-    if weight(lam) != weight(mu):
-        raise ValueError("dominance compares partitions of the same weight")
-    acc_l = acc_m = 0
-    for i in range(max(len(lam), len(mu))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return True
-
-
 def frobenius(lam: Partition) -> Tuple[Tuple[int, int], ...]:
     """Frobenius coordinates ((a_1|b_1), ..., (a_d|b_d)).
 
@@ -82,27 +69,6 @@ def frobenius(lam: Partition) -> Tuple[Tuple[int, int], ...]:
             break
         coords.append((lam[j] - j - 1, conj[j] - j - 1))
     return tuple(coords)
-
-
-def from_frobenius(coords: Sequence[Tuple[int, int]]) -> Partition:
-    """Rebuild a partition from Frobenius coordinates."""
-    arms = [a for a, _ in coords]
-    legs = [b for _, b in coords]
-    if arms != sorted(arms, reverse=True) or legs != sorted(legs, reverse=True):
-        raise ValueError("Frobenius coordinates must be strictly decreasing")
-    d = len(coords)
-    rows = {}
-    for j, (a, _) in enumerate(coords, start=1):
-        rows[j] = a + j
-    col_lengths = {j: b + j for j, (_, b) in enumerate(coords, start=1)}
-    max_len = max(col_lengths.values(), default=0)
-    parts = []
-    for i in range(1, max_len + 1):
-        if i <= d:
-            parts.append(rows[i])
-        else:
-            parts.append(sum(1 for j, cl in col_lengths.items() if cl >= i))
-    return normalize(parts)
 
 
 def hook_partition(arm: int, leg: int) -> Partition:
@@ -184,13 +150,3 @@ def occupation_from_partition(lam: Partition, n: int, m: int) -> Tuple[int, ...]
     for part, c in mult.items():
         counts[part] = c
     return tuple(counts)
-
-
-def partition_from_occupation(counts: Sequence[int]) -> Tuple[Partition, int]:
-    """Inverse of occupation_from_partition; returns (partition, n)."""
-    if any(c < 0 for c in counts):
-        raise ValueError("occupation numbers must be nonnegative")
-    parts = []
-    for site in range(len(counts) - 1, 0, -1):
-        parts.extend([site] * counts[site])
-    return tuple(parts), sum(counts)

@@ -27,11 +27,10 @@ from .algebra_core import (ONE, ZERO, QPoly, det_ring, det_rational,
                            h_from_times, jacobi_trudi, mat_mul_ring,
                            power_series_div)
 from .miwa import from_points, twist
-from .partitions import (Partition, b_lambda, partitions_of, weight)
+from .partitions import b_lambda, weight
 from .phase_model import BoxSpec, h_matrix, scalar_product
-from .symfunc import (as_points, big_schur_eval, hall_littlewood_evaluator,
-                      kostka_tables, pairwise_distinct, q_coeff_list,
-                      schur_eval)
+from .symfunc import (as_points, hall_littlewood_evaluator, kostka_tables,
+                      pairwise_distinct, q_coeff_list)
 
 MODES = ("hl_sum", "det_quotient", "big_schur", "twisted_schur")
 SUM_MODES = ("hl_sum", "big_schur", "twisted_schur")
@@ -146,14 +145,12 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
             raise ValueError("det_quotient needs pairwise-distinct points")
         val = box.n * (box.n - 1) // 2
         num = _delta_det(xs, ys, box)
-        den = _delta_det(xs, [q * y for y in ys], box)
-        for poly in (num, den):
-            for k in range(val):
-                if poly.coefficient(k) != 0:
-                    raise ArithmeticError(
-                        "determinant valuation lower than expected")
+        if any(num.coefficient(k) != 0 for k in range(val)):
+            raise ArithmeticError("determinant valuation lower than expected")
+        # det H(x, delta Q y) is num with delta -> Q delta: its delta^j
+        # coefficient is Q^j num_j, so one expansion serves both
         num_shift = [num.coefficient(val + k) for k in range(degree + 1)]
-        den_shift = [den.coefficient(val + k) for k in range(degree + 1)]
+        den_shift = [q ** (val + k) * c for k, c in enumerate(num_shift)]
         series = power_series_div(num_shift, den_shift, degree)
         scale = q ** val
         return [scale * c for c in series]
@@ -229,13 +226,9 @@ def c_tilde_matrix(d: int) -> Tuple[Tuple[QPoly, ...], ...]:
     K = tables.K
     K_inv = tables.K_inv
     b = [b_lambda(lam) for lam in order]
-    ct = [[QPoly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = QPoly.zero()
-            for k in range(n):
-                acc = acc + K_inv[k][i] * b[k] * K_inv[k][j]
-            ct[i][j] = acc
+    K_inv_t = [[K_inv[k][i] for k in range(n)] for i in range(n)]
+    ct = mat_mul_ring(K_inv_t, [[b[k] * c for c in K_inv[k]]
+                                for k in range(n)])
     _verify_c_tilde(ct, K, b)
     return tuple(tuple(row) for row in ct)
 
@@ -270,22 +263,3 @@ def _verify_c_tilde(ct, K, b) -> None:
             expected = big if i == j else zero
             if product[i][j] != expected:
                 raise ArithmeticError("c-tilde fails the inverse identity")
-
-
-def big_schur_coeff_check(mu: Partition, ys: Sequence, q) -> bool:
-    """True iff S_mu(y;q) = sum_{|lam|=|mu|} c~_{mu lam}(q) s_lam(y) exactly."""
-    from .partitions import normalize
-
-    mu = normalize(mu)
-    ys = as_points(ys)
-    q = Fraction(q)
-    d = weight(mu)
-    order = partitions_of(d)
-    ct = c_tilde_matrix(d)
-    row = ct[order.index(mu)]
-    rhs = ZERO
-    for lam, coeff in zip(order, row):
-        value = coeff(q)
-        if value != 0:
-            rhs += value * schur_eval(lam, ys)
-    return big_schur_eval(mu, ys, q) == rhs

@@ -350,7 +350,7 @@ def _suite_kostka(cfg: SuiteConfig, rng: random.Random):
                 acc = sum(
                     (tables.K[i][k] * tables.K_inv[k][j]
                      for k in range(size)),
-                    start=tables.K[i][i] * 0)
+                    start=QPoly.zero())
                 if acc != (1 if i == j else 0):
                     prod_ok = False
         checks.append(CheckResult(

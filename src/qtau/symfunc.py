@@ -361,18 +361,6 @@ def monomial_series(mu: Partition, names: Sequence[str], cutoff: int,
     return TruncatedSeries(names, cutoff, terms)
 
 
-def schur_series(lam: Partition, names: Sequence[str], cutoff: int,
-                 positions: Sequence[int] | None = None) -> TruncatedSeries:
-    lam = normalize(lam)
-    names = tuple(names)
-    if not lam:
-        return TruncatedSeries.one(names, cutoff)
-    acc = TruncatedSeries.zero(names, cutoff)
-    for mu, count in schur_monomial_table(weight(lam))[lam].items():
-        acc = acc + monomial_series(mu, names, cutoff, positions).scale(count)
-    return acc
-
-
 def hl_series(lam: Partition, names: Sequence[str], cutoff: int, q,
               positions: Sequence[int] | None = None) -> TruncatedSeries:
     lam = normalize(lam)

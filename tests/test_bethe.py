@@ -88,6 +88,16 @@ def test_deformation_beyond_unit_interval():
             assert all(min(abs(z - w) for w in b) < 1e-8 for z in a)
 
 
+def test_root_order_at_angle_pi():
+    # one root sits on the negative real axis; rounding leaves it an
+    # imaginary part of either sign, and the order must not depend on it
+    coarse = solve_qboson_continued(2, 3, 1.0, [0, 2])
+    fine = solve_qboson_continued(2, 3, 1.0, [0, 2], step=0.025)
+    assert min(abs(z + 1) for z in coarse.roots) < 1e-8
+    assert max(abs(a - b) for a, b in zip(coarse.roots, fine.roots)) < 1e-8
+    assert abs(coarse.roots[-1] + 1) < 1e-8
+
+
 def test_roots_are_sorted_deterministically():
     a = solve_phase(3, 3, [0, 1, 2])
     b = solve_phase(3, 3, [0, 1, 2])

@@ -5,12 +5,21 @@ import math
 import pytest
 
 from qtau.algebra_core import QPoly
-from qtau.partitions import (b_lambda, conjugate, contains, dominates,
-                             enumerate_in_box, frobenius, from_frobenius,
-                             hook_partition, in_box, normalize,
-                             occupation_from_partition,
-                             partition_from_occupation, partitions_of,
-                             qfactorial, weight)
+from qtau.partitions import (b_lambda, conjugate, contains,
+                             enumerate_in_box, frobenius, hook_partition,
+                             in_box, normalize, occupation_from_partition,
+                             partitions_of, qfactorial, weight)
+
+
+def _dominates(lam, mu):
+    """lam >= mu in dominance order (equal weights): partial sums never fall behind."""
+    total_l = total_m = 0
+    for i in range(max(len(lam), len(mu))):
+        total_l += lam[i] if i < len(lam) else 0
+        total_m += mu[i] if i < len(mu) else 0
+        if total_l < total_m:
+            return False
+    return True
 
 
 def test_conjugate():
@@ -28,8 +37,10 @@ def test_frobenius_coordinates():
     assert coords == ((2, 2), (1, 0))
     # weight identity: |lam| = sum(arms) + sum(legs) + diagonal
     assert 7 == sum(a for a, _ in coords) + sum(b for _, b in coords) + 2
+    assert frobenius((4, 2, 2, 1)) == ((3, 3), (0, 1))
     for lam in partitions_of(7):
-        assert from_frobenius(frobenius(lam)) == lam
+        coords = frobenius(lam)
+        assert weight(lam) == sum(a + b + 1 for a, b in coords)
     assert hook_partition(2, 2) == (3, 1, 1)
 
 
@@ -55,8 +66,15 @@ def test_partition_counts():
 def test_containment_and_dominance():
     assert contains((3, 2), (2, 2))
     assert not contains((3, 2), (1, 1, 1))
-    assert dominates((4,), (2, 2))
-    assert not dominates((2, 2), (4,))
+    assert _dominates((4,), (2, 2))
+    assert not _dominates((2, 2), (4,))
+    # decreasing-lex order refines dominance: no later partition strictly
+    # dominates an earlier one, which the triangular Kostka solves need
+    for d in range(8):
+        order = partitions_of(d)
+        for i, lam in enumerate(order):
+            for mu in order[i + 1:]:
+                assert not _dominates(mu, lam)
 
 
 def test_qfactorial_and_b_lambda():
@@ -76,8 +94,8 @@ def test_occupation_encoding():
     assert occupation_from_partition((2, 2), 3, 2) == (1, 0, 2)
     with pytest.raises(ValueError):
         occupation_from_partition((4,), 2, 3)
-    for lam in enumerate_in_box(3, 4):
-        occ = occupation_from_partition(lam, 3, 4)
-        assert sum(occ) == 3
-        back, n = partition_from_occupation(occ)
-        assert back == lam and n == 3
+    box = enumerate_in_box(3, 4)
+    occs = [occupation_from_partition(lam, 3, 4) for lam in box]
+    assert all(sum(occ) == 3 for occ in occs)
+    # the encoding is injective on the box
+    assert len(set(occs)) == len(box)

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from qtau.partitions import b_lambda, qfactorial
+from qtau.partitions import (b_lambda, enumerate_in_box, partitions_of,
+                             qfactorial)
 from qtau.phase_model import BoxSpec, scalar_product
-from qtau.qboson_model import (MODES, QBosonSpec, big_schur_coeff_check,
-                               c_tilde_matrix, graded_components,
-                               mode_agreement_report, scalar_product_q)
-from qtau.symfunc import hall_littlewood_eval
+from qtau.qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
+                               graded_components, mode_agreement_report,
+                               scalar_product_q)
+from qtau.symfunc import (big_schur_eval, hall_littlewood_eval,
+                          kostka_tables, schur_eval)
 from qtau.algebra_core import QPoly
 
 
@@ -113,10 +115,29 @@ def test_c_tilde_small():
 
 
 def test_big_schur_coefficient_expansion():
+    # S_mu(y; Q) = sum_{|lam| = |mu|} c~_{mu lam}(Q) s_lam(y)
     ys = [F(1, 2), F(1, 3), F(2, 5)]
     for q in (F(1, 4), F(1, 3)):
         for mu in ((1,), (2,), (1, 1), (2, 1)):
-            assert big_schur_coeff_check(mu, ys, q)
+            order = partitions_of(sum(mu))
+            row = c_tilde_matrix(sum(mu))[order.index(mu)]
+            rhs = sum(coeff(q) * schur_eval(lam, ys)
+                      for lam, coeff in zip(order, row))
+            assert big_schur_eval(mu, ys, q) == rhs
+
+
+def test_z_q_tables_have_int_coefficients():
+    # these tables live in Z[Q]; Fraction coefficients would give the same
+    # values through a much slower gcd-normalising arithmetic
+    def int_coeffs(poly):
+        return all(type(c) is int for c in poly.coeffs)
+
+    for d in range(7):
+        tables = kostka_tables(d)
+        for matrix in (tables.K, tables.K_inv, c_tilde_matrix(d)):
+            assert all(int_coeffs(p) for row in matrix for p in row)
+    assert all(int_coeffs(b_lambda(lam)) for lam in enumerate_in_box(3, 4))
+    assert all(int_coeffs(qfactorial(n)) for n in range(7))
 
 
 def test_spec_validation():

@@ -8,7 +8,7 @@ from qtau.suites import _ssyt_count
 from qtau.symfunc import (big_schur_eval, cauchy_kernel_series,
                           hall_littlewood_eval, hl_series, homogeneous_list,
                           kostka_tables, kostka_tables_json, q_coeff_list,
-                          schur_eval, schur_series, skew_schur_eval,
+                          schur_eval, skew_schur_eval,
                           supersymmetric_schur_eval, vandermonde, xy_names)
 from symfunc_reference import monomial_eval, schur_bialternant
 
@@ -141,7 +141,8 @@ def test_vandermonde_scaling():
 
 
 def test_series_match_point_evaluation():
-    # classical Cauchy kernel through degree 4 equals the Schur pair sum
+    # classical Cauchy kernel through degree 4 equals the Schur pair sum;
+    # P_lam(x; 0) = s_lam(x), so the Schur series are HL series at Q = 0
     names = xy_names(2, 2)
     cutoff = 4
     kernel = cauchy_kernel_series(2, 2, cutoff)
@@ -151,8 +152,8 @@ def test_series_match_point_evaluation():
         for lam in partitions_of(d):
             if len(lam) > 2:
                 continue
-            sx = schur_series(lam, names, cutoff, positions=(0, 1))
-            sy = schur_series(lam, names, cutoff, positions=(2, 3))
+            sx = hl_series(lam, names, cutoff, 0, positions=(0, 1))
+            sy = hl_series(lam, names, cutoff, 0, positions=(2, 3))
             acc = acc + sx * sy
     assert kernel.agrees_through(acc, cutoff)
 
