@@ -17,6 +17,18 @@ is the second component of the transfer of (v, 0) through
 diag(x, 1) [[1, R_k], [L_k, 1]].  Every power of x and y is an integer,
 so zero is an ordinary point and no square root is ever adjoined.
 
+Site 0 is bare: it raises and lowers with coefficient 1 in both
+models, and only sites 1..M carry the deformation.  This loses nothing.
+The transfer applies site 0 first.  B(y) starts from (0, v), so at
+site 0 it can only raise; C(x) starts from (v, 0), so there it can only
+lower.  Every path of a vacuum pairing therefore takes site 0 from 0 up
+to its occupancy n_0 and back down.  Lowering coefficients 1 - Q^k at
+site 0 would only multiply each top-sector channel by [n_0]!(Q), so the
+bare site gives the Hall-Littlewood normalization directly, with no
+division.  The phase model is then the q-boson model at Q = 0, site
+for site: the site tables depend on Q alone, and the pairing is
+defined at every Q, Q = 1 and Q = -1 included.
+
 One truncation subtlety is load-bearing.  A number-preserving block
 applied to a top-sector state may pass through one extra particle in
 transit (raise, then lower).  The site tables therefore act on a basis
@@ -33,8 +45,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra_core import ONE, ZERO
-from .partitions import (Partition, enumerate_in_box,
-                         occupation_from_partition, qfactorial)
+from .partitions import Partition, enumerate_in_box, occupation_from_partition
 from .phase_model import BoxSpec
 from .qboson_model import QBosonSpec
 
@@ -117,23 +128,14 @@ def _resolve(model: str, spec) -> Tuple[int, int, Fraction]:
     raise TypeError("spec must be a BoxSpec or QBosonSpec")
 
 
-def _raise_coeff(model: str, q: Fraction, site: int, occ: int) -> Fraction:
+def _raise_coeff(q: Fraction, site: int, occ: int) -> Fraction:
     """Matrix element for adding a particle at `site` on occupancy `occ`.
 
     The deformed operators are the combined (1-Q)^{1/2} b+ ones, whose
-    elements are rational in Q; the bare site distinguishes itself by
-    carrying the deformation on the lowering side instead.
+    elements are rational in Q.  Site 0 is bare (see the module doc).
+    Every lowering element is 1, so it needs no function of its own.
     """
-    if model == "phase" or site == 0:
-        return ONE
-    return ONE - q ** (occ + 1)
-
-
-def _lower_coeff(model: str, q: Fraction, site: int, occ: int) -> Fraction:
-    """Matrix element for removing a particle (occ >= 1)."""
-    if model == "phase" or site != 0:
-        return ONE
-    return ONE - q ** occ
+    return ONE if site == 0 else ONE - q ** (occ + 1)
 
 
 # sentinel for a raise that would leave even the extended basis; the
@@ -142,13 +144,14 @@ _FORBIDDEN = -1
 
 
 @lru_cache(maxsize=None)
-def _symbolic_blocks(model: str, n: int, m: int, q: Fraction):
+def _symbolic_blocks(n: int, m: int, q: Fraction):
     """Per-site (raise, lower) tables on the bound-(n+1) basis.
 
     Each table maps a state index to (target index, coeff), or to None
     where the site is empty.  They are the monodromy's only Q-dependent
-    data; index layouts agree between the bound-n and bound-(n+1) bases
-    because sectors enumerate identically.
+    data, and the phase model reads them at Q = 0.  Index layouts agree
+    between the bound-n and bound-(n+1) bases because sectors enumerate
+    identically.
     """
     ext = sector_basis(n + 1, m)
     index = {occ: i for i, occ in enumerate(ext.states)}
@@ -160,9 +163,8 @@ def _symbolic_blocks(model: str, n: int, m: int, q: Fraction):
             raised = occ[:site] + (k + 1,) + occ[site + 1:]
             lowered = occ[:site] + (k - 1,) + occ[site + 1:]
             rmap.append((index.get(raised, _FORBIDDEN),
-                         _raise_coeff(model, q, site, k)))
-            lmap.append((index[lowered], _lower_coeff(model, q, site, k))
-                        if k else None)
+                         _raise_coeff(q, site, k)))
+            lmap.append((index[lowered], ONE) if k else None)
         sites.append((tuple(rmap), tuple(lmap)))
     return tuple(sites)
 
@@ -231,7 +233,7 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
     if u == 0:
         raise ValueError("u = 0")
     n, m, q = _resolve(model, spec)
-    sites = _symbolic_blocks(model, n, m, q)
+    sites = _symbolic_blocks(n, m, q)
     ext = sector_basis(n + 1, m)
     x, scale = u * u, ONE / u ** (m + 1)
 
@@ -264,7 +266,7 @@ def bethe_state(model: str, spec, roots: Sequence) -> Tuple[Fraction, ...]:
     if len(ys) > n:
         raise ValueError("more roots than the particle bound")
     basis = sector_basis(n, m)
-    sites = _symbolic_blocks(model, n, m, q)
+    sites = _symbolic_blocks(n, m, q)
     vec = _b_string(sites, basis, {0: ONE}, 0, ys)
     return tuple(vec.get(i, ZERO) for i in range(basis.dim))
 
@@ -278,21 +280,13 @@ def partition_coefficients(basis: SectorBasis, vec: Sequence[Fraction],
 
 
 def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
-                   insertion: Optional[int] = None,
-                   normalized: bool = True) -> Fraction:
+                   insertion: Optional[int] = None) -> Fraction:
     """<0| prod C(x) prod B(y) [phi+_m] |0>, assembled by brute force.
 
     xs and ys are physical points (powers of x and y appear, never
     their square roots).  An integer `insertion` adds one creation
     operator at that site, acting on the vacuum end of the product, and
     the gradings must then satisfy |y| = |x| - 1.
-
-    For the deformed model the raw vacuum coefficient carries an extra
-    q-factorial of the site-0 occupancy in each top-sector channel, an
-    artifact of the asymmetric site-0 representation; `normalized`
-    divides it out, which is the convention under which the pairing
-    matches the Hall-Littlewood partition sum.  Pass normalized=False
-    to see the raw coefficient.
     """
     n, m, q = _resolve(model, spec)
     xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
@@ -302,22 +296,15 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     if expected > n:
         raise ValueError("pairing exceeds the basis particle bound")
     basis = sector_basis(n, m)
-    sites = _symbolic_blocks(model, n, m, q)
+    sites = _symbolic_blocks(n, m, q)
     vec = {0: ONE}
     if insertion is not None:
         if not 0 <= insertion <= m:
             raise ValueError("insertion site out of range")
         occ = tuple(1 if i == insertion else 0 for i in range(m + 1))
-        coeff = _raise_coeff(model, q, insertion, 0)
+        coeff = _raise_coeff(q, insertion, 0)
         vec = {basis.states.index(occ): coeff} if coeff else {}
     vec = _b_string(sites, basis, vec, expected - len(ys), ys)
-    if normalized and model == "qboson":
-        for i, value in vec.items():
-            divisor = qfactorial(basis.states[i][0])(q)
-            if divisor == 0:
-                raise ValueError(
-                    "normalization undefined at this deformation value")
-            vec[i] = value / divisor
     return _c_string(sites, basis, vec, expected, xs).get(0, ZERO)
 
 
@@ -325,7 +312,7 @@ def commutation_check(model: str, spec, y1, y2) -> bool:
     """True iff B(y1) B(y2) = B(y2) B(y1) on each state of sectors 0..N-2."""
     n, m, q = _resolve(model, spec)
     y1, y2 = Fraction(y1), Fraction(y2)
-    sites = _symbolic_blocks(model, n, m, q)
+    sites = _symbolic_blocks(n, m, q)
     basis = sector_basis(n, m)
     for s in range(n - 1):
         for j in basis.sector_indices(s):

@@ -138,11 +138,11 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     if mode in SUM_MODES:
         return _sum_components(box, degree, _summand(xs, ys, spec, mode))
     if mode == "det_quotient":
+        if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
+            raise ValueError("det_quotient needs pairwise-distinct points")
         if q == 0:
             return _sum_components(box, degree,
                                    _summand(xs, ys, spec, "schur_sum"))
-        if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
-            raise ValueError("det_quotient needs pairwise-distinct points")
         val = box.n * (box.n - 1) // 2
         num = _delta_det(xs, ys, box)
         if any(num.coefficient(k) != 0 for k in range(val)):

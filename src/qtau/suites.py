@@ -333,7 +333,18 @@ def _suite_kostka(cfg: SuiteConfig, rng: random.Random):
     checks = []
     d_top = min(cfg.cutoff, 6)
     for d in range(0, d_top + 1):
-        tables = kostka_tables(d)
+        # kostka_tables checks K * K_inv = identity before it returns
+        try:
+            tables = kostka_tables(d)
+        except ArithmeticError:
+            tables = None
+        inverse = CheckResult(
+            f"kostka-inverse-d{d}", "kostka-foulkes/inverse",
+            tables is not None,
+            "K * K_inv = identity, exact polynomial arithmetic")
+        if tables is None:
+            checks.append(inverse)
+            continue
         order = tables.order
         size = len(order)
         unitri = all(
@@ -343,19 +354,7 @@ def _suite_kostka(cfg: SuiteConfig, rng: random.Random):
         checks.append(CheckResult(
             f"kostka-unitriangular-d{d}", "kostka-foulkes/unitriangular",
             unitri, f"{size} partitions of {d}"))
-
-        prod_ok = True
-        for i in range(size):
-            for j in range(size):
-                acc = sum(
-                    (tables.K[i][k] * tables.K_inv[k][j]
-                     for k in range(size)),
-                    start=QPoly.zero())
-                if acc != (1 if i == j else 0):
-                    prod_ok = False
-        checks.append(CheckResult(
-            f"kostka-inverse-d{d}", "kostka-foulkes/inverse",
-            prod_ok, "K * K_inv = identity, exact polynomial arithmetic"))
+        checks.append(inverse)
 
         if d <= 5:
             classical_ok = True
@@ -489,6 +488,7 @@ def _suite_oracle_cross(cfg: SuiteConfig, rng: random.Random):
             if (oracle.oracle_pairing("qboson", spec, xs, ys)
                     != scalar_product_q(xs, ys, spec, mode="hl_sum")):
                 ok = False
+        # the report digests pin this name and text
         checks.append(CheckResult(
             f"oracle-qboson-normalized-Q{format_rational(q)}",
             "oracle/deformed-pairing", ok,

@@ -147,7 +147,7 @@ def test_criterion_05_qboson_cross_mode():
             for m in range(1, 4):
                 spec = QBosonSpec(BoxSpec(n, m), q)
                 xs, ys = _sample(rng, n), _sample(rng, n)
-                # normalized occupation pairing = Hall-Littlewood box sum
+                # occupation pairing = Hall-Littlewood box sum
                 if (oracle.oracle_pairing("qboson", spec, xs, ys)
                         != scalar_product_q(xs, ys, spec, mode="hl_sum")):
                     ok = False
@@ -164,7 +164,7 @@ def test_criterion_05_qboson_cross_mode():
         for mode in MODES:
             if scalar_product_q(xs, ys, spec0, mode) != target:
                 ok = False
-    _report(5, ok, "hl_sum = normalized oracle (N<=2, M<=3); all modes "
+    _report(5, ok, "hl_sum = oracle (N<=2, M<=3); all modes "
             "agree gradedly through M; Q=0 reduction exact")
 
 

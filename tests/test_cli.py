@@ -66,6 +66,12 @@ def test_oracle(capsys):
                        "--y", "1/5,1/7")
     assert code == 0 and "agreement: yes" in out
     assert "33553/26880" in out
+    # the oracle is defined at Q = 1 and Q = -1 too
+    for q in ("1", "-1"):
+        code, out, _ = run(capsys, "oracle", "--model", "qboson", "--n", "2",
+                           "--m", "2", f"--q={q}", "--x", "1/2,1/3",
+                           "--y", "1/5,1/7")
+        assert code == 0 and "agreement: yes" in out
     # insertions are a phase-model comparison only
     code, _, err = run(capsys, "oracle", "--model", "qboson", "--n", "2",
                        "--m", "2", "--q", "1/4", "--x", "1/2,1/3",

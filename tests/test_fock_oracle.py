@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from qtau import fock_oracle as oracle
-from qtau.partitions import b_lambda, qfactorial
+from qtau.partitions import b_lambda
 from qtau.phase_model import BoxSpec, correlation_Am, scalar_product
 from qtau.qboson_model import QBosonSpec, scalar_product_q
 from qtau.symfunc import hall_littlewood_eval, schur_eval
@@ -63,9 +63,9 @@ def test_monodromy_values():
             c_op = next(op for op in mono_v.c if op.source == 1)
             vacuum = sum((c_op.matrix[0][k] * column[k]
                           for k in range(len(column))), F(0))
-            raw = oracle.oracle_pairing(model, spec, [1 / v ** 2], [u ** 2],
-                                        normalized=False)
-            assert raw == u ** box.m * v ** -box.m * vacuum
+            pairing = oracle.oracle_pairing(model, spec, [1 / v ** 2],
+                                            [u ** 2])
+            assert pairing == u ** box.m * v ** -box.m * vacuum
 
 
 def test_oracle_imports_no_formula_code():
@@ -173,26 +173,33 @@ def test_oracle_qboson_normalized():
                     == scalar_product_q(xs, ys, spec, mode="hl_sum"))
 
 
-def test_oracle_qboson_raw_pairing():
-    # without normalization the pairing carries the dual-side [n0]!
-    q = F(1, 3)
-    spec = QBosonSpec(BoxSpec(2, 2), q)
-    xs, ys = [F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]
-    raw = oracle.oracle_pairing("qboson", spec, xs, ys, normalized=False)
-    expect = sum(
-        qfactorial(2 - len(lam))(q)
-        * b_lambda(lam)(q)
-        * hall_littlewood_eval(lam, xs, q)
-        * hall_littlewood_eval(lam, ys, q)
-        for lam in spec.box.partitions())
-    assert raw == expect
+def test_oracle_qboson_at_q_plus_minus_one():
+    # site 0 is bare, so nothing is divided out and Q = 1, -1 are defined
+    for q in (F(1), F(-1)):
+        for n, m in ((2, 2), (3, 2), (3, 3)):
+            spec = QBosonSpec(BoxSpec(n, m), q)
+            xs = [F(1, 2 + k) for k in range(n)]
+            ys = [F(-2, 5 + 2 * k) for k in range(n)]
+            assert (oracle.oracle_pairing("qboson", spec, xs, ys)
+                    == scalar_product_q(xs, ys, spec, mode="hl_sum"))
 
 
-def test_oracle_normalization_pole():
-    spec = QBosonSpec(BoxSpec(2, 2), F(1))
-    xs, ys = [F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]
-    with pytest.raises(ValueError):
-        oracle.oracle_pairing("qboson", spec, xs, ys)
+def test_phase_oracle_is_qboson_at_q_zero():
+    # with site 0 bare the two models share every site table at Q = 0
+    for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        box = BoxSpec(n, m)
+        spec = QBosonSpec(box, F(0))
+        xs = [F(1, 2 + k) for k in range(n)]
+        ys = [F(-2, 5 + 2 * k) for k in range(n)]
+        assert (oracle.oracle_pairing("phase", box, xs, ys)
+                == oracle.oracle_pairing("qboson", spec, xs, ys))
+        for site in range(m + 1):
+            assert (oracle.oracle_pairing("phase", box, xs, ys[1:],
+                                          insertion=site)
+                    == oracle.oracle_pairing("qboson", spec, xs, ys[1:],
+                                             insertion=site))
+        assert (oracle.build_monodromy("phase", box, F(2, 3))
+                == oracle.build_monodromy("qboson", spec, F(2, 3)))
 
 
 def test_oracle_grading_mismatch():

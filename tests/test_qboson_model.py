@@ -64,6 +64,17 @@ def test_det_quotient_needs_distinct_points():
                          mode="det_quotient")
 
 
+def test_det_quotient_entry_points_agree_on_repeats():
+    # at Q = 0 too, both entry points refuse repeated points alike
+    spec = QBosonSpec(BoxSpec(2, 2), F(0))
+    xs, ys = [F(1, 2), F(1, 2)], [F(1, 5), F(2, 7)]
+    with pytest.raises(ValueError) as direct:
+        scalar_product_q(xs, ys, spec, mode="det_quotient")
+    with pytest.raises(ValueError) as graded:
+        graded_components(xs, ys, spec, "det_quotient", 2)
+    assert str(direct.value) == str(graded.value)
+
+
 def test_unknown_mode():
     spec = QBosonSpec(BoxSpec(1, 1), F(1, 3))
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Golden sha256 digests of the shipped reports.
 
 Every ``qtau verify`` suite but ``bethe`` (whose report prints floats)
-is run at seed 0 with the default config, in both report formats, and
-``qtau kostka --cutoff d`` output is rebuilt for d <= 6.  A change to the
-arithmetic that alters any byte of these reports fails here, so an
-exact-value refactor can show that it kept every report identical.
+is run at seeds 0, 1 and 2 with the default config, in both report
+formats, and ``qtau kostka --cutoff d`` output is rebuilt for d <= 6.
+A change to the arithmetic that alters any byte of these reports fails
+here, so an exact-value refactor can show that it kept every report
+identical.
 A deliberate change to a report updates its digest in the same commit.
 """
 
@@ -16,34 +17,91 @@ import pytest
 from qtau.suites import SuiteConfig, emit_report, run_suite
 from qtau.symfunc import kostka_tables, kostka_tables_json
 
+SEEDS = (0, 1, 2)
+
+# (json, text) digest of each report, keyed by (suite, seed)
 SUITE_DIGESTS = {
-    "giambelli": (
+    ("giambelli", 0): (
         "c98a67e97a48bff4eb7b6ec39c3af1f04d0a030f1967986bec4622635f56d94c",
         "4ab0b97bbf0b6af9f64527f9f8d90c70658508f4872e3b970333ff338bbcee6d"),
-    "hl-cauchy": (
+    ("giambelli", 1): (
+        "3a9d0c55a0713de2cb2154369db4dd15c740505a2ae2278c3bc4cfd96f67bb00",
+        "13982aae51d0c49fd4d96807ad1ad8f16e6ea36e3dad08ac1018c0acab4ebb4d"),
+    ("giambelli", 2): (
+        "372332fea3037233a87d70399f6c65649140df743a2172042d72c09d6b79e755",
+        "6293390fa551b6664d92c2486f45ecbfc0997627b932d45a6fa1129d9e65acf4"),
+    ("hl-cauchy", 0): (
         "5752aa3d552fe30cce6d8d36b4306ea1420fead389b78b53d9b6e8c7727235ab",
         "4e933261761acbb49bf041267da6343b191eb47205499bf3ad4532b28b9645bd"),
-    "kostka": (
+    ("hl-cauchy", 1): (
+        "84be4f690434b4bc9252adf65353fb296fd40894ff7210649ebfa5cd1326d997",
+        "4e933261761acbb49bf041267da6343b191eb47205499bf3ad4532b28b9645bd"),
+    ("hl-cauchy", 2): (
+        "2ad920e0314d8b1fab30c1cb6ba915bf3838909d51602a677644876aae649d47",
+        "4e933261761acbb49bf041267da6343b191eb47205499bf3ad4532b28b9645bd"),
+    ("kostka", 0): (
         "636c724370bf82e9d442d9fbcb77523c930dea1ca0d68cf1c06f67b301e0661d",
         "c729959320234384778614d1d85318129f55708647b77a7790f3984b296ca42d"),
-    "matrix-integral": (
+    ("kostka", 1): (
+        "7fd09bdb4a7159246df93d124c8535522d8e75415d1b743a1c6f04fb904831cb",
+        "c729959320234384778614d1d85318129f55708647b77a7790f3984b296ca42d"),
+    ("kostka", 2): (
+        "eb66f7fa10e1af9124bb0ac57e0965108dde8ab22e53d905290aa7188affb826",
+        "c729959320234384778614d1d85318129f55708647b77a7790f3984b296ca42d"),
+    ("matrix-integral", 0): (
         "426bfd70a4a7ef45214ffc7135e019eb4f7a15061972e5a0ace75866cfff3e5b",
         "4015ac3457414fd26c45f72f2252b4a48a4af6af9bd2b46d89df27bf9580a3ad"),
-    "oracle-cross": (
+    ("matrix-integral", 1): (
+        "f43dab06e324ce28626be3cc14393c481e9b34b73072395167a707c92616e144",
+        "4015ac3457414fd26c45f72f2252b4a48a4af6af9bd2b46d89df27bf9580a3ad"),
+    ("matrix-integral", 2): (
+        "eee5a39969b57a4771e15028ac0281ad826435f4db4ee626a93935e19ddece13",
+        "4015ac3457414fd26c45f72f2252b4a48a4af6af9bd2b46d89df27bf9580a3ad"),
+    ("oracle-cross", 0): (
         "c93e1c2699fdad066bde544ebb394c558dcf0514c8491b64ed6292551ac75b42",
         "832ec44806d7b54c84afd7fd3de9db1306ed385212ff108b4e88a1bdafff1c24"),
-    "phase-corr": (
+    ("oracle-cross", 1): (
+        "6575a2719ca49ca0ab5852b7ed966e27c6250087ffa42f7fa399aa2f06ffec77",
+        "832ec44806d7b54c84afd7fd3de9db1306ed385212ff108b4e88a1bdafff1c24"),
+    ("oracle-cross", 2): (
+        "90764415bf866ae70b4ad2cb579aa6186e36df45cb1943d5694fb56c77b8e960",
+        "832ec44806d7b54c84afd7fd3de9db1306ed385212ff108b4e88a1bdafff1c24"),
+    ("phase-corr", 0): (
         "97300b2833b23e333f291dcb23c18fcc9cab9eb0c054d0789295e54d53bcd614",
         "7f9ad0325300a6836a177f72bfbb651f14a7eba68c1b5f2b440c2052ee803ed3"),
-    "phase-scalar": (
+    ("phase-corr", 1): (
+        "ac0335b01c3a996ac55fc24299257c3207f4b98d92355a8cf25840cf8e92c451",
+        "7f9ad0325300a6836a177f72bfbb651f14a7eba68c1b5f2b440c2052ee803ed3"),
+    ("phase-corr", 2): (
+        "e4de00a3b187441b6cde886791b44235521a6d05a06edcb93b7ad5090e1f6a11",
+        "7f9ad0325300a6836a177f72bfbb651f14a7eba68c1b5f2b440c2052ee803ed3"),
+    ("phase-scalar", 0): (
         "8eddf68e04c26c97d3990aabd5069c2a0813e7ac4c256e9a2099b61bd503db0f",
         "45091f12081e1cc42d42dfb04f4bdd4135e6cb8eaeac61fc0ff725d0d87fefdf"),
-    "qboson-modes": (
+    ("phase-scalar", 1): (
+        "ac263a35e414e7a25fa2f1b659eca2b42985d290fdd6d016327432c340670289",
+        "45091f12081e1cc42d42dfb04f4bdd4135e6cb8eaeac61fc0ff725d0d87fefdf"),
+    ("phase-scalar", 2): (
+        "337052fa9c3fde77849d3263dfe5c91c753d2eb8497007145159af8ddd11c451",
+        "45091f12081e1cc42d42dfb04f4bdd4135e6cb8eaeac61fc0ff725d0d87fefdf"),
+    ("qboson-modes", 0): (
         "92fb79674796157362a3fbc7739c2d88c24593a07045c21e341e885de16cd023",
         "5afe2ad2b5eefd66a3047e429889b8a511a297da6f9829db7d89e10aaf660c67"),
-    "supersym": (
+    ("qboson-modes", 1): (
+        "ee3384653ce3f3a5ef3ac92c956d29a2aae08897b3c58b67f57c7f076e9466c9",
+        "5afe2ad2b5eefd66a3047e429889b8a511a297da6f9829db7d89e10aaf660c67"),
+    ("qboson-modes", 2): (
+        "d0b01cb024631f4cfb5938f90a0f4adda3be273c5c4c77893b4b8b7a408cf359",
+        "5afe2ad2b5eefd66a3047e429889b8a511a297da6f9829db7d89e10aaf660c67"),
+    ("supersym", 0): (
         "41e77f2fc33e5722bfb85ee902dc553023ab794eab065a9d8175291f8f2fdcaf",
         "d1dcbfe6a2b87bce674067b5c7cfdb86efff64884f7b57d6028ad809c03e28ae"),
+    ("supersym", 1): (
+        "e4457f813a8a1927c97ad03a6d2072e88e4b8d428ad5a108f2da94197e7af2e4",
+        "f1982a003eda7b046dc9f00440a090930df9fcdf1ae7d23675cd434da414f693"),
+    ("supersym", 2): (
+        "1ee9be56dca36508c3be43487ed6110d1b95a0ae79dcdf6a79ae8babe4f8e35f",
+        "26938b44af685a9a5b975fcc1cfdede310ec7c12b0b1f4b962f28562b43a5529"),
 }
 
 # sha256 of the JSON text `qtau kostka --cutoff d` prints
@@ -62,12 +120,13 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
+@pytest.mark.parametrize("suite", sorted({s for s, _ in SUITE_DIGESTS}))
 def test_verify_report_digest(suite):
-    report = run_suite(SuiteConfig(suite=suite, seed=0))
-    digests = (_sha(emit_report(report, "json")),
-               _sha(emit_report(report, "text")))
-    assert digests == SUITE_DIGESTS[suite]
+    for seed in SEEDS:
+        report = run_suite(SuiteConfig(suite=suite, seed=seed))
+        digests = (_sha(emit_report(report, "json")),
+                   _sha(emit_report(report, "text")))
+        assert digests == SUITE_DIGESTS[suite, seed], seed
 
 
 @pytest.mark.parametrize("d", range(len(KOSTKA_DIGESTS)))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qtau import suites
 from qtau.suites import (CheckResult, Report, SuiteConfig, SUITES,
                          _ssyt_count, desk_caps, emit_report, run_suite)
 
@@ -36,6 +37,21 @@ def test_caps_override(monkeypatch):
     monkeypatch.setenv("QTAU_MAX_SIZE", "10")
     assert desk_caps() == (10, 10, 10)
     SuiteConfig(suite="kostka", n_max=9)     # no longer rejected
+
+
+def test_kostka_inverse_failure_is_reported(monkeypatch):
+    # kostka_tables verifies K * K_inv itself; the suite reports its refusal
+    real = suites.kostka_tables
+
+    def refuse_d3(d):
+        if d == 3:
+            raise ArithmeticError("Kostka inverse failed verification")
+        return real(d)
+
+    monkeypatch.setattr(suites, "kostka_tables", refuse_d3)
+    report = run_suite(SuiteConfig(suite="kostka", seed=0))
+    assert [c.name for c in report.checks if not c.passed] == [
+        "kostka-inverse-d3"]
 
 
 def test_seed_determinism():
