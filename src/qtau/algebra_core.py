@@ -16,16 +16,22 @@ exact:
     construction, so products re-truncate automatically.
 
 The module also carries the small amount of exact linear algebra the
-rest of the package needs (determinants over the rationals and over a
-commutative ring, power-series division), the coefficients h_k(t) of
-exp(sum_k t_k z^k) that the Miwa-coordinate code builds Schur values
-from, and the one Jacobi-Trudi determinant that every Schur-type value
-is built from.
+rest of the package needs (determinants over the rationals, power-series
+division), the coefficients h_k(t) of exp(sum_k t_k z^k) that the
+Miwa-coordinate code builds Schur values from, and the one Jacobi-Trudi
+determinant that every Schur-type value is built from.
+
+A box sum needs the Jacobi-Trudi value of every partition in the n x m
+box.  Those are the maximal minors (Pluecker coordinates) of a single
+n x (n+m) matrix of one-row generators, so ``jacobi_trudi_box`` reads
+them all from one division-free Laplace sweep, ``maximal_minors``, in
+which every sub-minor is computed once and shared.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Iterable, Sequence, Tuple
 
 ZERO = Fraction(0)
@@ -397,33 +403,76 @@ def jacobi_trudi(gens: Sequence, lam: Sequence[int],
                          for i in range(ell)])
 
 
-def det_ring(rows: Sequence[Sequence], one=None):
-    """Determinant by cofactor expansion, using only +, -, *.
+def maximal_minors(
+        rows: Sequence[Sequence]) -> Dict[Tuple[int, ...], Fraction]:
+    """Every maximal minor of an n x K matrix, keyed by its sorted columns.
 
-    Works for entries in any commutative ring (QPoly in practice).  Meant
-    for small matrices; the rational path should use det_rational.
+    One Laplace sweep down the rows: the minors of the first k rows over
+    every k-subset of columns extend, along row k, to those of the first
+    k+1 rows, so each sub-minor is computed once and shared by every
+    minor that contains it.  Only +, - and * are used, and zero entries
+    and zero sub-minors are skipped.  Subsets whose minor is zero map to
+    ZERO; an n x K matrix with n > K has no maximal minors.
     """
-    n = len(rows)
+    width = len(rows[0]) if rows else 0
     for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        if one is None:
-            raise ValueError("need an explicit ring unit for the 0x0 determinant")
-        return one
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        minor = [
-            [rows[r][c] for c in range(n) if c != j]
-            for r in range(1, n)
-        ]
-        term = rows[0][j] * det_ring(minor, one)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+        if len(row) != width:
+            raise ValueError("rows have different lengths")
+    minors: Dict[Tuple[int, ...], Fraction] = {(): ONE}
+    for k, row in enumerate(rows):
+        grown: Dict[Tuple[int, ...], Fraction] = {}
+        for cols, minor in minors.items():
+            # pos counts the columns of cols left of c, which fixes the
+            # cofactor sign (-1)^(k + pos) of entry (k, c)
+            pos = 0
+            for c, a in enumerate(row):
+                if pos < k and cols[pos] == c:
+                    pos += 1
+                    continue
+                if a == 0:
+                    continue
+                term = a * minor if (k + pos) % 2 == 0 else -(a * minor)
+                key = cols[:pos] + (c,) + cols[pos:]
+                acc = grown.get(key)
+                grown[key] = term if acc is None else acc + term
+        minors = {cols: v for cols, v in grown.items() if v != 0}
+    return {cols: minors.get(cols, ZERO)
+            for cols in combinations(range(width), len(rows))}
+
+
+def jacobi_trudi_box(gens: Sequence, n: int, m: int, mu: Sequence[int] = ()
+                     ) -> Dict[Tuple[int, ...], Fraction]:
+    """{lam: jacobi_trudi(gens, lam, mu)} for every lam in the n x m box.
+
+    Every such determinant is a maximal minor of one n x (n+m) matrix:
+    row r = mu_j + n-1-j and column p = lam_i + n-1-i hold c_{p-r}, which
+    is zero for p < r.  So one ``maximal_minors`` sweep gives the whole
+    box.  Padding lam and mu to n parts adds rows whose diagonal entry is
+    c_0, so ``gens`` must start with c_0 = 1, as every one-row generator
+    list does; it needs c_0..c_{n+m-1}.  Keys are partitions as
+    ``partitions.enumerate_in_box`` writes them, every value is 0 when mu
+    has more than n nonzero parts, and the dict's order is not the box
+    order.
+    """
+    if gens[0] != 1:
+        raise ValueError("one-row generators must start with c_0 = 1")
+    mu = tuple(p for p in mu if p)
+    if len(mu) <= n:
+        mu += (0,) * (n - len(mu))
+        rows = []
+        for t in range(n):
+            r = mu[n - 1 - t] + t
+            rows.append([gens[p - r] if p >= r else ZERO
+                         for p in range(n + m)])
+        minors = maximal_minors(rows)
+    else:
+        minors = {}
+    # sorted columns P_0 < ... < P_{n-1} are lam_{n-1-k} + k
+    out = {}
+    for cols in combinations(range(n + m), n):
+        lam = tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k)
+        out[lam] = minors.get(cols, ZERO)
+    return out
 
 
 def power_series_div(num: Sequence, den: Sequence, order: int):

@@ -6,6 +6,13 @@ least) two independent evaluation routes — a determinant built from the
 kernel H(z, w) = sum_{k<M+N} (zw)^k and a partition sum over the box
 [N, M] — and the test suite insists that the routes agree exactly.
 
+Every partition sum reads its Schur values from ``jacobi_trudi_box``:
+s_lam over the whole box are the maximal minors of one N x (N+M) matrix
+[h_{j-i}], so one Laplace sweep per point set replaces an elimination
+per partition.  The determinant routes never divide by a Vandermonde:
+they take Newton divided differences of their columns, so coincident
+points are ordinary inputs.
+
 A note on the correlation determinant: the route implemented by
 ``correlation_Am(..., mode="det")`` is the Cauchy-Binet compression of
 the skew sum, so it reproduces the occupation-basis ground truth
@@ -21,13 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence
 
-from .algebra_core import ONE, ZERO, det_rational, h_from_times, jacobi_trudi
+from .algebra_core import (ONE, ZERO, det_rational, h_from_times, jacobi_trudi,
+                           jacobi_trudi_box)
 from .miwa import MiwaCoords
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, in_box, normalize,
                          occupation_from_partition, partitions_of, weight)
-from .symfunc import (as_points, homogeneous_list, pairwise_distinct,
-                      skew_schur_eval, vandermonde)
+from .symfunc import as_points, homogeneous_list, skew_schur_eval, vandermonde
 
 
 @dataclass(frozen=True)
@@ -70,24 +77,49 @@ def h_matrix(xs: Sequence, ys: Sequence, box: BoxSpec) -> List[List[Fraction]]:
     return [[h_entry(x, y, box) for y in ys] for x in xs]
 
 
+def _divided_powers(xs: Sequence[Fraction], kmax: int) -> List[List[Fraction]]:
+    """Row i lists h_0..h_kmax(x_0..x_i), i.e. the divided differences
+    x^(k+i)[x_0..x_i] of the monomials.
+
+    By Newton, det[f_j(x_i)] = prod_{i<j} (x_j - x_i) * det[f_j[x_0..x_i]],
+    which turns a determinant over Delta(x) into one with no division,
+    defined at coincident points.  Each row absorbs one more point into
+    the previous one, as ``homogeneous_list`` does for the whole set.
+    """
+    hs = [ONE] + [ZERO] * kmax
+    rows = []
+    for x in xs:
+        for k in range(1, kmax + 1):
+            hs[k] += x * hs[k - 1]
+        rows.append(list(hs))
+    return rows
+
+
 def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
                    mode: str = "det") -> Fraction:
-    """Off-shell N-particle pairing, as det H/(Delta Delta) or as the Schur sum."""
+    """Off-shell N-particle pairing: det H/(Delta Delta) or the Schur sum.
+
+    det divides H(x, y) by both Vandermondes through divided differences:
+    entry (i, j) is sum_k h_{k-i}(x_0..x_i) h_{k-j}(y_0..y_j), and the
+    two Vandermonde signs cancel, so repeated points are ordinary.
+    """
     xs = as_points(xs)
     ys = as_points(ys)
     if len(xs) != box.n or len(ys) != box.n:
         raise ValueError("point sets must both have N entries")
     if mode == "det":
-        if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
-            raise ValueError("det mode needs pairwise-distinct points")
-        return det_rational(h_matrix(xs, ys, box)) / (
-            vandermonde(xs) * vandermonde(ys))
+        size = box.m + box.n
+        dx = _divided_powers(xs, size - 1)
+        dy = _divided_powers(ys, size - 1)
+        return det_rational([
+            [sum((dx[i][k - i] * dy[j][k - j]
+                  for k in range(max(i, j), size)), ZERO)
+             for j in range(box.n)]
+            for i in range(box.n)])
     if mode == "schur_sum":
-        hx, hy = box.h_list(xs), box.h_list(ys)
-        acc = ZERO
-        for lam in box.partitions():
-            acc += jacobi_trudi(hx, lam) * jacobi_trudi(hy, lam)
-        return acc
+        sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
+        sy = jacobi_trudi_box(box.h_list(ys), box.n, box.m)
+        return sum((sx[lam] * sy[lam] for lam in sx), ZERO)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -107,6 +139,10 @@ def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
     Cauchy-Binet into det(C)/Delta(x) where column 1 of C resums the
     geometric tail shifted by m and the remaining columns are the
     scalar-product columns; both modes return the same exact value.
+    Each column is a polynomial in x with coefficients h_k(y), so det
+    takes its divided differences instead of dividing by Delta(x):
+    det(C)/Delta(x) = (-1)^(N(N-1)/2) det(C[x_0..x_i]), defined at
+    coincident points too.
     """
     xs = as_points(xs)
     ys = as_points(ys)
@@ -117,33 +153,21 @@ def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
         raise ValueError("site index m out of range")
     if mode == "skew_sum":
         row = (m,) if m else ()
-        hx, hy = box.h_list(xs), box.h_list(ys)
-        acc = ZERO
-        for mu in box.partitions():
-            acc += jacobi_trudi(hy, mu, row) * jacobi_trudi(hx, mu)
-        return acc
+        sy = jacobi_trudi_box(box.h_list(ys), n, mm, row)
+        sx = jacobi_trudi_box(box.h_list(xs), n, mm)
+        return sum((sy[mu] * sx[mu] for mu in sx), ZERO)
     if mode == "det":
-        if not pairwise_distinct(xs):
-            raise ValueError("det mode needs pairwise-distinct points")
         hs = homogeneous_list(ys, mm + n - 1)
-        rows = []
-        for x in xs:
-            row_entries = []
-            tail = ZERO
-            power = ONE
-            for k in range(mm - m + 1):
-                tail += power * hs[k]
-                power *= x
-            row_entries.append(x ** (n - 1 + m) * tail)
-            for j in range(2, n + 1):
-                tail = ZERO
-                power = ONE
-                for k in range(mm + j):
-                    tail += power * hs[k]
-                    power *= x
-                row_entries.append(x ** (n - j) * tail)
-            rows.append(row_entries)
-        return det_rational(rows) / vandermonde(xs)
+        dx = _divided_powers(xs, mm + n - 1)
+        # column (shift, top) of C is x^shift * sum_{k <= top} h_k(y) x^k
+        columns = [(n - 1 + m, mm - m)] + [(n - j, mm + j - 1)
+                                           for j in range(2, n + 1)]
+        det = det_rational([
+            [sum((hs[k] * dx[i][shift + k - i] for k in range(top + 1)
+                  if shift + k >= i), ZERO)
+             for shift, top in columns]
+            for i in range(n)])
+        return -det if n * (n - 1) // 2 % 2 else det
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -188,12 +212,9 @@ def correlation_skew(lam1: Partition, lam2: Partition, xs: Sequence,
     ys = as_points(ys)
     rows = min(len(xs), len(ys))
     kmax = box.m + rows
-    hx, hy = homogeneous_list(xs, kmax), homogeneous_list(ys, kmax)
-    acc = ZERO
-    for mu in enumerate_in_box(rows, box.m):
-        if contains(mu, lam1) and contains(mu, lam2):
-            acc += jacobi_trudi(hx, mu, lam1) * jacobi_trudi(hy, mu, lam2)
-    return acc
+    sx = jacobi_trudi_box(homogeneous_list(xs, kmax), rows, box.m, lam1)
+    sy = jacobi_trudi_box(homogeneous_list(ys, kmax), rows, box.m, lam2)
+    return sum((sx[mu] * sy[mu] for mu in sx), ZERO)
 
 
 def _subpartitions(lam: Partition) -> List[Partition]:
@@ -222,10 +243,9 @@ def factorization_report(lam1: Partition, lam2: Partition, xs: Sequence,
     lhs = correlation_skew(lam1, lam2, xs, ys, box)
     rows = min(len(xs), len(ys))
     kmax = box.m + rows
-    hx, hy = homogeneous_list(xs, kmax), homogeneous_list(ys, kmax)
-    norm = ZERO
-    for mu in enumerate_in_box(rows, box.m):
-        norm += jacobi_trudi(hx, mu) * jacobi_trudi(hy, mu)
+    sx = jacobi_trudi_box(homogeneous_list(xs, kmax), rows, box.m)
+    sy = jacobi_trudi_box(homogeneous_list(ys, kmax), rows, box.m)
+    norm = sum((sx[mu] * sy[mu] for mu in sx), ZERO)
     meet = tuple(min(a, b) for a, b in zip(lam1, lam2))
     tail = ZERO
     for nu in _subpartitions(normalize(meet)):
@@ -240,12 +260,8 @@ def yankee_correlation(nu: Partition, xs: Sequence, box: BoxSpec) -> Fraction:
     xs = as_points(xs)
     if not in_box(nu, box.n, box.m):
         raise ValueError("reference partition must fit the box")
-    hx = box.h_list(xs)
-    acc = ZERO
-    for lam in box.partitions():
-        if contains(lam, nu):
-            acc += jacobi_trudi(hx, lam, nu)
-    return acc
+    return sum(jacobi_trudi_box(box.h_list(xs), box.n, box.m, nu).values(),
+               ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +284,17 @@ def hypergeometric_tau(xs: Sequence, ys: Sequence, box: BoxSpec,
         raise ValueError("need one weight per site 0..M")
     if len(xs) != box.n or len(ys) != box.n:
         raise ValueError("point sets must both have N entries")
-    hx, hy = box.h_list(xs), box.h_list(ys)
+    sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
+    sy = jacobi_trudi_box(box.h_list(ys), box.n, box.m)
     acc = ZERO
-    for mu in box.partitions():
+    for mu in sx:
         occ = occupation_from_partition(mu, box.n, box.m)
         c = ONE
         for w, count in zip(ws, occ):
             if count:
                 c *= w ** count
         if c != 0:
-            acc += c * jacobi_trudi(hx, mu) * jacobi_trudi(hy, mu)
+            acc += c * sx[mu] * sy[mu]
     return acc
 
 

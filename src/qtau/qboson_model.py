@@ -14,6 +14,12 @@ of y *is* the Schur function of the twisted coordinates of y), which is
 the exact identity the tests pin down; putting the deformation on x
 instead gives a genuinely different box-restricted sum because the
 restriction cuts the two expansions along different axes.
+
+Each sum mode builds one term table lam -> term over the box (``_terms``);
+the full value sums it and the graded components group it by |lam|, so
+``mode_agreement_report`` builds it once per mode.  The Schur-type tables
+come from ``jacobi_trudi_box``, and det H(x, delta y) is expanded by
+Cauchy-Binet over the maximal minors of [x_i^k] and [y_j^k].
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, QPoly, det_ring, det_rational,
-                           h_from_times, jacobi_trudi, mat_mul_ring,
+from .algebra_core import (ZERO, QPoly, det_rational, h_from_times,
+                           jacobi_trudi_box, mat_mul_ring, maximal_minors,
                            power_series_div)
 from .miwa import from_points, twist
-from .partitions import b_lambda, weight
+from .partitions import Partition, b_lambda, weight
 from .phase_model import BoxSpec, h_matrix, scalar_product
 from .symfunc import (as_points, hall_littlewood_evaluator, kostka_tables,
                       pairwise_distinct, q_coeff_list)
@@ -47,18 +53,21 @@ class QBosonSpec:
         object.__setattr__(self, "q", Fraction(self.q))
 
 
-def _summand(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str):
-    """lam -> the lam-th term of a partition-sum mode.
+def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
+           mode: str) -> Dict[Partition, Fraction]:
+    """lam -> the lam-th term of a partition-sum mode, over the whole box.
 
-    The Hall-Littlewood evaluators and the Jacobi-Trudi generator lists
-    are built once per point set, so every term of one box shares them.
-    The twisted times keep support N*M, which covers every |lam| in the box.
+    Both Hall-Littlewood evaluators are built once per point set, and the
+    Schur-type modes read every s_lam(x) and every y-side value from one
+    ``jacobi_trudi_box`` sweep each.  The twisted times keep support N*M,
+    which covers every |lam| in the box.
     """
     box, q = spec.box, spec.q
     if mode == "hl_sum":
         px = hall_littlewood_evaluator(xs, q)
         py = hall_littlewood_evaluator(ys, q)
-        return lambda lam: b_lambda(lam)(q) * px(lam) * py(lam)
+        return {lam: b_lambda(lam)(q) * px(lam) * py(lam)
+                for lam in box.partitions()}
     kmax = box.m + box.n
     if mode == "big_schur":
         gy = q_coeff_list(ys, q, kmax)
@@ -69,8 +78,9 @@ def _summand(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str):
         gy = box.h_list(ys)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    hx = box.h_list(xs)
-    return lambda lam: jacobi_trudi(gy, lam) * jacobi_trudi(hx, lam)
+    sy = jacobi_trudi_box(gy, box.n, box.m)
+    sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
+    return {lam: sy[lam] * sx[lam] for lam in sx}
 
 
 def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
@@ -104,8 +114,7 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
         num = det_rational(h_matrix(xs, ys, box))
         return q ** (box.n * (box.n - 1) // 2) * num / den
     if mode in SUM_MODES:
-        term = _summand(xs, ys, spec, mode)
-        return sum((term(lam) for lam in box.partitions()), ZERO)
+        return sum(_terms(xs, ys, spec, mode).values(), ZERO)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -114,12 +123,13 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
 # ---------------------------------------------------------------------------
 
 
-def _sum_components(box: BoxSpec, degree: int, term) -> List[Fraction]:
+def _sum_components(terms: Dict[Partition, Fraction],
+                    degree: int) -> List[Fraction]:
     out = [ZERO] * (degree + 1)
-    for lam in box.partitions():
+    for lam, term in terms.items():
         d = weight(lam)
         if d <= degree:
-            out[d] += term(lam)
+            out[d] += term
     return out
 
 
@@ -136,13 +146,12 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     ys = as_points(ys)
     box, q = spec.box, spec.q
     if mode in SUM_MODES:
-        return _sum_components(box, degree, _summand(xs, ys, spec, mode))
+        return _sum_components(_terms(xs, ys, spec, mode), degree)
     if mode == "det_quotient":
         if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
             raise ValueError("det_quotient needs pairwise-distinct points")
         if q == 0:
-            return _sum_components(box, degree,
-                                   _summand(xs, ys, spec, "schur_sum"))
+            return _sum_components(_terms(xs, ys, spec, "schur_sum"), degree)
         val = box.n * (box.n - 1) // 2
         num = _delta_det(xs, ys, box)
         if any(num.coefficient(k) != 0 for k in range(val)):
@@ -159,20 +168,23 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
 
 def _delta_det(xs: Sequence[Fraction], ys: Sequence[Fraction],
                box: BoxSpec) -> QPoly:
-    """det of H with each (xy)^k term carrying delta^k, as a QPoly in delta."""
-    rows = []
-    for x in xs:
-        row = []
-        for y in ys:
-            xy = x * y
-            coeffs = []
-            power = ONE
-            for _ in range(box.m + box.n):
-                coeffs.append(power)
-                power *= xy
-            row.append(QPoly(coeffs))
-        rows.append(row)
-    return det_ring(rows, one=QPoly.one())
+    """det of H with each (xy)^k term carrying delta^k, as a QPoly in delta.
+
+    H(x, delta y) = X diag(delta^k) Y^T with X = [x_i^k], k < M+N, so by
+    Cauchy-Binet its determinant is sum_S det X_S det Y_S delta^(sum S)
+    over the N-subsets S of exponents.
+    """
+    size = box.m + box.n
+
+    def powers(points):
+        return [[p ** k for k in range(size)] for p in points]
+
+    minors_y = maximal_minors(powers(ys))
+    coeffs = [ZERO] * (box.n * size + 1)
+    for cols, minor in maximal_minors(powers(xs)).items():
+        if minor != 0:
+            coeffs[sum(cols)] += minor * minors_y[cols]
+    return QPoly(coeffs)
 
 
 def mode_agreement_report(xs: Sequence, ys: Sequence,
@@ -185,12 +197,22 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
     set repeats, det_quotient is undefined and its key is left out of
     every dict.
     """
+    xs = as_points(xs)
+    ys = as_points(ys)
+    if len(xs) != spec.box.n or len(ys) != spec.box.n:
+        raise ValueError("point sets must both have N entries")
     window = spec.box.m
     modes = (MODES if pairwise_distinct(xs) and pairwise_distinct(ys)
              else SUM_MODES)
-    values = {mode: scalar_product_q(xs, ys, spec, mode) for mode in modes}
-    comps = {mode: graded_components(xs, ys, spec, mode, window)
-             for mode in modes}
+    values, comps = {}, {}
+    for mode in modes:
+        if mode in SUM_MODES:
+            terms = _terms(xs, ys, spec, mode)
+            values[mode] = sum(terms.values(), ZERO)
+            comps[mode] = _sum_components(terms, window)
+        else:
+            values[mode] = scalar_product_q(xs, ys, spec, mode)
+            comps[mode] = graded_components(xs, ys, spec, mode, window)
     graded_ok = {
         mode: comps[mode] == comps["hl_sum"] for mode in modes
     }
@@ -214,9 +236,7 @@ def c_tilde_matrix(d: int) -> Tuple[Tuple[QPoly, ...], ...]:
 
     Rows and columns follow the partitions_of(d) order.  Before
     returning, two polynomial consistency checks run: K^T c~ K must be
-    diag(b), and c~ times the cleared-denominator form of K b^{-1} K^T
-    must be the (cleared) identity — multiplying through by prod b_sigma
-    keeps everything inside Z[Q].
+    diag(b), and c~ must invert K b^{-1} K^T (see ``_verify_c_tilde``).
     """
     if d < 0:
         raise ValueError("weight must be nonnegative")
@@ -229,37 +249,33 @@ def c_tilde_matrix(d: int) -> Tuple[Tuple[QPoly, ...], ...]:
     K_inv_t = [[K_inv[k][i] for k in range(n)] for i in range(n)]
     ct = mat_mul_ring(K_inv_t, [[b[k] * c for c in K_inv[k]]
                                 for k in range(n)])
-    _verify_c_tilde(ct, K, b)
+    _verify_c_tilde(ct, K, K_inv, b)
     return tuple(tuple(row) for row in ct)
 
 
-def _verify_c_tilde(ct, K, b) -> None:
+def _verify_c_tilde(ct, K, K_inv, b) -> None:
+    """Raise ArithmeticError unless c~ passes both defining identities.
+
+    The diagonal identity K^T c~ K = diag(b) is checked as it stands.
+    The inverse identity c~ (K diag(B/b_s) K^T) = B I, with
+    B = prod b_sigma cleared so that every entry lies in Z[Q], is checked
+    in the equivalent form c~ K = (K^-1)^T diag(b), whose degrees do not
+    grow with B.  Multiplying that form on the right by diag(B/b_s) K^T
+    gives the cleared one, because kostka_tables has verified
+    K K^-1 = I; conversely, multiplying the cleared form on the right by
+    (K^-1)^T and cancelling B (Z[Q] is a domain) gives it back.
+    """
     n = len(b)
-    zero, one = QPoly.zero(), QPoly.one()
+    zero = QPoly.zero()
     Kt = [[K[r][i] for r in range(n)] for i in range(n)]
-    # K^T c~ K == diag(b)
-    diag = mat_mul_ring(mat_mul_ring(Kt, ct), K)
+    ct_K = mat_mul_ring(ct, K)
+    diag = mat_mul_ring(Kt, ct_K)
     for i in range(n):
         for j in range(n):
             expected = b[i] if i == j else zero
             if diag[i][j] != expected:
                 raise ArithmeticError("c-tilde fails the diagonal identity")
-    # c~ . (K diag(B/b_s) K^T) == B . I with B = prod b_sigma, so every
-    # entry stays a polynomial in Q instead of a rational function.
-    big = one
-    for poly in b:
-        big = big * poly
-    cleared = []
-    for lam_idx in range(n):
-        entry = one
-        for other in range(n):
-            if other != lam_idx:
-                entry = entry * b[other]
-        cleared.append(entry)
-    mid = [[K[r][s] * cleared[s] for s in range(n)] for r in range(n)]
-    product = mat_mul_ring(ct, mat_mul_ring(mid, Kt))
     for i in range(n):
         for j in range(n):
-            expected = big if i == j else zero
-            if product[i][j] != expected:
+            if ct_K[i][j] != K_inv[j][i] * b[j]:
                 raise ArithmeticError("c-tilde fails the inverse identity")

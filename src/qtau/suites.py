@@ -128,19 +128,13 @@ def _suite_phase_scalar(cfg: SuiteConfig, rng: random.Random):
                 f"scalar-det-vs-sum-N{n}-M{m}", "det-kernel/box-schur-sum",
                 ok, f"{cfg.trials} random point pairs"))
     box = BoxSpec(2, 2)
-    try:
-        scalar_product([Fraction(1, 2), Fraction(1, 2)],
-                       [Fraction(1, 3), Fraction(1, 4)], box, mode="det")
-        rejected = False
-    except ValueError:
-        rejected = True
-    sum_ok = scalar_product(
-        [Fraction(1, 2), Fraction(1, 2)],
-        [Fraction(1, 3), Fraction(1, 4)], box, mode="schur_sum") is not None
+    xs, ys = [Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 4)]
+    ok = all(scalar_product(a, b, box, mode="det")
+             == scalar_product(a, b, box, mode="schur_sum")
+             for a, b in ((xs, ys), (ys, xs)))
     checks.append(CheckResult(
-        "scalar-det-rejects-repeated-points", "det-kernel/preconditions",
-        rejected and sum_ok,
-        "det mode errors on coincident points; sum mode does not"))
+        "scalar-det-at-repeated-points", "det-kernel/coincident-points",
+        ok, "det = schur-sum at x = (1/2, 1/2), y = (1/3, 1/4) and swapped"))
     return checks
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from qtau.algebra_core import (QPoly, TruncatedSeries, det_rational, det_ring,
-                               format_rational, h_from_times,
-                               jacobi_trudi, mat_mul_ring, parse_rational,
-                               power_series_div)
+from qtau.algebra_core import (QPoly, TruncatedSeries, det_rational,
+                               format_rational, h_from_times, jacobi_trudi,
+                               jacobi_trudi_box, mat_mul_ring, maximal_minors,
+                               parse_rational, power_series_div)
 from qtau.miwa import from_points
 
 
@@ -98,12 +98,23 @@ def test_jacobi_trudi():
     assert jacobi_trudi(hs, (1,), (1, 1)) == 0
 
 
-def test_det_ring_matches_rational():
-    rows = [[F(1), F(2), F(0)], [F(3), F(4), F(1)], [F(0), F(1), F(2)]]
-    assert det_ring(rows, one=F(1)) == det_rational(rows)
-    q = QPoly.gen()
-    poly_det = det_ring([[1 - q, q], [q, 1 + q]], one=QPoly.one())
-    assert poly_det == (1 - q) * (1 + q) - q * q
+def test_maximal_minors():
+    rows = [[F(1), F(2), F(0)], [F(3), F(4), F(1)]]
+    assert maximal_minors(rows) == {(0, 1): -2, (0, 2): 1, (1, 2): 2}
+    square = [[F(1), F(2), F(0)], [F(3), F(4), F(1)], [F(0), F(1), F(2)]]
+    assert maximal_minors(square) == {(0, 1, 2): det_rational(square)}
+    assert maximal_minors([]) == {(): 1}
+    assert maximal_minors([[F(1)], [F(2)]]) == {}
+
+
+def test_jacobi_trudi_box():
+    a, b = F(1, 2), F(1, 3)
+    hs = [F(1), a + b, a * a + a * b + b * b,
+          a ** 3 + a * a * b + a * b * b + b ** 3]
+    table = jacobi_trudi_box(hs, 2, 1)
+    assert table == {(): 1, (1,): a + b, (1, 1): a * b}
+    assert jacobi_trudi_box(hs, 2, 1, (1,)) == {(): 0, (1,): 1, (1, 1): a + b}
+    assert jacobi_trudi_box(hs, 1, 2, (1, 1)) == {(): 0, (1,): 0, (2,): 0}
 
 
 def test_power_series_div():

@@ -44,6 +44,19 @@ def test_qscalar_repeated_points(capsys):
     assert "graded agreement through degree 2: all modes" in out
 
 
+def test_det_routes_at_repeated_points(capsys):
+    # both det routes are defined at coincident points and match the sums
+    code, out, _ = run(capsys, "scalar", "--n", "2", "--m", "2",
+                       "--x", "1/2,1/2", "--y", "1/5,1/7")
+    assert code == 0
+    assert "det       = 27817/19600" in out
+    assert "schur_sum = 27817/19600" in out
+    code, out, _ = run(capsys, "corr", "--n", "2", "--m", "2", "--site", "1",
+                       "--x", "1/2,1/2", "--y", "1/5")
+    assert code == 0
+    assert "det      = 121/100" in out and "skew_sum = 121/100" in out
+
+
 def test_corr(capsys):
     code, out, _ = run(capsys, "corr", "--n", "2", "--m", "3", "--site", "1",
                        "--x", "2,3", "--y", "5")

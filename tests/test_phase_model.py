@@ -44,12 +44,13 @@ def test_scalar_product_repeated_points():
     box = BoxSpec(2, 2)
     xs = [F(1, 2), F(1, 2)]
     ys = [F(1, 5), F(1, 7)]
-    with pytest.raises(ValueError):
-        scalar_product(xs, ys, box, mode="det")
-    # the sum route has no distinctness requirement
     value = scalar_product(xs, ys, box, mode="schur_sum")
     assert value == sum(
         schur_eval(mu, xs) * schur_eval(mu, ys) for mu in box.partitions())
+    # the divided-difference determinant is defined at coincident points
+    assert value == F(27817, 19600)
+    assert scalar_product(xs, ys, box, mode="det") == value
+    assert scalar_product(ys, xs, box, mode="det") == value
 
 
 def test_correlation_pinned_values():

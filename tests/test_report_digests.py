@@ -76,14 +76,14 @@ SUITE_DIGESTS = {
         "e4de00a3b187441b6cde886791b44235521a6d05a06edcb93b7ad5090e1f6a11",
         "7f9ad0325300a6836a177f72bfbb651f14a7eba68c1b5f2b440c2052ee803ed3"),
     ("phase-scalar", 0): (
-        "8eddf68e04c26c97d3990aabd5069c2a0813e7ac4c256e9a2099b61bd503db0f",
-        "45091f12081e1cc42d42dfb04f4bdd4135e6cb8eaeac61fc0ff725d0d87fefdf"),
+        "c0f4d96be27eccd4739dd42bb3a05c0aa35e569a4184db8b218605e8da2535c4",
+        "73bb7064679e7008553e1e34cf7a16c9d6cac41b6549d7b16eace0d9577e064a"),
     ("phase-scalar", 1): (
-        "ac263a35e414e7a25fa2f1b659eca2b42985d290fdd6d016327432c340670289",
-        "45091f12081e1cc42d42dfb04f4bdd4135e6cb8eaeac61fc0ff725d0d87fefdf"),
+        "8e7c3e3544a272f3ba017f6a4b7d032f87ef50a3804ad94232165f42280abddb",
+        "73bb7064679e7008553e1e34cf7a16c9d6cac41b6549d7b16eace0d9577e064a"),
     ("phase-scalar", 2): (
-        "337052fa9c3fde77849d3263dfe5c91c753d2eb8497007145159af8ddd11c451",
-        "45091f12081e1cc42d42dfb04f4bdd4135e6cb8eaeac61fc0ff725d0d87fefdf"),
+        "66285ebb36fa2efe66464d9c874dee8d0364522ddb01b74d403c8fea468cd8f4",
+        "73bb7064679e7008553e1e34cf7a16c9d6cac41b6549d7b16eace0d9577e064a"),
     ("qboson-modes", 0): (
         "92fb79674796157362a3fbc7739c2d88c24593a07045c21e341e885de16cd023",
         "5afe2ad2b5eefd66a3047e429889b8a511a297da6f9829db7d89e10aaf660c67"),

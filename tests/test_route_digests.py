@@ -1,0 +1,96 @@
+"""Golden sha256 digests of the partition-sum routes on a seeded grid.
+
+Every box-sum route of ``phase_model`` and ``qboson_model`` is evaluated
+on boxes with N <= 3 and M <= 4, at signed, zero and repeated points and
+at Q in {0, 1/4, -7/5, 2, 1, -1}.  The outputs (exception type and
+message included) are hashed by repr, so a change to how the sums are
+computed that alters any value fails here.  The determinant routes are
+left out: they are defined at coincident points, where earlier versions
+refused them.
+"""
+
+import hashlib
+import random
+from fractions import Fraction as F
+
+from qtau.phase_model import (BoxSpec, correlation_Am, correlation_skew,
+                              hypergeometric_tau, scalar_product,
+                              yankee_correlation)
+from qtau.qboson_model import (SUM_MODES, QBosonSpec, graded_components,
+                               mode_agreement_report, scalar_product_q)
+
+POINTS = (F(0), F(1, 2), F(-1, 2), F(1, 3), F(-1, 3), F(2, 5), F(-3, 7),
+          F(1), F(-2), F(5, 3))
+QS = (F(0), F(1, 4), F(-7, 5), F(2), F(1), F(-1))
+CELLS = [(n, m) for n in range(1, 4) for m in range(1, 5)]
+SKEW_SHAPES = (((), ()), ((1,), (2,)), ((2, 1), (1, 1)))
+
+PHASE_DIGEST = (
+    "dd9e61c34642ce90b26ea113612ea45183a8653c0e47d33c368fefe4ec6a23f5")
+QBOSON_DIGEST = (
+    "ca072fe67c614f7ee706d7835ffab558518d9346a6404316c14a5362e48c6201")
+
+
+def _draw(rng, n):
+    """n points from POINTS; about half the draws repeat their first point."""
+    xs = [rng.choice(POINTS) for _ in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        xs[-1] = xs[0]
+    return xs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # a refusal is an output too
+        return (type(exc).__name__, str(exc))
+
+
+def _digest(outputs):
+    return hashlib.sha256(repr(outputs).encode()).hexdigest()
+
+
+def phase_outputs(seed=0):
+    rng = random.Random(seed)
+    out = []
+    for n, m in CELLS:
+        box = BoxSpec(n, m)
+        for _ in range(2):
+            xs, ys = _draw(rng, n), _draw(rng, n)
+            out.append(_outcome(scalar_product, xs, ys, box, "schur_sum"))
+            for site in range(m + 1):
+                out.append(_outcome(correlation_Am, xs, ys[:n - 1], site,
+                                    box, "skew_sum"))
+            for lam1, lam2 in SKEW_SHAPES:
+                out.append(_outcome(correlation_skew, lam1, lam2, xs, ys,
+                                    box))
+            for nu in rng.sample(box.partitions(),
+                                 min(3, len(box.partitions()))):
+                out.append(_outcome(yankee_correlation, nu, xs, box))
+            weights = [rng.choice(POINTS) for _ in range(m + 1)]
+            out.append(_outcome(hypergeometric_tau, xs, ys, box, weights))
+    return out
+
+
+def qboson_outputs(seed=0):
+    rng = random.Random(seed)
+    out = []
+    for n, m in CELLS:
+        box = BoxSpec(n, m)
+        xs, ys = _draw(rng, n), _draw(rng, n)
+        for q in QS:
+            spec = QBosonSpec(box, q)
+            for mode in SUM_MODES:
+                out.append(_outcome(scalar_product_q, xs, ys, spec, mode))
+                out.append(_outcome(graded_components, xs, ys, spec, mode,
+                                    n * m))
+            out.append(_outcome(mode_agreement_report, xs, ys, spec))
+    return out
+
+
+def test_phase_sum_routes_digest():
+    assert _digest(phase_outputs()) == PHASE_DIGEST
+
+
+def test_qboson_sum_routes_digest():
+    assert _digest(qboson_outputs()) == QBOSON_DIGEST
