@@ -16,10 +16,11 @@ exact:
     construction, so products re-truncate automatically.
 
 The module also carries the small amount of exact linear algebra the
-rest of the package needs (determinants over the rationals, power-series
-division), the coefficients h_k(t) of exp(sum_k t_k z^k) that the
-Miwa-coordinate code builds Schur values from, and the one Jacobi-Trudi
-determinant that every Schur-type value is built from.
+rest of the package needs (determinants of rational matrices, by
+fraction-free elimination on ints, and power-series division), the
+coefficients h_k(t) of exp(sum_k t_k z^k) that the Miwa-coordinate code
+builds Schur values from, and the one Jacobi-Trudi determinant that
+every Schur-type value is built from.
 
 A box sum needs the Jacobi-Trudi value of every partition in the n x m
 box.  Those are the maximal minors (Pluecker coordinates) of a single
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Iterable, Sequence, Tuple
 
 ZERO = Fraction(0)
@@ -353,35 +355,46 @@ def h_from_times(times: Sequence, kmax: int):
 
 
 def det_rational(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square Fraction matrix by fraction-exact elimination."""
+    """Determinant of a square matrix of ints and Fractions, exactly.
+
+    Fraction-free elimination (Bareiss 1968): each row is scaled by the
+    lcm of its entries' denominators, so the work runs on Python ints.
+    The step a_rc <- (a_kk a_rc - a_rk a_kc) / p, with p the previous
+    pivot, divides exactly, and a zero pivot is swapped with a row
+    below it.  The last pivot is the determinant of the scaled matrix,
+    so the result is one Fraction(sign * last pivot, product of scales).
+    """
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
     if n == 0:
         return ONE
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = ONE
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
+    a = []
+    scale = 1
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return ZERO
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for r in range(k + 1, n):
+            row = a[r]
+            lead = row[k]
+            for c in range(k + 1, n):
+                row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def jacobi_trudi(gens: Sequence, lam: Sequence[int],

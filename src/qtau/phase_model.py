@@ -368,23 +368,29 @@ def matrix_integral_constant_term(n: int, t: MiwaCoords, tprime: MiwaCoords,
 # ---------------------------------------------------------------------------
 
 
-def giambelli_check(ys: Sequence, lam: Partition) -> bool:
-    """Hook-minor determinant test for the coefficients c_lam(y).
+def giambelli_check(ys: Sequence, shapes: Sequence[Partition]) -> bool:
+    """Hook-minor determinant test for the coefficients c_lam(y), every lam.
 
-    c_lam(y) = det(h_{lam_i - i + j}(y)); the check asserts that the
-    determinant of c over the Frobenius hooks of lam reproduces c_lam
-    itself, which is the Giambelli consequence of the Plücker relations.
+    c_lam(y) = det(h_{lam_i - i + j}(y)); for each lam in ``shapes`` the
+    check asserts that the determinant of c over the Frobenius hooks of
+    lam reproduces c_lam itself, which is the Giambelli consequence of
+    the Plücker relations.  One h-list at the largest weight serves
+    every shape, and each c_mu is computed once, since the hook shapes
+    recur across lam.
     """
-    lam = normalize(lam)
-    hs = homogeneous_list(ys, weight(lam))
+    shapes = [normalize(lam) for lam in shapes]
+    hs = homogeneous_list(ys, max((weight(lam) for lam in shapes), default=0))
+    values: Dict[Partition, Fraction] = {}
 
     def c(shape: Partition) -> Fraction:
-        return jacobi_trudi(hs, shape)
+        if shape not in values:
+            values[shape] = jacobi_trudi(hs, shape)
+        return values[shape]
 
-    coords = frobenius(lam)
-    if not coords:
-        return c(lam) == ONE
-    d = len(coords)
-    rows = [[c(hook_partition(coords[i][0], coords[j][1])) for j in range(d)]
-            for i in range(d)]
-    return det_rational(rows) == c(lam)
+    for lam in shapes:
+        coords = frobenius(lam)
+        rows = [[c(hook_partition(a, b)) for _, b in coords]
+                for a, _ in coords]
+        if det_rational(rows) != c(lam):
+            return False
+    return True

@@ -194,8 +194,8 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
     Graded agreement is judged through total degree min(M, |box|), the
     theoretically protected window; exact full-sum equality against
     hl_sum is reported per mode as an observation.  When either point
-    set repeats, det_quotient is undefined and its key is left out of
-    every dict.
+    set repeats, or det H(x, Qy) vanishes, det_quotient is undefined and
+    its key is left out of every dict.
     """
     xs = as_points(xs)
     ys = as_points(ys)
@@ -211,12 +211,13 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
             values[mode] = sum(terms.values(), ZERO)
             comps[mode] = _sum_components(terms, window)
         else:
-            values[mode] = scalar_product_q(xs, ys, spec, mode)
+            try:
+                values[mode] = scalar_product_q(xs, ys, spec, mode)
+            except ZeroDivisionError:  # det H(x, Qy) = 0
+                continue
             comps[mode] = graded_components(xs, ys, spec, mode, window)
-    graded_ok = {
-        mode: comps[mode] == comps["hl_sum"] for mode in modes
-    }
-    exact_ok = {mode: values[mode] == values["hl_sum"] for mode in modes}
+    graded_ok = {mode: comps[mode] == comps["hl_sum"] for mode in values}
+    exact_ok = {mode: values[mode] == values["hl_sum"] for mode in values}
     return {
         "values": values,
         "graded_window": window,

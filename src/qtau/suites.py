@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .algebra_core import QPoly, TruncatedSeries, format_rational
+from .algebra_core import QPoly, TruncatedSeries, format_rational, jacobi_trudi
 from .partitions import b_lambda, enumerate_in_box, partitions_of, weight
 from .phase_model import (BoxSpec, correlation_Am, correlation_Am_power_column,
                           correlation_skew, factorization_report,
@@ -27,10 +27,9 @@ from .phase_model import (BoxSpec, correlation_Am, correlation_Am_power_column,
                           scalar_product, schur_pair_sum_miwa)
 from .qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
                            mode_agreement_report, scalar_product_q)
-from .symfunc import (big_schur_eval, cauchy_kernel_series,
-                      hall_littlewood_eval, hl_series, kostka_tables,
-                      schur_eval, supersymmetric_schur_eval, vandermonde,
-                      xy_names)
+from .symfunc import (cauchy_kernel_series, hall_littlewood_eval, hl_series,
+                      kostka_tables, q_coeff_list, schur_eval,
+                      supersymmetric_times, vandermonde, xy_names)
 from .miwa import from_points, schur_in_miwa, twist
 from . import bethe as bethe_mod
 from . import fock_oracle as oracle
@@ -386,26 +385,25 @@ def _suite_kostka(cfg: SuiteConfig, rng: random.Random):
 
 def _suite_supersym(cfg: SuiteConfig, rng: random.Random):
     checks = []
-    shapes = [lam for d in range(0, min(cfg.cutoff, 6) + 1)
-              for lam in partitions_of(d)]
+    top = min(cfg.cutoff, 6)
+    shapes = [lam for d in range(0, top + 1) for lam in partitions_of(d)]
+    support = max(1, top)
     q_pool = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7),
               Fraction(5, 9), Fraction(1, 6)]
     for trial in range(max(cfg.trials, 10)):
         ys = _sample(rng, 3)
         q = q_pool[trial % len(q_pool)]
-        ok = True
-        for lam in shapes:
-            big = big_schur_eval(lam, ys, q)
-            hook = supersymmetric_schur_eval(lam, ys, [-q * y for y in ys])
-            times = twist(from_points(ys, max(1, weight(lam))), q)
-            miwa = schur_in_miwa(lam, times)
-            if not big == hook == miwa:
-                ok = False
+        # one generator source per route, shared by every shape
+        big = q_coeff_list(ys, q, support)
+        hook = supersymmetric_times(ys, [-q * y for y in ys], support)
+        twisted = twist(from_points(ys, support), q)
+        ok = all(jacobi_trudi(big, lam) == schur_in_miwa(lam, hook)
+                 == schur_in_miwa(lam, twisted) for lam in shapes)
         checks.append(CheckResult(
             f"supersym-identification-trial{trial}",
             "deformed-schur/hook-schur",
             ok,
-            f"all |lam| <= {min(cfg.cutoff, 6)} at y=({_fmt_points(ys)}), "
+            f"all |lam| <= {top} at y=({_fmt_points(ys)}), "
             f"Q={format_rational(q)}"))
     return checks
 
@@ -421,7 +419,7 @@ def _suite_giambelli(cfg: SuiteConfig, rng: random.Random):
               for lam in partitions_of(d)]
     for trial in range(cfg.trials):
         ys = _sample(rng, 3)
-        ok = all(giambelli_check(ys, lam) for lam in shapes)
+        ok = giambelli_check(ys, shapes)
         checks.append(CheckResult(
             f"giambelli-trial{trial}", "tau-coefficients/hook-minors",
             ok, f"{len(shapes)} shapes at y=({_fmt_points(ys)})"))

@@ -4,8 +4,11 @@ Everything here is exact, and every quantity has one route.  Schur,
 skew Schur and deformed (big) Schur values are Jacobi-Trudi determinants
 det(c_{lam_i - mu_j - i + j}) over one-row generators -- h_k of the
 points, or the deformed coefficients q_k -- through
-``algebra_core.jacobi_trudi``.  A sum over a box of partitions builds
-the generator list once per point set and calls that helper directly.
+``algebra_core.jacobi_trudi``.  Anything that loops over partitions at
+one point set -- a box sum, or a verification suite running through
+every shape of bounded weight -- builds the generator list once per
+point set (``homogeneous_list``, ``q_coeff_list``, or the
+``generators`` of a ``MiwaCoords``) and calls that helper directly.
 
 Hall-Littlewood values and the monomial tables both come from the
 horizontal-strip branching rule
@@ -37,7 +40,7 @@ from math import prod
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .algebra_core import ONE, ZERO, QPoly, TruncatedSeries, jacobi_trudi
-from .miwa import from_points, schur_in_miwa
+from .miwa import MiwaCoords, from_points
 from .partitions import (Partition, contains, multiplicities, normalize,
                          partitions_of, weight)
 
@@ -314,25 +317,18 @@ def q_coeff_list(ys: Sequence, q, mmax: int) -> List[Fraction]:
     return cs
 
 
-def big_schur_eval(lam: Partition, ys: Sequence, q) -> Fraction:
-    """Deformed Schur value det(q_{lam_i - i + j}) on the point set."""
-    lam = normalize(lam)
-    return jacobi_trudi(q_coeff_list(ys, q, weight(lam)), lam)
+def supersymmetric_times(alpha: Sequence, beta: Sequence,
+                         n_max: int) -> MiwaCoords:
+    """Times of the hook (supersymmetric) Schur functions s_lam(alpha/beta).
 
-
-def supersymmetric_schur_eval(lam: Partition, alpha: Sequence,
-                              beta: Sequence) -> Fraction:
-    """Hook Schur value s_lam(alpha/beta) through generalized times.
-
-    The times are T_n = (1/n)(sum alpha_i^n - sum (-beta_i)^n), assembled
-    from two from_points calls so there is a single code path for the
-    negated contribution.
+    T_n = (1/n)(sum alpha_i^n - sum (-beta_i)^n) for n = 1..n_max,
+    assembled from two from_points calls so there is a single code path
+    for the negated contribution.  ``schur_in_miwa(lam, T)`` is then the
+    hook Schur value for every |lam| <= n_max.
     """
-    lam = normalize(lam)
-    n_max = max(1, weight(lam))
     t_alpha = from_points(alpha, n_max)
     t_beta = from_points([-Fraction(b) for b in beta], n_max)
-    return schur_in_miwa(lam, t_alpha - t_beta)
+    return t_alpha - t_beta
 
 
 # ---------------------------------------------------------------------------

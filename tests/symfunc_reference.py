@@ -13,16 +13,39 @@ those and are slower or defined on fewer inputs:
 - ``hl_via_monomials`` contracts a row of ``hl_monomial_table`` with
   ``monomial_eval``;
 - ``big_schur_matrix`` and ``schur_in_miwa_matrix`` write the deformed
-  and time-coordinate Schur determinants out entry by entry.
+  and time-coordinate Schur determinants out entry by entry;
+- ``det_fraction`` is Gaussian elimination over Fractions, the reference
+  for the library's fraction-free ``det_rational`` and the determinant
+  every route here uses.
 """
 
 import itertools
 from fractions import Fraction
 
-from qtau.algebra_core import ONE, ZERO, det_rational, h_from_times
+from qtau.algebra_core import ONE, ZERO, h_from_times
 from qtau.partitions import multiplicities, normalize, weight
 from qtau.symfunc import (as_points, hl_monomial_table, q_coeff_list,
                           vandermonde)
+
+
+def det_fraction(rows) -> Fraction:
+    """Determinant of a square matrix by elimination over Fractions."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    return det
 
 
 def monomial_eval(mu, xs) -> Fraction:
@@ -51,7 +74,7 @@ def schur_bialternant(lam, xs) -> Fraction:
     padded = lam + (0,) * (n - len(lam))
     rows = [[xs[i] ** (padded[j] + n - 1 - j) for j in range(n)]
             for i in range(n)]
-    return det_rational(rows) / vandermonde(xs)
+    return det_fraction(rows) / vandermonde(xs)
 
 
 def v_lambda(lam, nvars: int, q) -> Fraction:
@@ -101,7 +124,7 @@ def _matrix_det(gens, lam) -> Fraction:
     def c(k):
         return gens[k] if k >= 0 else ZERO
 
-    return det_rational([[c(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
+    return det_fraction([[c(lam[i] - (i + 1) + (j + 1)) for j in range(ell)]
                          for i in range(ell)])
 
 

@@ -1,6 +1,7 @@
 """Bethe-equation solvers: closed form, residuals, Newton continuation."""
 
 import cmath
+import itertools
 import math
 import os
 import subprocess
@@ -8,8 +9,8 @@ import sys
 
 import pytest
 
-from qtau.bethe import (BetheRoots, _solve, residual, solve_phase,
-                        solve_qboson, solve_qboson_continued)
+from qtau.bethe import (BetheRoots, _solve, _sorted_roots, residual,
+                        solve_phase, solve_qboson, solve_qboson_continued)
 
 
 def test_single_particle_roots_of_unity():
@@ -96,6 +97,31 @@ def test_root_order_at_angle_pi():
     assert min(abs(z + 1) for z in coarse.roots) < 1e-8
     assert max(abs(a - b) for a, b in zip(coarse.roots, fine.roots)) < 1e-8
     assert abs(coarse.roots[-1] + 1) < 1e-8
+
+
+def _same_roots_both_steps(n, m, q, qn):
+    coarse = solve_qboson_continued(n, m, q, qn)
+    fine = solve_qboson_continued(n, m, q, qn, step=0.025)
+    assert coarse.residual < 1e-10 and fine.residual < 1e-10
+    assert max(abs(a - b) for a, b in zip(coarse.roots, fine.roots)) < 1e-8
+
+
+def test_continuation_past_unit_deformation():
+    # past Q = 1 the path leaves the real axis; every quantum-number set
+    # of (2, 3) converges at Q = 2, to the same roots at either step
+    for qn in itertools.combinations(range(6), 2):
+        _same_roots_both_steps(2, 3, 2.0, list(qn))
+    # roots come in pairs r e^{i theta}, e^{i theta}/r here, which only
+    # the modulus orders
+    _same_roots_both_steps(3, 4, 2.0, [0, 3, 4])
+
+
+def test_root_order_on_tied_angles():
+    z = cmath.exp(0.7j)
+    big = 2 * z * cmath.exp(-1e-12j)
+    small = z / 2 * cmath.exp(1e-12j)
+    assert _sorted_roots([big, small, -z]) == (-z, small, big)
+    assert _sorted_roots([small, -z, big]) == (-z, small, big)
 
 
 def test_roots_are_sorted_deterministically():

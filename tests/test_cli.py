@@ -44,6 +44,17 @@ def test_qscalar_repeated_points(capsys):
     assert "graded agreement through degree 2: all modes" in out
 
 
+def test_qscalar_vanishing_denominator(capsys):
+    # distinct points where det H(x, Qy) = 0: the sums are still printed
+    code, out, _ = run(capsys, "qscalar", "--n", "1", "--m", "3",
+                       "--q", "2", "--x=-1/2", "--y", "1")
+    assert code == 0
+    assert "hl_sum        = 11/8" in out
+    assert ("det_quotient  = n/a (denominator determinant vanishes)"
+            in out)
+    assert "graded agreement through degree 3: all modes" in out
+
+
 def test_det_routes_at_repeated_points(capsys):
     # both det routes are defined at coincident points and match the sums
     code, out, _ = run(capsys, "scalar", "--n", "2", "--m", "2",

@@ -10,9 +10,9 @@ from qtau.phase_model import BoxSpec, scalar_product
 from qtau.qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
                                graded_components, mode_agreement_report,
                                scalar_product_q)
-from qtau.symfunc import (big_schur_eval, hall_littlewood_eval,
-                          kostka_tables, schur_eval)
-from qtau.algebra_core import QPoly
+from qtau.symfunc import (hall_littlewood_eval, kostka_tables, q_coeff_list,
+                          schur_eval)
+from qtau.algebra_core import QPoly, jacobi_trudi
 
 
 def test_hl_sum_single_variable():
@@ -116,6 +116,18 @@ def test_mode_report_repeated_points():
         assert all(rep["graded_equal_hl"].values())
 
 
+def test_mode_report_vanishing_denominator():
+    # at N = 1, M = 3, Q = 2, x = -1/2, y = 1 the points are distinct but
+    # det H(x, Qy) = 1 - 1 + 1 - 1 = 0: det_quotient is left out and the
+    # three sums, which are defined, are still reported
+    spec = QBosonSpec(BoxSpec(1, 3), F(2))
+    rep = mode_agreement_report([F(-1, 2)], [F(1)], spec)
+    for key in ("values", "graded_equal_hl", "exact_equal_hl"):
+        assert set(rep[key]) == {"hl_sum", "big_schur", "twisted_schur"}
+    assert rep["values"]["hl_sum"] == F(11, 8)
+    assert all(rep["graded_equal_hl"].values())
+
+
 def test_c_tilde_small():
     q = QPoly.gen()
     assert c_tilde_matrix(0) == ((QPoly.one(),),)
@@ -134,7 +146,7 @@ def test_big_schur_coefficient_expansion():
             row = c_tilde_matrix(sum(mu))[order.index(mu)]
             rhs = sum(coeff(q) * schur_eval(lam, ys)
                       for lam, coeff in zip(order, row))
-            assert big_schur_eval(mu, ys, q) == rhs
+            assert jacobi_trudi(q_coeff_list(ys, q, sum(mu)), mu) == rhs
 
 
 def test_z_q_tables_have_int_coefficients():

@@ -4,9 +4,10 @@ Every box-sum route of ``phase_model`` and ``qboson_model`` is evaluated
 on boxes with N <= 3 and M <= 4, at signed, zero and repeated points and
 at Q in {0, 1/4, -7/5, 2, 1, -1}.  The outputs (exception type and
 message included) are hashed by repr, so a change to how the sums are
-computed that alters any value fails here.  The determinant routes are
-left out: they are defined at coincident points, where earlier versions
-refused them.
+computed that alters any value fails here.  The determinant routes --
+``scalar_product`` and ``correlation_Am`` at every site in mode "det",
+and ``scalar_product_q`` in mode "det_quotient" with its refusals -- are
+evaluated at the same draws and pinned by a digest of their own.
 """
 
 import hashlib
@@ -29,6 +30,8 @@ PHASE_DIGEST = (
     "dd9e61c34642ce90b26ea113612ea45183a8653c0e47d33c368fefe4ec6a23f5")
 QBOSON_DIGEST = (
     "ca072fe67c614f7ee706d7835ffab558518d9346a6404316c14a5362e48c6201")
+DET_DIGEST = (
+    "420e4db846cea2388dda4fbb667e82dc2eca0756587bfa203b347555ad1e448a")
 
 
 def _draw(rng, n):
@@ -51,16 +54,20 @@ def _digest(outputs):
 
 
 def phase_outputs(seed=0):
+    """(sum-route outputs, det-route outputs) over the phase grid."""
     rng = random.Random(seed)
-    out = []
+    out, dets = [], []
     for n, m in CELLS:
         box = BoxSpec(n, m)
         for _ in range(2):
             xs, ys = _draw(rng, n), _draw(rng, n)
             out.append(_outcome(scalar_product, xs, ys, box, "schur_sum"))
+            dets.append(_outcome(scalar_product, xs, ys, box, "det"))
             for site in range(m + 1):
                 out.append(_outcome(correlation_Am, xs, ys[:n - 1], site,
                                     box, "skew_sum"))
+                dets.append(_outcome(correlation_Am, xs, ys[:n - 1], site,
+                                     box, "det"))
             for lam1, lam2 in SKEW_SHAPES:
                 out.append(_outcome(correlation_skew, lam1, lam2, xs, ys,
                                     box))
@@ -69,12 +76,13 @@ def phase_outputs(seed=0):
                 out.append(_outcome(yankee_correlation, nu, xs, box))
             weights = [rng.choice(POINTS) for _ in range(m + 1)]
             out.append(_outcome(hypergeometric_tau, xs, ys, box, weights))
-    return out
+    return out, dets
 
 
 def qboson_outputs(seed=0):
+    """(sum-route outputs, det_quotient outputs) over the deformed grid."""
     rng = random.Random(seed)
-    out = []
+    out, dets = [], []
     for n, m in CELLS:
         box = BoxSpec(n, m)
         xs, ys = _draw(rng, n), _draw(rng, n)
@@ -85,12 +93,18 @@ def qboson_outputs(seed=0):
                 out.append(_outcome(graded_components, xs, ys, spec, mode,
                                     n * m))
             out.append(_outcome(mode_agreement_report, xs, ys, spec))
-    return out
+            dets.append(_outcome(scalar_product_q, xs, ys, spec,
+                                 "det_quotient"))
+    return out, dets
 
 
 def test_phase_sum_routes_digest():
-    assert _digest(phase_outputs()) == PHASE_DIGEST
+    assert _digest(phase_outputs()[0]) == PHASE_DIGEST
 
 
 def test_qboson_sum_routes_digest():
-    assert _digest(qboson_outputs()) == QBOSON_DIGEST
+    assert _digest(qboson_outputs()[0]) == QBOSON_DIGEST
+
+
+def test_det_routes_digest():
+    assert _digest(phase_outputs()[1] + qboson_outputs()[1]) == DET_DIGEST

@@ -2,14 +2,15 @@
 
 from fractions import Fraction as F
 
-from qtau.algebra_core import QPoly
+from qtau.algebra_core import QPoly, jacobi_trudi
+from qtau.miwa import schur_in_miwa
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
-from qtau.symfunc import (big_schur_eval, cauchy_kernel_series,
-                          hall_littlewood_eval, hl_series, homogeneous_list,
-                          kostka_tables, kostka_tables_json, q_coeff_list,
-                          schur_eval, skew_schur_eval,
-                          supersymmetric_schur_eval, vandermonde, xy_names)
+from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_eval,
+                          hl_series, homogeneous_list, kostka_tables,
+                          kostka_tables_json, q_coeff_list, schur_eval,
+                          skew_schur_eval, supersymmetric_times, vandermonde,
+                          xy_names)
 from symfunc_reference import monomial_eval, schur_bialternant
 
 
@@ -116,19 +117,19 @@ def test_q_coeff_list():
 def test_big_schur_eval():
     a, b = F(1, 3), F(2, 5)
     q = F(1, 4)
-    assert big_schur_eval((), [a, b], q) == 1
-    assert big_schur_eval((1,), [a, b], q) == (1 - q) * (a + b)
-    assert big_schur_eval((2,), [a], F(0)) == a * a
+    assert jacobi_trudi(q_coeff_list([a, b], q, 0), ()) == 1
+    assert jacobi_trudi(q_coeff_list([a, b], q, 1), (1,)) == (1 - q) * (a + b)
+    assert jacobi_trudi(q_coeff_list([a], F(0), 2), (2,)) == a * a
 
 
 def test_supersymmetric_schur_eval():
     alpha = [F(1, 2), F(1, 3)]
     beta = [F(1, 5)]
-    assert (supersymmetric_schur_eval((1,), alpha, beta)
+    assert (schur_in_miwa((1,), supersymmetric_times(alpha, beta, 1))
             == sum(alpha) + sum(beta))
+    times = supersymmetric_times(alpha, [], 3)
     for lam in ((2,), (1, 1), (2, 1)):
-        assert (supersymmetric_schur_eval(lam, alpha, [])
-                == schur_eval(lam, alpha))
+        assert schur_in_miwa(lam, times) == schur_eval(lam, alpha)
 
 
 def test_vandermonde_scaling():

@@ -10,14 +10,15 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtau.algebra_core import jacobi_trudi
+from qtau.algebra_core import det_rational, jacobi_trudi
 from qtau.miwa import from_points, schur_in_miwa, twist
 from qtau.partitions import contains, partitions_of, weight
-from qtau.symfunc import (big_schur_eval, hall_littlewood_eval,
-                          homogeneous_list, schur_eval, skew_schur_eval)
-from symfunc_reference import (big_schur_matrix, hl_symmetrization,
-                               hl_via_monomials, schur_bialternant,
-                               schur_in_miwa_matrix, v_lambda)
+from qtau.symfunc import (hall_littlewood_eval, homogeneous_list,
+                          q_coeff_list, schur_eval, skew_schur_eval)
+from symfunc_reference import (big_schur_matrix, det_fraction,
+                               hl_symmetrization, hl_via_monomials,
+                               schur_bialternant, schur_in_miwa_matrix,
+                               v_lambda)
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 QS = st.one_of(st.sampled_from([F(0), F(1), F(-1), F(2)]), RATIONALS)
@@ -76,7 +77,8 @@ def test_jacobi_trudi_vanishes_off_containment(lam, mu, ys):
 @SETTINGS
 @given(PARTITIONS, points(), QS)
 def test_big_schur_matches_matrix(lam, ys, q):
-    assert big_schur_eval(lam, ys, q) == big_schur_matrix(lam, ys, q)
+    big = jacobi_trudi(q_coeff_list(ys, q, weight(lam)), lam)
+    assert big == big_schur_matrix(lam, ys, q)
 
 
 @SETTINGS
@@ -84,4 +86,38 @@ def test_big_schur_matches_matrix(lam, ys, q):
 def test_schur_in_miwa_matches_matrix(lam, xs, q):
     t = twist(from_points(xs, max(1, weight(lam))), q)
     assert schur_in_miwa(lam, t) == schur_in_miwa_matrix(lam, t)
-    assert schur_in_miwa(lam, t) == big_schur_eval(lam, xs, q)
+    assert schur_in_miwa(lam, t) == jacobi_trudi(
+        q_coeff_list(xs, q, weight(lam)), lam)
+
+
+ENTRIES = st.one_of(st.integers(-5, 5), RATIONALS)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n, n <= 6, of ints and signed Fractions.
+
+    Each row may have up to n-1 leading entries zeroed, so the
+    elimination has to swap; a third of the matrices then get a zero row
+    and a third a repeated row, so singular matrices come up too.
+    """
+    n = draw(st.integers(0, 6))
+    flat = draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))
+    leads = draw(st.lists(st.integers(0, max(0, n - 1)), min_size=n,
+                          max_size=n))
+    rows = [[0] * k + flat[i * n + k:(i + 1) * n]
+            for i, k in enumerate(leads)]
+    if n:
+        kind = draw(st.sampled_from(("as drawn", "zero row", "repeat row")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "zero row":
+            rows[i] = [0] * n
+        elif kind == "repeat row":
+            rows[i] = list(rows[j])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_det_rational_matches_fraction_elimination(rows):
+    assert det_rational(rows) == det_fraction(rows)
