@@ -18,7 +18,7 @@ Layout:
   Kostka-Foulkes tables, deformed kernels.
 - miwa: power-sum coordinates and Schur functions thereof.
 - phase_model: determinant and partition-sum forms of the undeformed
-  pairings, correlations, and tau-function style sums.
+  pairings, correlations, and skew pairings.
 - qboson_model: the four deformed representations and the Schur-basis
   coefficient matrix of the deformed pairing.
 - fock_oracle: string operators applied site by site to occupation

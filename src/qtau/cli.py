@@ -24,7 +24,7 @@ from .partitions import enumerate_in_box
 from .phase_model import BoxSpec, correlation_Am, scalar_product
 from .qboson_model import (MODES, QBosonSpec, mode_agreement_report,
                            scalar_product_q)
-from .symfunc import kostka_tables, kostka_tables_json, pairwise_distinct
+from .symfunc import kostka_tables, kostka_tables_json
 from .suites import SuiteConfig, check_caps, emit_report, run_suite
 from . import bethe as bethe_mod
 from . import fock_oracle as oracle
@@ -97,13 +97,11 @@ def _cmd_qscalar(args) -> int:
         print(format_rational(value))
         return 0
     rep = mode_agreement_report(xs, ys, spec)
-    missing = ("n/a (needs pairwise-distinct points)"
-               if not (pairwise_distinct(xs) and pairwise_distinct(ys))
-               else "n/a (denominator determinant vanishes)")
     width = max(len(mode) for mode in MODES)
     for mode in MODES:
         value = rep["values"].get(mode)
-        shown = missing if value is None else format_rational(value)
+        shown = ("n/a (denominator determinant vanishes)" if value is None
+                 else format_rational(value))
         print(f"{mode:<{width}} = {shown}")
     graded = rep["graded_equal_hl"]
     bad = [mode for mode in graded if not graded[mode]]

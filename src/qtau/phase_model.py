@@ -1,17 +1,18 @@
-"""Phase-model scalar products, correlation functions, and tau-type sums.
+"""Phase-model scalar products, correlation functions, and skew pairings.
 
 The central objects are pairings of off-shell Bethe states on a chain
-with sites 0..M in the N-particle sector.  Every quantity here has (at
-least) two independent evaluation routes — a determinant built from the
-kernel H(z, w) = sum_{k<M+N} (zw)^k and a partition sum over the box
-[N, M] — and the test suite insists that the routes agree exactly.
+with sites 0..M in the N-particle sector.  The scalar product and the
+one-point function each have two independent evaluation routes -- a
+determinant over Vandermondes, whose entries come from the kernel
+H(z, w) = sum_{k<M+N} (zw)^k, and a partition sum over the box [N, M] --
+and the test suite insists that the routes agree exactly.
 
 Every partition sum reads its Schur values from ``jacobi_trudi_box``:
 s_lam over the whole box are the maximal minors of one N x (N+M) matrix
 [h_{j-i}], so one Laplace sweep per point set replaces an elimination
-per partition.  The determinant routes never divide by a Vandermonde:
-they take Newton divided differences of their columns, so coincident
-points are ordinary inputs.
+per partition.  No determinant route divides by a Vandermonde: each
+takes Newton divided differences of its columns, so coincident points
+are ordinary inputs.
 
 A note on the correlation determinant: the route implemented by
 ``correlation_Am(..., mode="det")`` is the Cauchy-Binet compression of
@@ -32,9 +33,8 @@ from .algebra_core import (ONE, ZERO, det_rational, h_from_times, jacobi_trudi,
                            jacobi_trudi_box)
 from .miwa import MiwaCoords
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
-                         hook_partition, in_box, normalize,
-                         occupation_from_partition, partitions_of, weight)
-from .symfunc import as_points, homogeneous_list, skew_schur_eval, vandermonde
+                         hook_partition, normalize, partitions_of, weight)
+from .symfunc import as_points, homogeneous_list, skew_schur_eval
 
 
 @dataclass(frozen=True)
@@ -54,27 +54,6 @@ class BoxSpec:
     def h_list(self, xs: Sequence) -> List[Fraction]:
         """h_0..h_{M+N} of a point set: enough for every shape in the box."""
         return homogeneous_list(xs, self.m + self.n)
-
-
-def h_entry(z, w, box: BoxSpec) -> Fraction:
-    """H(z, w) = sum_{k=1}^{M+N} (zw)^{k-1}, evaluated as the plain sum.
-
-    Always the polynomial, never the rational closed form, so zw = 1 is
-    an ordinary point (the value there is M+N).
-    """
-    zw = Fraction(z) * Fraction(w)
-    acc = ZERO
-    power = ONE
-    for _ in range(box.m + box.n):
-        acc += power
-        power *= zw
-    return acc
-
-
-def h_matrix(xs: Sequence, ys: Sequence, box: BoxSpec) -> List[List[Fraction]]:
-    xs = as_points(xs)
-    ys = as_points(ys)
-    return [[h_entry(x, y, box) for y in ys] for x in xs]
 
 
 def _divided_powers(xs: Sequence[Fraction], kmax: int) -> List[List[Fraction]]:
@@ -179,7 +158,9 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     1..N-1 are H(x_j, y_k) and the last column is the bare power.  It
     requires M+N-1 even so the exponent is an integer.  Kept as a
     measured quantity — the report suites compare it against the true
-    correlation value instead of assuming a relation.
+    correlation value instead of assuming a relation.  As in
+    ``correlation_Am``, the rows are divided differences in x, so
+    det Q/Delta(x) = (-1)^(N(N-1)/2) det(Q[x_0..x_i]) at any points.
     """
     xs = as_points(xs)
     ys = as_points(ys)
@@ -191,12 +172,13 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     expo = (mm + n - 1 - 2 * m) // 2
     if expo < 0:
         raise ValueError("site index m too large for the power column")
-    rows = []
-    for x in xs:
-        row_entries = [h_entry(x, y, box) for y in ys]
-        row_entries.append(x ** expo)
-        rows.append(row_entries)
-    return det_rational(rows) / vandermonde(xs)
+    size = mm + n
+    dx = _divided_powers(xs, size - 1)
+    det = det_rational([
+        [sum((y ** k * dx[i][k - i] for k in range(i, size)), ZERO)
+         for y in ys] + [dx[i][expo - i] if expo >= i else ZERO]
+        for i in range(n)])
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 def correlation_skew(lam1: Partition, lam2: Partition, xs: Sequence,
@@ -241,61 +223,13 @@ def factorization_report(lam1: Partition, lam2: Partition, xs: Sequence,
     xs = as_points(xs)
     ys = as_points(ys)
     lhs = correlation_skew(lam1, lam2, xs, ys, box)
-    rows = min(len(xs), len(ys))
-    kmax = box.m + rows
-    sx = jacobi_trudi_box(homogeneous_list(xs, kmax), rows, box.m)
-    sy = jacobi_trudi_box(homogeneous_list(ys, kmax), rows, box.m)
-    norm = sum((sx[mu] * sy[mu] for mu in sx), ZERO)
+    norm = correlation_skew((), (), xs, ys, box)
     meet = tuple(min(a, b) for a, b in zip(lam1, lam2))
     tail = ZERO
     for nu in _subpartitions(normalize(meet)):
         tail += skew_schur_eval(lam1, nu, xs) * skew_schur_eval(lam2, nu, ys)
     rhs = norm * tail
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
-
-
-def yankee_correlation(nu: Partition, xs: Sequence, box: BoxSpec) -> Fraction:
-    """sum over lam in [N, M] of s_{lam/nu}(x): the flat-state overlap."""
-    nu = normalize(nu)
-    xs = as_points(xs)
-    if not in_box(nu, box.n, box.m):
-        raise ValueError("reference partition must fit the box")
-    return sum(jacobi_trudi_box(box.h_list(xs), box.n, box.m, nu).values(),
-               ZERO)
-
-
-# ---------------------------------------------------------------------------
-# diagonal-coefficient (hypergeometric-type) sums
-# ---------------------------------------------------------------------------
-
-
-def hypergeometric_tau(xs: Sequence, ys: Sequence, box: BoxSpec,
-                       weights: Sequence) -> Fraction:
-    """sum_mu c_mu s_mu(x) s_mu(y) with c_mu = prod_i w_i^{n_i(mu)}.
-
-    ``weights`` gives one multiplicative factor per site 0..M; the site
-    occupations of mu include n_0 = N - l(mu).  All weights equal to 1
-    reduces this to the plain scalar product.
-    """
-    xs = as_points(xs)
-    ys = as_points(ys)
-    ws = as_points(weights)
-    if len(ws) != box.m + 1:
-        raise ValueError("need one weight per site 0..M")
-    if len(xs) != box.n or len(ys) != box.n:
-        raise ValueError("point sets must both have N entries")
-    sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
-    sy = jacobi_trudi_box(box.h_list(ys), box.n, box.m)
-    acc = ZERO
-    for mu in sx:
-        occ = occupation_from_partition(mu, box.n, box.m)
-        c = ONE
-        for w, count in zip(ws, occ):
-            if count:
-                c *= w ** count
-        if c != 0:
-            acc += c * sx[mu] * sy[mu]
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """q-boson scalar products in four representations, plus the c-tilde matrix.
 
 The same pairing is computed as a Hall-Littlewood partition sum, a
-quotient of two kernel determinants, a deformed-Schur (big-Schur)
+quotient of two phase-model pairings, a deformed-Schur (big-Schur)
 expansion, and a twisted-coordinate Schur expansion.  The four routes
 coincide in every graded component of total degree <= M; whether the
 full box-restricted sums agree exactly is size-dependent and is
@@ -18,8 +18,11 @@ restriction cuts the two expansions along different axes.
 Each sum mode builds one term table lam -> term over the box (``_terms``);
 the full value sums it and the graded components group it by |lam|, so
 ``mode_agreement_report`` builds it once per mode.  The Schur-type tables
-come from ``jacobi_trudi_box``, and det H(x, delta y) is expanded by
-Cauchy-Binet over the maximal minors of [x_i^k] and [y_j^k].
+come from ``jacobi_trudi_box``.  The determinant quotient
+Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S the
+phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S takes
+divided differences instead of dividing by Vandermondes, so the quotient
+is defined at coincident points and at Q = 0.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra_core import (ZERO, QPoly, det_rational, h_from_times,
-                           jacobi_trudi_box, mat_mul_ring, maximal_minors,
-                           power_series_div)
+from .algebra_core import (ZERO, QPoly, h_from_times, jacobi_trudi_box,
+                           mat_mul_ring, power_series_div)
 from .miwa import from_points, twist
 from .partitions import Partition, b_lambda, weight
-from .phase_model import BoxSpec, h_matrix, scalar_product
+from .phase_model import BoxSpec, scalar_product
 from .symfunc import (as_points, hall_littlewood_evaluator, kostka_tables,
-                      pairwise_distinct, q_coeff_list)
+                      q_coeff_list)
 
 MODES = ("hl_sum", "det_quotient", "big_schur", "twisted_schur")
 SUM_MODES = ("hl_sum", "big_schur", "twisted_schur")
@@ -88,14 +90,14 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     """Deformed N-particle pairing in the requested representation.
 
     hl_sum        sum_{lam in [N,M]} b_lam(Q) P_lam(x;Q) P_lam(y;Q)
-    det_quotient  Q^{N(N-1)/2} det H(x,y) / det H(x,Qy)
+    det_quotient  Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) = S(x,y) / S(x,Qy)
     big_schur     sum_{lam in [N,M]} S_lam(y;Q) s_lam(x)
     twisted_schur sum_{lam in [N,M]} s_lam(T(y,Q)) s_lam(x)
 
-    At Q = 0 every mode returns the phase-model value; for det_quotient
-    that point is the analytic limit of the quotient (the denominator
-    determinant vanishes to exactly the order the prefactor supplies),
-    evaluated through the phase-model determinant.
+    S is the phase-model pairing ``scalar_product(..., "det")``, defined
+    at any points, and S(x, 0) = 1, so at Q = 0 every mode returns the
+    phase-model value.  det_quotient raises ZeroDivisionError only where
+    S(x, Qy) = 0.
     """
     xs = as_points(xs)
     ys = as_points(ys)
@@ -103,16 +105,10 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     if len(xs) != box.n or len(ys) != box.n:
         raise ValueError("point sets must both have N entries")
     if mode == "det_quotient":
-        if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
-            raise ValueError("det_quotient needs pairwise-distinct points")
-        if q == 0:
-            return scalar_product(xs, ys, box, mode="det")
-        qys = [q * y for y in ys]
-        den = det_rational(h_matrix(xs, qys, box))
+        den = scalar_product(xs, [q * y for y in ys], box, "det")
         if den == 0:
             raise ZeroDivisionError("denominator determinant vanishes")
-        num = det_rational(h_matrix(xs, ys, box))
-        return q ** (box.n * (box.n - 1) // 2) * num / den
+        return scalar_product(xs, ys, box, "det") / den
     if mode in SUM_MODES:
         return sum(_terms(xs, ys, spec, mode).values(), ZERO)
     raise ValueError(f"unknown mode {mode!r}")
@@ -139,52 +135,19 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
 
     Grading is diagonal: scaling y by a formal parameter multiplies the
     degree-d piece by its d-th power, so the pieces of the partition
-    sums are the fixed-|lam| subsums, and the determinant quotient is
-    expanded as a series in that parameter and divided term by term.
+    sums are the fixed-|lam| subsums.  The pieces c_d of S(x, delta y)
+    are the Schur subsums, those of S(x, delta Q y) are Q^d c_d, and
+    c_0 = 1, so the quotient divides as a power series at every Q.
     """
     xs = as_points(xs)
     ys = as_points(ys)
-    box, q = spec.box, spec.q
     if mode in SUM_MODES:
         return _sum_components(_terms(xs, ys, spec, mode), degree)
     if mode == "det_quotient":
-        if not (pairwise_distinct(xs) and pairwise_distinct(ys)):
-            raise ValueError("det_quotient needs pairwise-distinct points")
-        if q == 0:
-            return _sum_components(_terms(xs, ys, spec, "schur_sum"), degree)
-        val = box.n * (box.n - 1) // 2
-        num = _delta_det(xs, ys, box)
-        if any(num.coefficient(k) != 0 for k in range(val)):
-            raise ArithmeticError("determinant valuation lower than expected")
-        # det H(x, delta Q y) is num with delta -> Q delta: its delta^j
-        # coefficient is Q^j num_j, so one expansion serves both
-        num_shift = [num.coefficient(val + k) for k in range(degree + 1)]
-        den_shift = [q ** (val + k) * c for k, c in enumerate(num_shift)]
-        series = power_series_div(num_shift, den_shift, degree)
-        scale = q ** val
-        return [scale * c for c in series]
+        c = _sum_components(_terms(xs, ys, spec, "schur_sum"), degree)
+        return power_series_div(c, [spec.q ** d * c_d
+                                    for d, c_d in enumerate(c)], degree)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _delta_det(xs: Sequence[Fraction], ys: Sequence[Fraction],
-               box: BoxSpec) -> QPoly:
-    """det of H with each (xy)^k term carrying delta^k, as a QPoly in delta.
-
-    H(x, delta y) = X diag(delta^k) Y^T with X = [x_i^k], k < M+N, so by
-    Cauchy-Binet its determinant is sum_S det X_S det Y_S delta^(sum S)
-    over the N-subsets S of exponents.
-    """
-    size = box.m + box.n
-
-    def powers(points):
-        return [[p ** k for k in range(size)] for p in points]
-
-    minors_y = maximal_minors(powers(ys))
-    coeffs = [ZERO] * (box.n * size + 1)
-    for cols, minor in maximal_minors(powers(xs)).items():
-        if minor != 0:
-            coeffs[sum(cols)] += minor * minors_y[cols]
-    return QPoly(coeffs)
 
 
 def mode_agreement_report(xs: Sequence, ys: Sequence,
@@ -193,19 +156,17 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
 
     Graded agreement is judged through total degree min(M, |box|), the
     theoretically protected window; exact full-sum equality against
-    hl_sum is reported per mode as an observation.  When either point
-    set repeats, or det H(x, Qy) vanishes, det_quotient is undefined and
-    its key is left out of every dict.
+    hl_sum is reported per mode as an observation.  When S(x, Qy)
+    vanishes, det_quotient is undefined and its key is left out of every
+    dict.
     """
     xs = as_points(xs)
     ys = as_points(ys)
     if len(xs) != spec.box.n or len(ys) != spec.box.n:
         raise ValueError("point sets must both have N entries")
     window = spec.box.m
-    modes = (MODES if pairwise_distinct(xs) and pairwise_distinct(ys)
-             else SUM_MODES)
     values, comps = {}, {}
-    for mode in modes:
+    for mode in MODES:
         if mode in SUM_MODES:
             terms = _terms(xs, ys, spec, mode)
             values[mode] = sum(terms.values(), ZERO)
@@ -213,7 +174,7 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
         else:
             try:
                 values[mode] = scalar_product_q(xs, ys, spec, mode)
-            except ZeroDivisionError:  # det H(x, Qy) = 0
+            except ZeroDivisionError:  # S(x, Qy) = 0
                 continue
             comps[mode] = graded_components(xs, ys, spec, mode, window)
     graded_ok = {mode: comps[mode] == comps["hl_sum"] for mode in values}

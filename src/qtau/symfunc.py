@@ -51,11 +51,6 @@ def as_points(xs: Sequence) -> PointSet:
     return tuple(Fraction(x) for x in xs)
 
 
-def pairwise_distinct(xs: Sequence) -> bool:
-    xs = list(xs)
-    return len(set(xs)) == len(xs)
-
-
 def vandermonde(xs: Sequence) -> Fraction:
     """prod_{i<j} (x_i - x_j)."""
     xs = as_points(xs)

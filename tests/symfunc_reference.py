@@ -16,13 +16,19 @@ those and are slower or defined on fewer inputs:
   and time-coordinate Schur determinants out entry by entry;
 - ``det_fraction`` is Gaussian elimination over Fractions, the reference
   for the library's fraction-free ``det_rational`` and the determinant
-  every route here uses.
+  every route here uses;
+- ``det_quotient_reference`` is Q^{N(N-1)/2} det H(x,y) / det H(x,Qy)
+  on the kernel matrix itself, and ``det_quotient_components_reference``
+  expands det H(x, delta y) by Cauchy-Binet and divides the two series,
+  so both need pairwise-distinct points and Q != 0 unless N = 1;
+- ``power_column_reference`` divides the power-column determinant by
+  the Vandermonde of x, so it needs pairwise-distinct x.
 """
 
 import itertools
 from fractions import Fraction
 
-from qtau.algebra_core import ONE, ZERO, h_from_times
+from qtau.algebra_core import ONE, ZERO, h_from_times, power_series_div
 from qtau.partitions import multiplicities, normalize, weight
 from qtau.symfunc import (as_points, hl_monomial_table, q_coeff_list,
                           vandermonde)
@@ -141,3 +147,62 @@ def schur_in_miwa_matrix(lam, t) -> Fraction:
     if not lam:
         return ONE
     return _matrix_det(h_from_times(t.values, lam[0] + len(lam) - 1), lam)
+
+
+def h_matrix(xs, ys, box):
+    """[H(x_i, y_j)] with H(z, w) = sum_{k < M+N} (zw)^k as the plain sum."""
+    size = box.m + box.n
+    return [[sum((Fraction(x * y) ** k for k in range(size)), ZERO)
+             for y in as_points(ys)] for x in as_points(xs)]
+
+
+def det_quotient_reference(xs, ys, box, q) -> Fraction:
+    """Q^{N(N-1)/2} det H(x,y) / det H(x,Qy); ZeroDivisionError if det H(x,Qy) = 0."""
+    q = Fraction(q)
+    den = det_fraction(h_matrix(xs, [q * y for y in ys], box))
+    if den == 0:
+        raise ZeroDivisionError("denominator determinant vanishes")
+    return (q ** (box.n * (box.n - 1) // 2)
+            * det_fraction(h_matrix(xs, ys, box)) / den)
+
+
+def _delta_det(xs, ys, box):
+    """Coefficients in delta of det H(x, delta y), by Cauchy-Binet.
+
+    H(x, delta y) = X diag(delta^k) Y^T with X = [x_i^k], k < M+N, so its
+    determinant is sum_S det X_S det Y_S delta^(sum S) over N-subsets S.
+    """
+    size = box.m + box.n
+    coeffs = [ZERO] * (box.n * size + 1)
+    for cols in itertools.combinations(range(size), box.n):
+        minor_x = det_fraction([[x ** k for k in cols] for x in as_points(xs)])
+        minor_y = det_fraction([[y ** k for k in cols] for y in as_points(ys)])
+        coeffs[sum(cols)] += minor_x * minor_y
+    return coeffs
+
+
+def det_quotient_components_reference(xs, ys, box, q, degree):
+    """Degree-d pieces (d <= degree) of the quotient, by series division.
+
+    det H(x, delta y) starts at delta^{N(N-1)/2}, and det H(x, delta Q y)
+    has delta^j coefficient Q^j times its delta^j coefficient, so one
+    expansion serves both; the Q^{N(N-1)/2} prefactor rescales.
+    """
+    q = Fraction(q)
+    val = box.n * (box.n - 1) // 2
+    num = _delta_det(xs, ys, box)
+    if any(num[:val]):
+        raise ArithmeticError("determinant valuation lower than expected")
+    num_shift = [num[val + k] if val + k < len(num) else ZERO
+                 for k in range(degree + 1)]
+    den_shift = [q ** (val + k) * c for k, c in enumerate(num_shift)]
+    return [q ** val * c
+            for c in power_series_div(num_shift, den_shift, degree)]
+
+
+def power_column_reference(xs, ys, m, box) -> Fraction:
+    """det([H(x_i, y_k)] + [x_i^((M+N-1-2m)/2)]) / Vandermonde(x)."""
+    expo = (box.m + box.n - 1 - 2 * m) // 2
+    rows = [row + [x ** expo]
+            for x, row in zip(as_points(xs), h_matrix(xs, ys, box))]
+    return det_fraction(rows) / vandermonde(xs)

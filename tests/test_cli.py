@@ -40,12 +40,21 @@ def test_qscalar_repeated_points(capsys):
     code, out, _ = run(capsys, "qscalar", "--n", "2", "--m", "2",
                        "--q", "1/4", "--x", "1/2,1/2", "--y", "1/5,1/7")
     assert code == 0
-    assert "det_quotient  = n/a (needs pairwise-distinct points)" in out
+    assert "hl_sum        = 46799/35840" in out
+    assert "det_quotient  = 7121152/5471041" in out
     assert "graded agreement through degree 2: all modes" in out
 
 
+def test_qscalar_det_quotient_mode_at_repeated_points(capsys):
+    code, out, err = run(capsys, "qscalar", "--n", "2", "--m", "2",
+                         "--q", "1/4", "--x", "1/2,1/2", "--y", "1/5,1/7",
+                         "--mode", "det_quotient")
+    assert code == 0 and not err
+    assert out.strip() == "7121152/5471041"
+
+
 def test_qscalar_vanishing_denominator(capsys):
-    # distinct points where det H(x, Qy) = 0: the sums are still printed
+    # S(x, Qy) = 0 here: the sums are still printed
     code, out, _ = run(capsys, "qscalar", "--n", "1", "--m", "3",
                        "--q", "2", "--x=-1/2", "--y", "1")
     assert code == 0

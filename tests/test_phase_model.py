@@ -1,4 +1,4 @@
-"""Scalar products, one-point functions, skew expansions, tau sums."""
+"""Scalar products, one-point functions, skew expansions, matrix integrals."""
 
 from fractions import Fraction as F
 
@@ -8,19 +8,10 @@ from qtau.miwa import from_points
 from qtau.partitions import partitions_of
 from qtau.phase_model import (BoxSpec, correlation_Am,
                               correlation_Am_power_column, correlation_skew,
-                              factorization_report, giambelli_check, h_entry,
-                              hypergeometric_tau,
+                              factorization_report, giambelli_check,
                               matrix_integral_constant_term, scalar_product,
-                              schur_pair_sum_miwa, yankee_correlation)
+                              schur_pair_sum_miwa)
 from qtau.symfunc import schur_eval, skew_schur_eval
-
-
-def test_h_entry():
-    box = BoxSpec(2, 3)
-    assert h_entry(F(0), F(1, 2), box) == 1
-    assert h_entry(F(2), F(1, 2), box) == 5       # zw = 1: M+N ones
-    a, b = F(1, 3), F(1, 5)
-    assert h_entry(a, b, BoxSpec(1, 2)) == 1 + a * b + (a * b) ** 2
 
 
 def test_scalar_product_small():
@@ -128,35 +119,6 @@ def test_factorization_report_flags():
     assert factorization_report((), (), xs, ys, box)["equal"] is True
     assert factorization_report((1,), (2,), xs, ys, box)["equal"] is False
     assert factorization_report((2, 1), (1, 1), xs, ys, box)["equal"] is False
-
-
-def test_yankee_correlation():
-    box = BoxSpec(1, 3)
-    a = F(1, 2)
-    assert yankee_correlation((), [a], box) == sum(a ** k for k in range(4))
-    full = (3, 3)
-    assert yankee_correlation(full, [F(1, 2), F(1, 3)], BoxSpec(2, 3)) == 1
-    assert yankee_correlation((1,), [], BoxSpec(2, 3)) == 1
-    with pytest.raises(ValueError):
-        yankee_correlation((5,), [a], box)
-
-
-def test_hypergeometric_tau():
-    box = BoxSpec(2, 2)
-    xs, ys = [F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]
-    ones = [F(1)] * 3
-    assert (hypergeometric_tau(xs, ys, box, ones)
-            == scalar_product(xs, ys, box, mode="schur_sum"))
-    # zero weight at site 0 keeps only full-length partitions
-    kill0 = [F(0), F(1), F(1)]
-    expect = sum(
-        schur_eval(mu, xs) * schur_eval(mu, ys)
-        for mu in box.partitions() if len(mu) == 2)
-    assert hypergeometric_tau(xs, ys, box, kill0) == expect
-    c = F(3, 4)
-    x, y = F(1, 2), F(1, 5)
-    assert (hypergeometric_tau([x], [y], BoxSpec(1, 1), [F(1), c])
-            == 1 + c * x * y)
 
 
 def test_giambelli():

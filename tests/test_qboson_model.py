@@ -57,22 +57,20 @@ def test_hl_sum_matches_definition():
     assert scalar_product_q(xs, ys, spec, mode="hl_sum") == manual
 
 
-def test_det_quotient_needs_distinct_points():
-    spec = QBosonSpec(BoxSpec(2, 2), F(1, 3))
-    with pytest.raises(ValueError):
-        scalar_product_q([F(1, 2), F(1, 2)], [F(1, 5), F(1, 7)], spec,
-                         mode="det_quotient")
-
-
 def test_det_quotient_entry_points_agree_on_repeats():
-    # at Q = 0 too, both entry points refuse repeated points alike
-    spec = QBosonSpec(BoxSpec(2, 2), F(0))
+    # S(x,y)/S(x,Qy) is defined at coincident points: both entry points
+    # give values there, at Q = 0 (where it is the phase pairing) and at
+    # Q = 1/3, and the graded pieces match hl_sum's
     xs, ys = [F(1, 2), F(1, 2)], [F(1, 5), F(2, 7)]
-    with pytest.raises(ValueError) as direct:
-        scalar_product_q(xs, ys, spec, mode="det_quotient")
-    with pytest.raises(ValueError) as graded:
-        graded_components(xs, ys, spec, "det_quotient", 2)
-    assert str(direct.value) == str(graded.value)
+    box = BoxSpec(2, 2)
+    for q in (F(0), F(1, 3)):
+        spec = QBosonSpec(box, q)
+        value = scalar_product_q(xs, ys, spec, mode="det_quotient")
+        assert isinstance(value, F)
+        assert (graded_components(xs, ys, spec, "det_quotient", 2)
+                == graded_components(xs, ys, spec, "hl_sum", 2))
+    assert (scalar_product_q(xs, ys, QBosonSpec(box, F(0)), "det_quotient")
+            == scalar_product(xs, ys, box, mode="det"))
 
 
 def test_unknown_mode():
@@ -105,20 +103,20 @@ def test_mode_report_at_q_minus_one():
 
 
 def test_mode_report_repeated_points():
-    # det_quotient is undefined on a repeated point set, so its key is
-    # left out; the three sums are still compared
+    # every mode, det_quotient included, is defined on a repeated point
+    # set and agrees gradedly
     spec = QBosonSpec(BoxSpec(2, 2), F(1, 3))
     for xs, ys in (([F(1, 2), F(1, 2)], [F(1, 5), F(2, 7)]),
                    ([F(1, 2), F(1, 3)], [F(0), F(0)])):
         rep = mode_agreement_report(xs, ys, spec)
         for key in ("values", "graded_equal_hl", "exact_equal_hl"):
-            assert set(rep[key]) == {"hl_sum", "big_schur", "twisted_schur"}
+            assert set(rep[key]) == set(MODES)
         assert all(rep["graded_equal_hl"].values())
 
 
 def test_mode_report_vanishing_denominator():
-    # at N = 1, M = 3, Q = 2, x = -1/2, y = 1 the points are distinct but
-    # det H(x, Qy) = 1 - 1 + 1 - 1 = 0: det_quotient is left out and the
+    # at N = 1, M = 3, Q = 2, x = -1/2, y = 1:
+    # S(x, Qy) = 1 - 1 + 1 - 1 = 0, so det_quotient is left out and the
     # three sums, which are defined, are still reported
     spec = QBosonSpec(BoxSpec(1, 3), F(2))
     rep = mode_agreement_report([F(-1, 2)], [F(1)], spec)
