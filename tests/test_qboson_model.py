@@ -57,6 +57,20 @@ def test_hl_sum_matches_definition():
     assert scalar_product_q(xs, ys, spec, mode="hl_sum") == manual
 
 
+def test_det_quotient_defined_at_repeated_points():
+    # a repeated x (and, separately, a repeated y) is an ordinary point of
+    # det_quotient; its value is the quotient of the Schur-sum pairings,
+    # which never divide by a Vandermonde
+    box = BoxSpec(2, 2)
+    spec = QBosonSpec(box, F(1, 3))
+    for xs, ys in (([F(1, 2), F(1, 2)], [F(1, 5), F(1, 7)]),
+                   ([F(1, 2), F(1, 3)], [F(1, 5), F(1, 5)])):
+        qys = [spec.q * y for y in ys]
+        expected = (scalar_product(xs, ys, box, mode="schur_sum")
+                    / scalar_product(xs, qys, box, mode="schur_sum"))
+        assert scalar_product_q(xs, ys, spec, mode="det_quotient") == expected
+
+
 def test_det_quotient_entry_points_agree_on_repeats():
     # S(x,y)/S(x,Qy) is defined at coincident points: both entry points
     # give values there, at Q = 0 (where it is the phase pairing) and at
