@@ -235,13 +235,6 @@ class TruncatedSeries:
         zero_expo = (0,) * len(tuple(variables))
         return TruncatedSeries(variables, cutoff, {zero_expo: ONE})
 
-    @staticmethod
-    def variable(variables: Sequence[str], cutoff: int, name: str) -> "TruncatedSeries":
-        vs = tuple(variables)
-        expo = [0] * len(vs)
-        expo[vs.index(name)] = 1
-        return TruncatedSeries(vs, cutoff, {tuple(expo): ONE})
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_compatible(self, other: "TruncatedSeries"):
@@ -287,13 +280,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.variables, self.cutoff,
             {e: c * s for e, c in self.terms.items()})
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), ZERO)
-
-    def component(self, degree: int) -> Dict[Tuple[int, ...], Fraction]:
-        """All terms of the given total degree."""
-        return {e: c for e, c in self.terms.items() if sum(e) == degree}
 
     def agrees_through(self, other: "TruncatedSeries", degree: int) -> bool:
         """True when the two series have identical terms of total degree <= degree."""

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .algebra_core import format_rational, parse_rational
-from .partitions import enumerate_in_box
 from .phase_model import BoxSpec, correlation_Am, scalar_product
 from .qboson_model import (MODES, QBosonSpec, mode_agreement_report,
                            scalar_product_q)
@@ -214,21 +213,15 @@ def _cmd_expand(args) -> int:
     box = BoxSpec(args.n, args.m)
     q = _model_q(args)
     spec = box if args.model == "phase" else QBosonSpec(box, q)
-    vec = oracle.bethe_state(args.model, spec, us)
-    basis = oracle.sector_basis(args.n, args.m)
-    sector = len(us)
-    coeffs = oracle.partition_coefficients(basis, vec, sector)
-    table = [
-        {"partition": list(lam),
-         "value": format_rational(coeffs.get(lam, Fraction(0)))}
-        for lam in enumerate_in_box(sector, args.m)
-    ]
+    coeffs = oracle.bethe_state(args.model, spec, us)
+    table = [{"partition": list(lam), "value": format_rational(value)}
+             for lam, value in coeffs.items()]
     payload = {
         "model": args.model,
         "n": args.n,
         "m": args.m,
         "u": [format_rational(u) for u in us],
-        "sector": sector,
+        "sector": len(us),
         "coefficients": table,
     }
     _write_out(json.dumps(payload, indent=2) + "\n", args.out)

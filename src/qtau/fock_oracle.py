@@ -70,15 +70,8 @@ class SectorBasis:
     states: Tuple[Occupation, ...]
     offsets: Tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
     def sector_indices(self, s: int) -> range:
         return range(self.offsets[s], self.offsets[s + 1])
-
-    def sector_states(self, s: int) -> Tuple[Occupation, ...]:
-        return self.states[self.offsets[s]:self.offsets[s + 1]]
 
 
 @lru_cache(maxsize=None)
@@ -255,11 +248,12 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
                      c=block(0, 1, -1, scale / u), d=block(1, 1, 0, scale))
 
 
-def bethe_state(model: str, spec, roots: Sequence) -> Tuple[Fraction, ...]:
-    """Coefficients of prod_j B(y_j)|0> over the sector basis.
+def bethe_state(model: str, spec, roots: Sequence) -> Dict[Partition, Fraction]:
+    """lam -> <lam| prod_j B(y_j) |0> over the len(roots)-particle sector.
 
-    Roots are u-values: the j-th physical rapidity is y_j = roots[j]**2,
-    so that callers fixing u keep every intermediate quantity rational.
+    Keys run in the box enumeration order of that sector.  Roots are
+    u-values: the j-th physical rapidity is y_j = roots[j]**2, so that
+    callers fixing u keep every intermediate quantity rational.
     """
     n, m, q = _resolve(model, spec)
     ys = [Fraction(u) ** 2 for u in roots]
@@ -268,15 +262,9 @@ def bethe_state(model: str, spec, roots: Sequence) -> Tuple[Fraction, ...]:
     basis = sector_basis(n, m)
     sites = _symbolic_blocks(n, m, q)
     vec = _b_string(sites, basis, {0: ONE}, 0, ys)
-    return tuple(vec.get(i, ZERO) for i in range(basis.dim))
-
-
-def partition_coefficients(basis: SectorBasis, vec: Sequence[Fraction],
-                           sector: int) -> Dict[Partition, Fraction]:
-    """Read a vector's sector-s coefficients as a partition -> value map."""
-    lams = enumerate_in_box(sector, basis.m)
-    lo = basis.offsets[sector]
-    return {lam: vec[lo + i] for i, lam in enumerate(lams)}
+    lo = basis.offsets[len(ys)]
+    return {lam: vec.get(lo + i, ZERO)
+            for i, lam in enumerate(enumerate_in_box(len(ys), m))}
 
 
 def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,

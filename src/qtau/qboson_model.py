@@ -15,14 +15,17 @@ the exact identity the tests pin down; putting the deformation on x
 instead gives a genuinely different box-restricted sum because the
 restriction cuts the two expansions along different axes.
 
-Each sum mode builds one term table lam -> term over the box (``_terms``);
-the full value sums it and the graded components group it by |lam|, so
-``mode_agreement_report`` builds it once per mode.  The Schur-type tables
-come from ``jacobi_trudi_box``.  The determinant quotient
-Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S the
-phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S takes
-divided differences instead of dividing by Vandermondes, so the quotient
-is defined at coincident points and at Q = 0.
+Each sum mode builds one term table lam -> term over the box (``_terms``),
+and ``graded_components`` groups it by |lam|: that is the one path every
+sum mode is read through.  The full value sums the pieces through degree
+N*M, and ``mode_agreement_report`` makes one such call per mode.  The
+Schur-type tables come from ``jacobi_trudi_box``.  The determinant
+quotient Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S
+the phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S
+takes divided differences instead of dividing by Vandermondes, so the
+quotient is defined at coincident points and at Q = 0.  Its graded
+pieces are those of big_schur at Q = 0 divided as power series, because
+S_lam(y; 0) = s_lam(y).
 """
 
 from __future__ import annotations
@@ -57,12 +60,12 @@ class QBosonSpec:
 
 def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
            mode: str) -> Dict[Partition, Fraction]:
-    """lam -> the lam-th term of a partition-sum mode, over the whole box.
+    """lam -> the lam-th term of a sum mode, over the whole box.
 
     Both Hall-Littlewood evaluators are built once per point set, and the
     Schur-type modes read every s_lam(x) and every y-side value from one
-    ``jacobi_trudi_box`` sweep each.  The twisted times keep support N*M,
-    which covers every |lam| in the box.
+    ``jacobi_trudi_box`` sweep each.  That sweep reads c_0..c_{N+M-1}, so
+    the twisted times need support N+M only.
     """
     box, q = spec.box, spec.q
     if mode == "hl_sum":
@@ -73,13 +76,8 @@ def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
     kmax = box.m + box.n
     if mode == "big_schur":
         gy = q_coeff_list(ys, q, kmax)
-    elif mode == "twisted_schur":
-        times = twist(from_points(ys, max(1, box.n * box.m)), q)
-        gy = h_from_times(times.values, kmax)
-    elif mode == "schur_sum":
-        gy = box.h_list(ys)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        gy = h_from_times(twist(from_points(ys, kmax), q).values, kmax)
     sy = jacobi_trudi_box(gy, box.n, box.m)
     sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
     return {lam: sy[lam] * sx[lam] for lam in sx}
@@ -97,36 +95,17 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     S is the phase-model pairing ``scalar_product(..., "det")``, defined
     at any points, and S(x, 0) = 1, so at Q = 0 every mode returns the
     phase-model value.  det_quotient raises ZeroDivisionError only where
-    S(x, Qy) = 0.
+    S(x, Qy) = 0.  A sum mode is the sum of its graded pieces through
+    N*M, the largest |lam| in the box.
     """
-    xs = as_points(xs)
-    ys = as_points(ys)
-    box, q = spec.box, spec.q
-    if len(xs) != box.n or len(ys) != box.n:
-        raise ValueError("point sets must both have N entries")
+    box = spec.box
     if mode == "det_quotient":
-        den = scalar_product(xs, [q * y for y in ys], box, "det")
+        den = scalar_product(xs, [spec.q * y for y in as_points(ys)], box,
+                             "det")
         if den == 0:
             raise ZeroDivisionError("denominator determinant vanishes")
         return scalar_product(xs, ys, box, "det") / den
-    if mode in SUM_MODES:
-        return sum(_terms(xs, ys, spec, mode).values(), ZERO)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# graded components (coefficients of the diagonal degree in x and y jointly)
-# ---------------------------------------------------------------------------
-
-
-def _sum_components(terms: Dict[Partition, Fraction],
-                    degree: int) -> List[Fraction]:
-    out = [ZERO] * (degree + 1)
-    for lam, term in terms.items():
-        d = weight(lam)
-        if d <= degree:
-            out[d] += term
-    return out
+    return sum(graded_components(xs, ys, spec, mode, box.n * box.m), ZERO)
 
 
 def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
@@ -141,42 +120,48 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     """
     xs = as_points(xs)
     ys = as_points(ys)
-    if mode in SUM_MODES:
-        return _sum_components(_terms(xs, ys, spec, mode), degree)
+    if len(xs) != spec.box.n or len(ys) != spec.box.n:
+        raise ValueError("point sets must both have N entries")
     if mode == "det_quotient":
-        c = _sum_components(_terms(xs, ys, spec, "schur_sum"), degree)
+        c = graded_components(xs, ys, QBosonSpec(spec.box, 0), "big_schur",
+                              degree)
         return power_series_div(c, [spec.q ** d * c_d
                                     for d, c_d in enumerate(c)], degree)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in SUM_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    out = [ZERO] * (degree + 1)
+    for lam, term in _terms(xs, ys, spec, mode).items():
+        d = weight(lam)
+        if d <= degree:
+            out[d] += term
+    return out
 
 
 def mode_agreement_report(xs: Sequence, ys: Sequence,
                           spec: QBosonSpec) -> Dict[str, object]:
     """Values of all four modes, plus graded and exact agreement flags.
 
-    Graded agreement is judged through total degree min(M, |box|), the
-    theoretically protected window; exact full-sum equality against
-    hl_sum is reported per mode as an observation.  When S(x, Qy)
+    Graded agreement is judged through total degree M, the theoretically
+    protected window; exact full-sum equality against hl_sum is reported
+    per mode as an observation.  Each sum mode is read from one
+    ``graded_components`` call through max(M, N*M).  When S(x, Qy)
     vanishes, det_quotient is undefined and its key is left out of every
     dict.
     """
-    xs = as_points(xs)
-    ys = as_points(ys)
-    if len(xs) != spec.box.n or len(ys) != spec.box.n:
-        raise ValueError("point sets must both have N entries")
     window = spec.box.m
+    degree = max(window, spec.box.n * spec.box.m)
     values, comps = {}, {}
     for mode in MODES:
         if mode in SUM_MODES:
-            terms = _terms(xs, ys, spec, mode)
-            values[mode] = sum(terms.values(), ZERO)
-            comps[mode] = _sum_components(terms, window)
-        else:
-            try:
-                values[mode] = scalar_product_q(xs, ys, spec, mode)
-            except ZeroDivisionError:  # S(x, Qy) = 0
-                continue
-            comps[mode] = graded_components(xs, ys, spec, mode, window)
+            pieces = graded_components(xs, ys, spec, mode, degree)
+            values[mode] = sum(pieces, ZERO)
+            comps[mode] = pieces[:window + 1]
+            continue
+        try:
+            values[mode] = scalar_product_q(xs, ys, spec, mode)
+        except ZeroDivisionError:  # S(x, Qy) = 0
+            continue
+        comps[mode] = graded_components(xs, ys, spec, mode, window)
     graded_ok = {mode: comps[mode] == comps["hl_sum"] for mode in values}
     exact_ok = {mode: values[mode] == values["hl_sum"] for mode in values}
     return {

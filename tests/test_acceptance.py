@@ -81,11 +81,9 @@ def test_criterion_02_oracle_equivalence_phase():
     us = _sample(rng, 3)
     ys = [u * u for u in us]
     box = BoxSpec(3, 3)
-    vec = oracle.bethe_state("phase", box, us)
-    coeffs = oracle.partition_coefficients(
-        oracle.sector_basis(3, 3), vec, 3)
+    coeffs = oracle.bethe_state("phase", box, us)
     for lam in box.partitions():
-        if coeffs.get(lam, F(0)) != schur_eval(lam, ys):
+        if coeffs[lam] != schur_eval(lam, ys):
             ok = False
     _report(2, ok, "occupation-basis pairing = scalar product (N<=3, M<=3, "
             "both modes); string coefficients = Schur values")
@@ -129,12 +127,9 @@ def test_criterion_04_hl_cauchy_window():
                                    positions=range(n, 2 * n))
                     total = total + (px * py).scale(b_lambda(lam)(q))
                 kernel = cauchy_kernel_series(n, n, 2 * window, q=q)
+                # zero discrepancy in every graded component of the window
                 if not kernel.agrees_through(total, 2 * window):
                     ok = False
-                # zero discrepancy in every graded component of the window
-                for d in range(2 * window + 1):
-                    if kernel.component(d) != total.component(d):
-                        ok = False
     _report(4, ok, "box sum = deformed Cauchy kernel through total degree "
             "min(M,6), N<=3, Q in {1/4, 1/3, 2/5}, every component")
 

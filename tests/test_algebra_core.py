@@ -42,22 +42,22 @@ def test_qpoly_arithmetic():
 def test_series_product_examples():
     names = ("x",)
     one = TruncatedSeries.one(names, 2)
-    x = TruncatedSeries.variable(names, 2, "x")
+    x = TruncatedSeries(names, 2, {(1,): 1})
     assert (one + x) * (one - x) == one - x * x
     # cutoff 1 drops the quadratic term
     one1 = TruncatedSeries.one(names, 1)
-    x1 = TruncatedSeries.variable(names, 1, "x")
+    x1 = TruncatedSeries(names, 1, {(1,): 1})
     sq = (one1 + x1) * (one1 + x1)
     assert sq == one1 + x1 + x1
 
     # geometric series 1/(1 - z/2): multiplying back gives 1
-    z = TruncatedSeries.variable(("z",), 3, "z")
+    z = TruncatedSeries(("z",), 3, {(1,): 1})
     geo = TruncatedSeries.one(("z",), 3)
     zpow = TruncatedSeries.one(("z",), 3)
     for k in range(1, 4):
         zpow = zpow * z
         geo = geo + zpow.scale(F(1, 2) ** k)
-    assert geo.coefficient((3,)) == F(1, 8)
+    assert geo.terms[(3,)] == F(1, 8)
     assert ((TruncatedSeries.one(("z",), 3) - z.scale(F(1, 2))) * geo
             == TruncatedSeries.one(("z",), 3))
 

@@ -1,16 +1,33 @@
-"""Every public function of the package has a caller inside the package.
+"""Every public function and method of the package has a caller inside it.
 
-A public top-level function that only its own unit test calls is a
-second route kept alive by its test; such a route belongs in the tests
-(see ``symfunc_reference``) or nowhere.  The check parses ``src/qtau``
-and looks for each function's name anywhere in the package outside the
-function's own body, the re-exports of ``__init__`` excluded.
+A public top-level function, or a public method or property of a
+top-level class, that only its own unit test calls is a second route
+kept alive by its test; such a route belongs in the tests (see
+``symfunc_reference``) or nowhere.  The check parses ``src/qtau`` and
+looks for each name anywhere in the package outside the definition's own
+body, the re-exports of ``__init__`` excluded.  Dunder methods are
+exempt: the language calls them.  The check goes by name, so a method
+that shares its name with a used one (``coefficient`` on two classes,
+say) passes unseen.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qtau"
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of every public function, method and property."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            if not node.name.startswith("_"):
+                yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_")):
+                    yield f"{node.name}.{fn.name}", fn
 
 
 def _uncalled_public_functions(package=PACKAGE):
@@ -27,14 +44,11 @@ def _uncalled_public_functions(package=PACKAGE):
                 uses.append((id(node), node.attr))
     uncalled = []
     for name, tree in trees.items():
-        for fn in tree.body:
-            if (not isinstance(fn, ast.FunctionDef)
-                    or fn.name.startswith("_")):
-                continue
+        for qualname, fn in _public_definitions(tree):
             own = {id(node) for node in ast.walk(fn)}
             if not any(used == fn.name and key not in own
                        for key, used in uses):
-                uncalled.append(f"{Path(name).stem}.{fn.name}")
+                uncalled.append(f"{Path(name).stem}.{qualname}")
     return uncalled
 
 

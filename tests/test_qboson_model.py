@@ -105,6 +105,22 @@ def test_graded_agreement():
     base = graded_components(xs, ys, spec, "hl_sum", 2)
     for mode in MODES:
         assert graded_components(xs, ys, spec, mode, 2) == base
+    # an N = 0 box holds only the empty partition: every flag holds
+    rep = mode_agreement_report([], [], QBosonSpec(BoxSpec(0, 3), F(1, 3)))
+    assert set(rep["values"]) == set(MODES)
+    assert all(rep["graded_equal_hl"].values())
+    assert all(rep["exact_equal_hl"].values())
+
+
+def test_graded_components_checks_point_counts():
+    # one x and three y against N = 2: every mode refuses, as
+    # scalar_product_q does, instead of summing a box the points miss
+    spec = QBosonSpec(BoxSpec(2, 2), F(1, 3))
+    xs, ys = [F(1, 2)], [F(1, 5), F(1, 7), F(2)]
+    for mode in MODES:
+        with pytest.raises(ValueError,
+                           match="point sets must both have N entries"):
+            graded_components(xs, ys, spec, mode, 2)
 
 
 def test_mode_report_at_q_minus_one():

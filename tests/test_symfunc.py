@@ -166,6 +166,6 @@ def test_hl_series_consistency():
     names = ("x1", "x2")
     s = hl_series((2,), names, 3, q)
     # P_(2)(x; Q) = m_(2) + (1-Q) m_(11)
-    assert s.coefficient((2, 0)) == 1
-    assert s.coefficient((1, 1)) == 1 - q
+    assert s.terms[(2, 0)] == 1
+    assert s.terms[(1, 1)] == 1 - q
     assert homogeneous_list([F(1, 2)], 2)[2] == F(1, 4)
