@@ -16,7 +16,7 @@ Layout:
 - partitions: integer-partition combinatorics and box enumerations.
 - symfunc: Schur / skew Schur / Hall-Littlewood evaluation,
   Kostka-Foulkes tables, deformed kernels.
-- miwa: power-sum coordinates and Schur functions thereof.
+- miwa: power-sum (Miwa) times of point sets and their Q-twist.
 - phase_model: determinant and partition-sum forms of the undeformed
   pairings, correlations, and skew pairings.
 - qboson_model: the four deformed representations and the Schur-basis

@@ -92,7 +92,11 @@ def _cmd_qscalar(args) -> int:
         raise ValueError("need exactly N values in --x and in --y")
     spec = QBosonSpec(BoxSpec(args.n, args.m), parse_rational(args.q))
     if args.mode != "all":
-        value = scalar_product_q(xs, ys, spec, mode=args.mode)
+        try:
+            value = scalar_product_q(xs, ys, spec, mode=args.mode)
+        except ZeroDivisionError as exc:  # S(x, Qy) = 0: undefined, not failed
+            raise ValueError(f"det_quotient is undefined here: {exc} "
+                             "(S(x, Qy) = 0)") from exc
         print(format_rational(value))
         return 0
     rep = mode_agreement_report(xs, ys, spec)

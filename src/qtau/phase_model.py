@@ -31,7 +31,6 @@ from typing import Dict, List, Sequence
 
 from .algebra_core import (ONE, ZERO, det_rational, h_from_times, jacobi_trudi,
                            jacobi_trudi_box)
-from .miwa import MiwaCoords
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, normalize, partitions_of, weight)
 from .symfunc import as_points, homogeneous_list, skew_schur_eval
@@ -62,16 +61,9 @@ def _divided_powers(xs: Sequence[Fraction], kmax: int) -> List[List[Fraction]]:
 
     By Newton, det[f_j(x_i)] = prod_{i<j} (x_j - x_i) * det[f_j[x_0..x_i]],
     which turns a determinant over Delta(x) into one with no division,
-    defined at coincident points.  Each row absorbs one more point into
-    the previous one, as ``homogeneous_list`` does for the whole set.
+    defined at coincident points.
     """
-    hs = [ONE] + [ZERO] * kmax
-    rows = []
-    for x in xs:
-        for k in range(1, kmax + 1):
-            hs[k] += x * hs[k - 1]
-        rows.append(list(hs))
-    return rows
+    return [homogeneous_list(xs[:i + 1], kmax) for i in range(len(xs))]
 
 
 def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
@@ -96,9 +88,7 @@ def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
              for j in range(box.n)]
             for i in range(box.n)])
     if mode == "schur_sum":
-        sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
-        sy = jacobi_trudi_box(box.h_list(ys), box.n, box.m)
-        return sum((sx[lam] * sy[lam] for lam in sx), ZERO)
+        return correlation_skew((), (), xs, ys, box)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -237,16 +227,11 @@ def factorization_report(lam1: Partition, lam2: Partition, xs: Sequence,
 # ---------------------------------------------------------------------------
 
 
-def _as_times(t) -> MiwaCoords:
-    """Accept MiwaCoords or a plain sequence of times t_1, t_2, ..."""
-    return t if isinstance(t, MiwaCoords) else MiwaCoords(tuple(t))
-
-
-def schur_pair_sum_miwa(n: int, t: MiwaCoords, tprime: MiwaCoords,
+def schur_pair_sum_miwa(n: int, t: Sequence, tprime: Sequence,
                         cutoff: int) -> Fraction:
     """sum over lam with l(lam) <= n, |lam| <= cutoff of s_lam(t) s_lam(t')."""
-    hs = h_from_times(_as_times(t).values, cutoff)
-    hs_prime = h_from_times(_as_times(tprime).values, cutoff)
+    hs = h_from_times(t, cutoff)
+    hs_prime = h_from_times(tprime, cutoff)
     acc = ONE  # empty partition
     for d in range(1, cutoff + 1):
         for lam in partitions_of(d, max_len=n):
@@ -254,7 +239,7 @@ def schur_pair_sum_miwa(n: int, t: MiwaCoords, tprime: MiwaCoords,
     return acc
 
 
-def matrix_integral_constant_term(n: int, t: MiwaCoords, tprime: MiwaCoords,
+def matrix_integral_constant_term(n: int, t: Sequence, tprime: Sequence,
                                   cutoff: int,
                                   sign_convention: str = "plus") -> Fraction:
     """Constant term of (1/n!) prod_l e^{xi(t,z_l) +- xi(t',1/z_l)} Delta(z)Delta(1/z).
@@ -273,10 +258,8 @@ def matrix_integral_constant_term(n: int, t: MiwaCoords, tprime: MiwaCoords,
         raise ValueError("cutoff must be nonnegative")
     if sign_convention not in ("plus", "minus"):
         raise ValueError(f"unknown sign convention {sign_convention!r}")
-    t = _as_times(t)
-    tprime = _as_times(tprime)
-    hs = h_from_times(t.values, cutoff + 1)
-    tp = list(tprime.values)
+    hs = h_from_times(t, cutoff + 1)
+    tp = list(tprime)
     if sign_convention == "minus":
         tp = [-v for v in tp]
     hp = h_from_times(tp, cutoff + 1)

@@ -77,7 +77,7 @@ def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
     if mode == "big_schur":
         gy = q_coeff_list(ys, q, kmax)
     else:
-        gy = h_from_times(twist(from_points(ys, kmax), q).values, kmax)
+        gy = h_from_times(twist(from_points(ys, kmax), q), kmax)
     sy = jacobi_trudi_box(gy, box.n, box.m)
     sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
     return {lam: sy[lam] * sx[lam] for lam in sx}

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .algebra_core import QPoly, TruncatedSeries, format_rational, jacobi_trudi
+from .algebra_core import (QPoly, TruncatedSeries, format_rational,
+                           h_from_times, jacobi_trudi)
 from .partitions import b_lambda, enumerate_in_box, partitions_of, weight
 from .phase_model import (BoxSpec, correlation_Am, correlation_Am_power_column,
                           correlation_skew, factorization_report,
@@ -30,7 +31,7 @@ from .qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
 from .symfunc import (cauchy_kernel_series, hall_littlewood_eval, hl_series,
                       kostka_tables, q_coeff_list, schur_eval,
                       supersymmetric_times, vandermonde, xy_names)
-from .miwa import from_points, schur_in_miwa, twist
+from .miwa import from_points, twist
 from . import bethe as bethe_mod
 from . import fock_oracle as oracle
 
@@ -395,10 +396,11 @@ def _suite_supersym(cfg: SuiteConfig, rng: random.Random):
         q = q_pool[trial % len(q_pool)]
         # one generator source per route, shared by every shape
         big = q_coeff_list(ys, q, support)
-        hook = supersymmetric_times(ys, [-q * y for y in ys], support)
-        twisted = twist(from_points(ys, support), q)
-        ok = all(jacobi_trudi(big, lam) == schur_in_miwa(lam, hook)
-                 == schur_in_miwa(lam, twisted) for lam in shapes)
+        hook = h_from_times(
+            supersymmetric_times(ys, [-q * y for y in ys], support), support)
+        twisted = h_from_times(twist(from_points(ys, support), q), support)
+        ok = all(jacobi_trudi(big, lam) == jacobi_trudi(hook, lam)
+                 == jacobi_trudi(twisted, lam) for lam in shapes)
         checks.append(CheckResult(
             f"supersym-identification-trial{trial}",
             "deformed-schur/hook-schur",
@@ -595,14 +597,13 @@ def _suite_bethe(cfg: SuiteConfig, rng: random.Random):
     for n, m in ((2, 2), (2, 4), (3, 3)):
         if n > cfg.n_max or m > cfg.m_max:
             continue
-        state = bethe_mod.solve_phase(n, m, list(range(n)))
-        q = 0.0
-        while q < 0.3 - 1e-12:
-            q = min(0.3, q + 0.05)
-            state = bethe_mod.solve_qboson(n, m, q, state)
-            worst_c = max(worst_c, state.residual)
-            if state.residual >= 1e-10:
-                cont_ok = False
+        try:
+            state = bethe_mod.solve_qboson_continued(n, m, 0.3,
+                                                     list(range(n)))
+        except ArithmeticError:  # some stage missed TARGET_RESIDUAL
+            cont_ok = False
+            continue
+        worst_c = max(worst_c, state.residual)
     checks.append(CheckResult(
         "bethe-qboson-continuation", "bethe-equations/deformed",
         cont_ok, f"Q: 0 -> 0.3 in steps of 0.05, worst residual "

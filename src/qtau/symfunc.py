@@ -7,8 +7,8 @@ points, or the deformed coefficients q_k -- through
 ``algebra_core.jacobi_trudi``.  Anything that loops over partitions at
 one point set -- a box sum, or a verification suite running through
 every shape of bounded weight -- builds the generator list once per
-point set (``homogeneous_list``, ``q_coeff_list``, or the
-``generators`` of a ``MiwaCoords``) and calls that helper directly.
+point set (``homogeneous_list``, ``q_coeff_list``, or ``h_from_times``
+of a tuple of times) and calls that helper directly.
 
 Hall-Littlewood values and the monomial tables both come from the
 horizontal-strip branching rule
@@ -37,10 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .algebra_core import ONE, ZERO, QPoly, TruncatedSeries, jacobi_trudi
-from .miwa import MiwaCoords, from_points
+from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, jacobi_trudi,
+                           mat_mul_ring)
+from .miwa import from_points
 from .partitions import (Partition, contains, multiplicities, normalize,
                          partitions_of, weight)
 
@@ -101,28 +102,29 @@ def skew_schur_eval(lam: Partition, mu: Partition, xs: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _strips(lam: Partition) -> Iterator[Tuple[Partition, int]]:
-    """Every mu with lam/mu a horizontal strip, with the strip size |lam/mu|.
+@lru_cache(maxsize=None)
+def _strips(
+        lam: Partition) -> Tuple[Tuple[Partition, int, Tuple[int, ...]], ...]:
+    """Every mu with lam/mu a horizontal strip, as (mu, |lam/mu|, psi).
 
     Those mu are exactly the interlacing ones, lam_{i+1} <= mu_i <= lam_i,
     so every part but the last is positive and mu comes out sorted.
+    psi_{lam/mu} = prod of (1 - Q^c) over the listed c, one c = m_j(mu)
+    for every j with m_j(mu) = m_j(lam) + 1.  Nothing here depends on Q,
+    so the table is built once per shape.
     """
     ell = len(lam)
     rows = [range(lam[i], (lam[i + 1] if i + 1 < ell else 0) - 1, -1)
             for i in range(ell)]
     total = weight(lam)
-    for mu in itertools.product(*rows):
-        yield (mu if mu[-1] else mu[:-1]), total - sum(mu)
-
-
-def _psi_exponents(lam: Partition, mu: Partition) -> List[int]:
-    """psi_{lam/mu} = prod of (1 - Q^c) over these c.
-
-    One c = m_j(mu) for every j with m_j(mu) = m_j(lam) + 1.
-    """
     ml = multiplicities(lam)
-    return [count for j, count in multiplicities(mu).items()
-            if count == ml.get(j, 0) + 1]
+    out = []
+    for mu in itertools.product(*rows):
+        mu = mu if mu[-1] else mu[:-1]
+        psi = tuple(count for j, count in multiplicities(mu).items()
+                    if count == ml.get(j, 0) + 1)
+        out.append((mu, total - sum(mu), psi))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -130,20 +132,18 @@ def _chain_sum(shape: Partition, steps: Tuple[int, ...]) -> QPoly:
     if not steps:
         return QPoly.one() if not shape else QPoly.zero()
     acc = QPoly.zero()
-    for mu, size in _strips(shape):
+    for mu, size, psi_exps in _strips(shape):
         if size == steps[-1]:
-            psi = prod((QPoly([1] + [0] * (c - 1) + [-1])
-                        for c in _psi_exponents(shape, mu)), start=QPoly.one())
+            psi = prod((QPoly([1] + [0] * (c - 1) + [-1]) for c in psi_exps),
+                       start=QPoly.one())
             acc = acc + psi * _chain_sum(mu, steps[:-1])
     return acc
 
 
 @lru_cache(maxsize=None)
 def _chain_count(shape: Partition, steps: Tuple[int, ...]) -> int:
-    if not steps:
-        return 1 if not shape else 0
-    return sum(_chain_count(mu, steps[:-1])
-               for mu, size in _strips(shape) if size == steps[-1])
+    """The chain sum at Q = 0, where every psi is 1: a tableau count."""
+    return _chain_sum(shape, steps).coefficient(0)
 
 
 @lru_cache(maxsize=None)
@@ -206,13 +206,12 @@ def hall_littlewood_evaluator(xs: Sequence,
         if key not in memo:
             x = xs[r - 1]
             acc = ZERO
-            for mu, size in _strips(lam):
+            for mu, size, psi_exps in _strips(lam):
                 # zero terms: l(mu) >= r leaves too few variables for
                 # P_mu, and x^size vanishes at x = 0 unless size = 0
                 if len(mu) >= r or (size and not x):
                     continue
-                psi = prod((one_minus[c] for c in _psi_exponents(lam, mu)),
-                           start=ONE)
+                psi = prod((one_minus[c] for c in psi_exps), start=ONE)
                 if psi:
                     acc += psi * x ** size * value(mu, r - 1)
             memo[key] = acc
@@ -268,14 +267,10 @@ def kostka_tables(d: int) -> KostkaTables:
             for k in range(i + 1, j + 1):
                 acc = acc + K[i][k] * K_inv[k][j]
             K_inv[i][j] = -acc
-    for i in range(n):
-        for j in range(n):
-            acc = QPoly.zero()
-            for k in range(n):
-                acc = acc + K[i][k] * K_inv[k][j]
-            expected = QPoly.one() if i == j else QPoly.zero()
-            if acc != expected:
-                raise ArithmeticError("Kostka inverse failed verification")
+    check = mat_mul_ring(K, K_inv)
+    if any(check[i][j] != (QPoly.one() if i == j else QPoly.zero())
+           for i in range(n) for j in range(n)):
+        raise ArithmeticError("Kostka inverse failed verification")
     return KostkaTables(
         weight=d,
         order=order,
@@ -313,17 +308,18 @@ def q_coeff_list(ys: Sequence, q, mmax: int) -> List[Fraction]:
 
 
 def supersymmetric_times(alpha: Sequence, beta: Sequence,
-                         n_max: int) -> MiwaCoords:
+                         n_max: int) -> Tuple[Fraction, ...]:
     """Times of the hook (supersymmetric) Schur functions s_lam(alpha/beta).
 
     T_n = (1/n)(sum alpha_i^n - sum (-beta_i)^n) for n = 1..n_max,
     assembled from two from_points calls so there is a single code path
-    for the negated contribution.  ``schur_in_miwa(lam, T)`` is then the
-    hook Schur value for every |lam| <= n_max.
+    for the negated contribution.  ``jacobi_trudi`` over
+    ``h_from_times(T, n_max)`` is then the hook Schur value for every
+    |lam| <= n_max.
     """
     t_alpha = from_points(alpha, n_max)
     t_beta = from_points([-Fraction(b) for b in beta], n_max)
-    return t_alpha - t_beta
+    return tuple(a - b for a, b in zip(t_alpha, t_beta))
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def schur_in_miwa_matrix(lam, t) -> Fraction:
     """det(h_{lam_i - i + j}(t)) written out."""
     if not lam:
         return ONE
-    return _matrix_det(h_from_times(t.values, lam[0] + len(lam) - 1), lam)
+    return _matrix_det(h_from_times(t, lam[0] + len(lam) - 1), lam)
 
 
 def h_matrix(xs, ys, box):

@@ -13,9 +13,9 @@ import random
 import time
 from fractions import Fraction as F
 
-from qtau.algebra_core import TruncatedSeries, jacobi_trudi
+from qtau.algebra_core import TruncatedSeries, h_from_times, jacobi_trudi
 from qtau.bethe import residual, solve_phase, solve_qboson
-from qtau.miwa import from_points, schur_in_miwa, twist
+from qtau.miwa import from_points, twist
 from qtau.partitions import (b_lambda, enumerate_in_box, partitions_of,
                              weight)
 from qtau.phase_model import (BoxSpec, correlation_Am,
@@ -208,11 +208,12 @@ def test_criterion_07_supersymmetric_identification():
         ys = _sample(rng, 3)
         q = q_pool[trial]
         big = q_coeff_list(ys, q, 6)
-        hook = supersymmetric_times(ys, [-q * y for y in ys], 6)
-        twisted = twist(from_points(ys, 6), q)
+        hook = h_from_times(supersymmetric_times(ys, [-q * y for y in ys], 6),
+                            6)
+        twisted = h_from_times(twist(from_points(ys, 6), q), 6)
         for lam in shapes:
-            if not (jacobi_trudi(big, lam) == schur_in_miwa(lam, hook)
-                    == schur_in_miwa(lam, twisted)):
+            if not (jacobi_trudi(big, lam) == jacobi_trudi(hook, lam)
+                    == jacobi_trudi(twisted, lam)):
                 ok = False
     _report(7, ok, "deformed Schur = hook Schur on (y, -Qy) = Schur in "
             "twisted times, all |lam| <= 6, 10 random (y, Q)")

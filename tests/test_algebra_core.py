@@ -76,7 +76,7 @@ def test_h_from_times_matches_points():
     assert h_from_times([], 2) == [1, 0, 0]
     pts = [F(1, 2), F(1, 3), F(2, 5)]
     times = from_points(pts, 5)
-    assert h_from_times(times.values, 5) == homogeneous_list(pts, 5)
+    assert h_from_times(times, 5) == homogeneous_list(pts, 5)
 
 
 def test_det_rational():

@@ -64,6 +64,17 @@ def test_qscalar_vanishing_denominator(capsys):
     assert "graded agreement through degree 3: all modes" in out
 
 
+def test_qscalar_det_quotient_undefined_is_usage_error(capsys):
+    # asked for alone, the undefined quotient is a usage error, not a
+    # failed comparison
+    code, out, err = run(capsys, "qscalar", "--n", "1", "--m", "3",
+                         "--q", "2", "--x=-1/2", "--y", "1",
+                         "--mode", "det_quotient")
+    assert code == 2
+    assert out == ""
+    assert "denominator determinant vanishes" in err
+
+
 def test_det_routes_at_repeated_points(capsys):
     # both det routes are defined at coincident points and match the sums
     code, out, _ = run(capsys, "scalar", "--n", "2", "--m", "2",

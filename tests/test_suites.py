@@ -54,6 +54,23 @@ def test_kostka_inverse_failure_is_reported(monkeypatch):
         "kostka-inverse-d3"]
 
 
+def test_supersym_builds_one_generator_list_per_route(monkeypatch):
+    # every shape of a trial reads the same three generator lists
+    calls = {"h_from_times": 0, "q_coeff_list": 0}
+    for name in calls:
+        real = getattr(suites, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(suites, name, counted)
+    report = run_suite(SuiteConfig(suite="supersym", seed=0))
+    trials = len(report.checks)
+    assert report.all_pass and trials == 10
+    assert calls == {"h_from_times": 2 * trials, "q_coeff_list": trials}
+
+
 def test_seed_determinism():
     a = emit_report(run_suite(SuiteConfig(suite="phase-scalar", seed=5)))
     b = emit_report(run_suite(SuiteConfig(suite="phase-scalar", seed=5)))

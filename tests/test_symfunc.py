@@ -2,8 +2,7 @@
 
 from fractions import Fraction as F
 
-from qtau.algebra_core import QPoly, jacobi_trudi
-from qtau.miwa import schur_in_miwa
+from qtau.algebra_core import QPoly, h_from_times, jacobi_trudi
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
 from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_eval,
@@ -125,11 +124,11 @@ def test_big_schur_eval():
 def test_supersymmetric_schur_eval():
     alpha = [F(1, 2), F(1, 3)]
     beta = [F(1, 5)]
-    assert (schur_in_miwa((1,), supersymmetric_times(alpha, beta, 1))
-            == sum(alpha) + sum(beta))
-    times = supersymmetric_times(alpha, [], 3)
+    hook = h_from_times(supersymmetric_times(alpha, beta, 1), 1)
+    assert jacobi_trudi(hook, (1,)) == sum(alpha) + sum(beta)
+    hs = h_from_times(supersymmetric_times(alpha, [], 3), 3)
     for lam in ((2,), (1, 1), (2, 1)):
-        assert schur_in_miwa(lam, times) == schur_eval(lam, alpha)
+        assert jacobi_trudi(hs, lam) == schur_eval(lam, alpha)
 
 
 def test_vandermonde_scaling():

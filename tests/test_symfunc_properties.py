@@ -10,8 +10,8 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qtau.algebra_core import det_rational, jacobi_trudi
-from qtau.miwa import from_points, schur_in_miwa, twist
+from qtau.algebra_core import det_rational, h_from_times, jacobi_trudi
+from qtau.miwa import from_points, twist
 from qtau.partitions import contains, partitions_of, weight
 from qtau.symfunc import (hall_littlewood_eval, homogeneous_list,
                           q_coeff_list, schur_eval, skew_schur_eval)
@@ -85,9 +85,9 @@ def test_big_schur_matches_matrix(lam, ys, q):
 @given(PARTITIONS, points(), QS)
 def test_schur_in_miwa_matches_matrix(lam, xs, q):
     t = twist(from_points(xs, max(1, weight(lam))), q)
-    assert schur_in_miwa(lam, t) == schur_in_miwa_matrix(lam, t)
-    assert schur_in_miwa(lam, t) == jacobi_trudi(
-        q_coeff_list(xs, q, weight(lam)), lam)
+    value = jacobi_trudi(h_from_times(t, len(t)), lam)
+    assert value == schur_in_miwa_matrix(lam, t)
+    assert value == jacobi_trudi(q_coeff_list(xs, q, weight(lam)), lam)
 
 
 ENTRIES = st.one_of(st.integers(-5, 5), RATIONALS)
