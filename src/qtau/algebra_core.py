@@ -410,16 +410,25 @@ def maximal_minors(
     every k-subset of columns extend, along row k, to those of the first
     k+1 rows, so each sub-minor is computed once and shared by every
     minor that contains it.  Only +, - and * are used, and zero entries
-    and zero sub-minors are skipped.  Subsets whose minor is zero map to
-    ZERO; an n x K matrix with n > K has no maximal minors.
+    and zero sub-minors are skipped.  Every maximal minor takes exactly
+    one entry from each row, so scaling row r by the lcm s_r of its
+    entries' denominators scales every minor by the same s_0 ... s_{n-1};
+    the sweep runs on the scaled rows in Python ints, and each minor is
+    one Fraction(int minor, product of scales).  Subsets whose minor is
+    zero map to 0; an n x K matrix with n > K has no maximal minors.
     """
     width = len(rows[0]) if rows else 0
+    scale = 1
+    int_rows = []
     for row in rows:
         if len(row) != width:
             raise ValueError("rows have different lengths")
-    minors: Dict[Tuple[int, ...], Fraction] = {(): ONE}
-    for k, row in enumerate(rows):
-        grown: Dict[Tuple[int, ...], Fraction] = {}
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        int_rows.append([x.numerator * (den // x.denominator) for x in row])
+    minors: Dict[Tuple[int, ...], int] = {(): 1}
+    for k, row in enumerate(int_rows):
+        grown: Dict[Tuple[int, ...], int] = {}
         for cols, minor in minors.items():
             # pos counts the columns of cols left of c, which fixes the
             # cofactor sign (-1)^(k + pos) of entry (k, c)
@@ -435,7 +444,7 @@ def maximal_minors(
                 acc = grown.get(key)
                 grown[key] = term if acc is None else acc + term
         minors = {cols: v for cols, v in grown.items() if v != 0}
-    return {cols: minors.get(cols, ZERO)
+    return {cols: Fraction(minors.get(cols, 0), scale)
             for cols in combinations(range(width), len(rows))}
 
 

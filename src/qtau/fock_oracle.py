@@ -29,6 +29,17 @@ division.  The phase model is then the q-boson model at Q = 0, site
 for site: the site tables depend on Q alone, and the pairing is
 defined at every Q, Q = 1 and Q = -1 included.
 
+The arithmetic is exact and still brute force, but it runs on Python
+ints.  For Q = a/b every site table holds int numerators over one table
+denominator b^(N+2), enough for the raise elements 1 - Q^{k+1} with
+k <= N+1 on the extended basis.  A vector is a dict of int numerators
+over one positive denominator: each site step multiplies by ints and
+the denominator grows by the table denominator times that of the step's
+two scalars.  At the end of each string step the kept component is
+reduced by one gcd, so every string returns its vector in lowest terms,
+and values become Fractions only where they leave the module.  This
+code shares no arithmetic helper with the formula side.
+
 One truncation subtlety is load-bearing.  A number-preserving block
 applied to a top-sector state may pass through one extra particle in
 transit (raise, then lower).  The site tables therefore act on a basis
@@ -42,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra_core import ONE, ZERO
@@ -52,7 +64,8 @@ from .qboson_model import QBosonSpec
 MODELS = ("phase", "qboson")
 
 Occupation = Tuple[int, ...]
-Vector = Dict[int, Fraction]  # sparse: basis index -> nonzero coefficient
+# sparse: basis index -> nonzero int numerator over a shared denominator
+Vector = Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -121,16 +134,6 @@ def _resolve(model: str, spec) -> Tuple[int, int, Fraction]:
     raise TypeError("spec must be a BoxSpec or QBosonSpec")
 
 
-def _raise_coeff(q: Fraction, site: int, occ: int) -> Fraction:
-    """Matrix element for adding a particle at `site` on occupancy `occ`.
-
-    The deformed operators are the combined (1-Q)^{1/2} b+ ones, whose
-    elements are rational in Q.  Site 0 is bare (see the module doc).
-    Every lowering element is 1, so it needs no function of its own.
-    """
-    return ONE if site == 0 else ONE - q ** (occ + 1)
-
-
 # sentinel for a raise that would leave even the extended basis; the
 # auxiliary-path analysis says it can never receive a nonzero vector
 _FORBIDDEN = -1
@@ -138,14 +141,22 @@ _FORBIDDEN = -1
 
 @lru_cache(maxsize=None)
 def _symbolic_blocks(n: int, m: int, q: Fraction):
-    """Per-site (raise, lower) tables on the bound-(n+1) basis.
+    """Per-site (raise, lower) tables on the bound-(n+1) basis, and their
+    shared denominator den = b**(n+2) for Q = a/b.
 
-    Each table maps a state index to (target index, coeff), or to None
-    where the site is empty.  They are the monodromy's only Q-dependent
-    data, and the phase model reads them at Q = 0.  Index layouts agree
-    between the bound-n and bound-(n+1) bases because sectors enumerate
-    identically.
+    Each table maps a state index to (target index, int coeff), or to
+    None where the site is empty; the matrix element is coeff / den.
+    Lowering is 1 and site 0 is bare (see the module doc), so those
+    entries are den.  Raising occupancy k at a deformed site is the
+    combined (1-Q)^{1/2} b+ element 1 - Q^{k+1}, whose numerator is
+    den - a^{k+1} b^{n+1-k}; k <= n+1 on the extended basis.  The tables
+    are the monodromy's only Q-dependent data, and the phase model reads
+    them at Q = 0.  Index layouts agree between the bound-n and
+    bound-(n+1) bases because sectors enumerate identically.
     """
+    a, b = q.numerator, q.denominator
+    den = b ** (n + 2)
+    deformed = [den - a ** (k + 1) * b ** (n + 1 - k) for k in range(n + 2)]
     ext = sector_basis(n + 1, m)
     index = {occ: i for i, occ in enumerate(ext.states)}
     sites = []
@@ -156,15 +167,18 @@ def _symbolic_blocks(n: int, m: int, q: Fraction):
             raised = occ[:site] + (k + 1,) + occ[site + 1:]
             lowered = occ[:site] + (k - 1,) + occ[site + 1:]
             rmap.append((index.get(raised, _FORBIDDEN),
-                         _raise_coeff(q, site, k)))
-            lmap.append((index[lowered], ONE) if k else None)
+                         deformed[k] if site else den))
+            lmap.append((index[lowered], den) if k else None)
         sites.append((tuple(rmap), tuple(lmap)))
-    return tuple(sites)
+    return tuple(sites), den
 
 
-def _half_step(table, vec: Vector, base: Vector, scale: Fraction) -> Vector:
-    """scale * (base + table(vec)): one row of a site factor."""
-    out = dict(base)
+def _half_step(table, den: int, vec: Vector, base: Vector,
+               scale: int) -> Vector:
+    """scale * (den * base + table(vec)) on int numerators."""
+    if not scale:
+        return {}
+    out = {i: den * value for i, value in base.items()}
     for i, value in vec.items():
         entry = table[i]
         if entry is None:
@@ -175,44 +189,59 @@ def _half_step(table, vec: Vector, base: Vector, scale: Fraction) -> Vector:
         if coeff:
             term = value * coeff
             out[dst] = out[dst] + term if dst in out else term
-    return {i: value * scale for i, value in out.items() if value and scale}
+    return {i: value * scale for i, value in out.items() if value}
 
 
-def _transfer(sites, alpha: Fraction, beta: Fraction, w1: Vector,
-              w2: Vector) -> Tuple[Vector, Vector]:
-    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn."""
+def _transfer(blocks, alpha: Fraction, beta: Fraction, w1: Vector,
+              w2: Vector) -> Tuple[Vector, Vector, int]:
+    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn.
+
+    w1 and w2 are int numerators over one denominator, and so are the
+    two returned vectors; the third value is the factor by which that
+    denominator grew: d * den per site, with alpha, beta written over
+    their common denominator d.
+    """
+    sites, den = blocks
+    d = lcm(alpha.denominator, beta.denominator)
+    ka = alpha.numerator * (d // alpha.denominator)
+    kb = beta.numerator * (d // beta.denominator)
     for raises, lowers in sites:
-        w1, w2 = (_half_step(raises, w2, w1, alpha),
-                  _half_step(lowers, w1, w2, beta))
-    return w1, w2
+        w1, w2 = (_half_step(raises, den, w2, w1, ka),
+                  _half_step(lowers, den, w1, w2, kb))
+    return w1, w2, (d * den) ** len(sites)
 
 
-def _in_sector(vec: Vector, basis: SectorBasis, sector: int) -> Vector:
-    """vec itself, after checking that it lies in the given sector."""
+def _reduced(vec: Vector, den: int, basis: SectorBasis,
+             sector: int) -> Tuple[Vector, int]:
+    """vec / den in lowest terms, after checking that it lies in the
+    given sector."""
     span = basis.sector_indices(sector)
     if any(i not in span for i in vec):
         raise AssertionError("result is not pure in particle number")
-    return vec
+    g = gcd(den, *vec.values())
+    return {i: value // g for i, value in vec.items()}, den // g
 
 
-def _b_string(sites, basis: SectorBasis, vec: Vector, sector: int,
-              ys: Sequence[Fraction]) -> Vector:
-    """B(y) applied for each y in turn to v in `sector`; each B(y) v is
-    the first component of the transfer of (0, v) at (1, y)."""
+def _b_string(blocks, basis: SectorBasis, vec: Vector, den: int,
+              sector: int, ys: Sequence[Fraction]) -> Tuple[Vector, int]:
+    """B(y) applied for each y in turn to vec / den in `sector`; each
+    B(y) v is the first component of the transfer of (0, v) at (1, y)."""
     for y in ys:
         sector += 1
-        vec = _in_sector(_transfer(sites, ONE, y, {}, vec)[0], basis, sector)
-    return vec
+        w1, _, grown = _transfer(blocks, ONE, y, {}, vec)
+        vec, den = _reduced(w1, den * grown, basis, sector)
+    return vec, den
 
 
-def _c_string(sites, basis: SectorBasis, vec: Vector, sector: int,
-              xs: Sequence[Fraction]) -> Vector:
-    """C(x) applied for each x in turn to v in `sector`; each C(x) v is
-    the second component of the transfer of (v, 0) at (x, 1)."""
+def _c_string(blocks, basis: SectorBasis, vec: Vector, den: int,
+              sector: int, xs: Sequence[Fraction]) -> Tuple[Vector, int]:
+    """C(x) applied for each x in turn to vec / den in `sector`; each
+    C(x) v is the second component of the transfer of (v, 0) at (x, 1)."""
     for x in xs:
         sector -= 1
-        vec = _in_sector(_transfer(sites, x, ONE, vec, {})[1], basis, sector)
-    return vec
+        _, w2, grown = _transfer(blocks, x, ONE, vec, {})
+        vec, den = _reduced(w2, den * grown, basis, sector)
+    return vec, den
 
 
 def build_monodromy(model: str, spec, u) -> Monodromy:
@@ -226,7 +255,7 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
     if u == 0:
         raise ValueError("u = 0")
     n, m, q = _resolve(model, spec)
-    sites = _symbolic_blocks(n, m, q)
+    blocks = _symbolic_blocks(n, m, q)
     ext = sector_basis(n + 1, m)
     x, scale = u * u, ONE / u ** (m + 1)
 
@@ -235,10 +264,11 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
         for s in range(max(0, -shift), n + 1 - max(0, shift)):
             columns = []
             for j in ext.sector_indices(s):
-                unit = ({j: ONE}, {}) if start == 0 else ({}, {j: ONE})
-                vec = _transfer(sites, ONE, x, *unit)[read]
-                columns.append(_in_sector(vec, ext, s + shift))
-            matrix = tuple(tuple(col.get(i, ZERO) * factor for col in columns)
+                unit = ({j: 1}, {}) if start == 0 else ({}, {j: 1})
+                out = _transfer(blocks, ONE, x, *unit)
+                columns.append(_reduced(out[read], out[2], ext, s + shift))
+            matrix = tuple(tuple(Fraction(col.get(i, 0), den) * factor
+                                 for col, den in columns)
                            for i in ext.sector_indices(s + shift))
             ops.append(SectorOperator(source=s, target=s + shift,
                                       matrix=matrix))
@@ -260,10 +290,9 @@ def bethe_state(model: str, spec, roots: Sequence) -> Dict[Partition, Fraction]:
     if len(ys) > n:
         raise ValueError("more roots than the particle bound")
     basis = sector_basis(n, m)
-    sites = _symbolic_blocks(n, m, q)
-    vec = _b_string(sites, basis, {0: ONE}, 0, ys)
+    vec, den = _b_string(_symbolic_blocks(n, m, q), basis, {0: 1}, 1, 0, ys)
     lo = basis.offsets[len(ys)]
-    return {lam: vec.get(lo + i, ZERO)
+    return {lam: Fraction(vec.get(lo + i, 0), den)
             for i, lam in enumerate(enumerate_in_box(len(ys), m))}
 
 
@@ -284,27 +313,33 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     if expected > n:
         raise ValueError("pairing exceeds the basis particle bound")
     basis = sector_basis(n, m)
-    sites = _symbolic_blocks(n, m, q)
-    vec = {0: ONE}
+    blocks = _symbolic_blocks(n, m, q)
+    vec, den = {0: 1}, 1
     if insertion is not None:
         if not 0 <= insertion <= m:
             raise ValueError("insertion site out of range")
-        occ = tuple(1 if i == insertion else 0 for i in range(m + 1))
-        coeff = _raise_coeff(q, insertion, 0)
-        vec = {basis.states.index(occ): coeff} if coeff else {}
-    vec = _b_string(sites, basis, vec, expected - len(ys), ys)
-    return _c_string(sites, basis, vec, expected, xs).get(0, ZERO)
+        # the site's raise on the vacuum, which is index 0 in both bases
+        dst, coeff = blocks[0][insertion][0][0]
+        vec, den = _reduced({dst: coeff} if coeff else {}, blocks[1],
+                            basis, 1)
+    vec, den = _b_string(blocks, basis, vec, den, expected - len(ys), ys)
+    vec, den = _c_string(blocks, basis, vec, den, expected, xs)
+    return Fraction(vec.get(0, 0), den)
 
 
 def commutation_check(model: str, spec, y1, y2) -> bool:
-    """True iff B(y1) B(y2) = B(y2) B(y1) on each state of sectors 0..N-2."""
+    """True iff B(y1) B(y2) = B(y2) B(y1) on each state of sectors 0..N-2.
+
+    Both strings return vectors in lowest terms over a positive
+    denominator, so equal vectors compare equal.
+    """
     n, m, q = _resolve(model, spec)
     y1, y2 = Fraction(y1), Fraction(y2)
-    sites = _symbolic_blocks(n, m, q)
+    blocks = _symbolic_blocks(n, m, q)
     basis = sector_basis(n, m)
     for s in range(n - 1):
         for j in basis.sector_indices(s):
-            if (_b_string(sites, basis, {j: ONE}, s, (y2, y1))
-                    != _b_string(sites, basis, {j: ONE}, s, (y1, y2))):
+            if (_b_string(blocks, basis, {j: 1}, 1, s, (y2, y1))
+                    != _b_string(blocks, basis, {j: 1}, 1, s, (y1, y2))):
                 return False
     return True

@@ -59,13 +59,16 @@ class QBosonSpec:
 
 
 def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
-           mode: str) -> Dict[Partition, Fraction]:
+           mode: str, sweeps: Dict[tuple, Dict[Partition, Fraction]]
+           ) -> Dict[Partition, Fraction]:
     """lam -> the lam-th term of a sum mode, over the whole box.
 
     Both Hall-Littlewood evaluators are built once per point set, and the
     Schur-type modes read every s_lam(x) and every y-side value from one
     ``jacobi_trudi_box`` sweep each.  That sweep reads c_0..c_{N+M-1}, so
-    the twisted times need support N+M only.
+    the twisted times need support N+M only.  ``sweeps`` maps a generator
+    tuple to its box table; a caller that shares it across modes sweeps
+    each distinct list once.
     """
     box, q = spec.box, spec.q
     if mode == "hl_sum":
@@ -78,8 +81,14 @@ def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
         gy = q_coeff_list(ys, q, kmax)
     else:
         gy = h_from_times(twist(from_points(ys, kmax), q), kmax)
-    sy = jacobi_trudi_box(gy, box.n, box.m)
-    sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m)
+
+    def table(gens):
+        key = tuple(gens)
+        if key not in sweeps:
+            sweeps[key] = jacobi_trudi_box(key, box.n, box.m)
+        return sweeps[key]
+
+    sy, sx = table(gy), table(box.h_list(xs))
     return {lam: sy[lam] * sx[lam] for lam in sx}
 
 
@@ -118,19 +127,27 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     are the Schur subsums, those of S(x, delta Q y) are Q^d c_d, and
     c_0 = 1, so the quotient divides as a power series at every Q.
     """
+    return _graded(xs, ys, spec, mode, degree, {})
+
+
+def _graded(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
+            degree: int, sweeps: Dict[tuple, Dict[Partition, Fraction]]
+            ) -> List[Fraction]:
+    """``graded_components`` with the box tables of ``_terms`` kept in
+    ``sweeps``."""
     xs = as_points(xs)
     ys = as_points(ys)
     if len(xs) != spec.box.n or len(ys) != spec.box.n:
         raise ValueError("point sets must both have N entries")
     if mode == "det_quotient":
-        c = graded_components(xs, ys, QBosonSpec(spec.box, 0), "big_schur",
-                              degree)
+        c = _graded(xs, ys, QBosonSpec(spec.box, 0), "big_schur", degree,
+                    sweeps)
         return power_series_div(c, [spec.q ** d * c_d
                                     for d, c_d in enumerate(c)], degree)
     if mode not in SUM_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     out = [ZERO] * (degree + 1)
-    for lam, term in _terms(xs, ys, spec, mode).items():
+    for lam, term in _terms(xs, ys, spec, mode, sweeps).items():
         d = weight(lam)
         if d <= degree:
             out[d] += term
@@ -144,16 +161,18 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
     Graded agreement is judged through total degree M, the theoretically
     protected window; exact full-sum equality against hl_sum is reported
     per mode as an observation.  Each sum mode is read from one
-    ``graded_components`` call through max(M, N*M).  When S(x, Qy)
-    vanishes, det_quotient is undefined and its key is left out of every
-    dict.
+    ``graded_components`` pass through max(M, N*M).  The modes share one
+    memo of box tables, so each distinct generator list is swept once per
+    report: h(x) is read by every Schur-type mode, and the big_schur and
+    twisted_schur y-lists coincide.  When S(x, Qy) vanishes, det_quotient
+    is undefined and its key is left out of every dict.
     """
     window = spec.box.m
     degree = max(window, spec.box.n * spec.box.m)
-    values, comps = {}, {}
+    values, comps, sweeps = {}, {}, {}
     for mode in MODES:
         if mode in SUM_MODES:
-            pieces = graded_components(xs, ys, spec, mode, degree)
+            pieces = _graded(xs, ys, spec, mode, degree, sweeps)
             values[mode] = sum(pieces, ZERO)
             comps[mode] = pieces[:window + 1]
             continue
@@ -161,7 +180,7 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
             values[mode] = scalar_product_q(xs, ys, spec, mode)
         except ZeroDivisionError:  # S(x, Qy) = 0
             continue
-        comps[mode] = graded_components(xs, ys, spec, mode, window)
+        comps[mode] = _graded(xs, ys, spec, mode, window, sweeps)
     graded_ok = {mode: comps[mode] == comps["hl_sum"] for mode in values}
     exact_ok = {mode: values[mode] == values["hl_sum"] for mode in values}
     return {

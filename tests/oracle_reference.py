@@ -1,0 +1,131 @@
+"""The occupation-basis oracle over Fractions, kept as a test reference.
+
+``qtau.fock_oracle`` carries int numerators over one shared denominator
+through its transfer.  The code here is the same brute force with every
+coefficient a ``Fraction``: per-site raise and lower tables, the
+half-step scale * (base + table(vec)), the transfer through sites 0..M,
+and the B and C strings.  Only the occupation basis, the reading of a
+model and spec, and the graded block containers are imported from the
+oracle, so an arithmetic slip on the int side cannot repeat here.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from qtau.fock_oracle import (Monodromy, SectorOperator, _resolve,
+                              sector_basis)
+from qtau.partitions import enumerate_in_box
+
+ONE, ZERO = Fraction(1), Fraction(0)
+
+
+def _raise_coeff(q, site, occ):
+    # site 0 is bare; every lowering element is 1
+    return ONE if site == 0 else ONE - q ** (occ + 1)
+
+
+@lru_cache(maxsize=None)
+def site_tables(n, m, q):
+    """Per-site (raise, lower) tables on the bound-(n+1) basis, with
+    Fraction coefficients; None marks a move out of the basis."""
+    ext = sector_basis(n + 1, m)
+    index = {occ: i for i, occ in enumerate(ext.states)}
+    sites = []
+    for site in range(m + 1):
+        rmap, lmap = [], []
+        for occ in ext.states:
+            k = occ[site]
+            raised = occ[:site] + (k + 1,) + occ[site + 1:]
+            lowered = occ[:site] + (k - 1,) + occ[site + 1:]
+            rmap.append((index[raised], _raise_coeff(q, site, k))
+                        if raised in index else None)
+            lmap.append((index[lowered], ONE) if k else None)
+        sites.append((tuple(rmap), tuple(lmap)))
+    return tuple(sites)
+
+
+def _half_step(table, vec, base, scale):
+    """scale * (base + table(vec)): one row of a site factor."""
+    out = dict(base)
+    for i, value in vec.items():
+        entry = table[i]
+        if entry is None:
+            continue
+        dst, coeff = entry
+        if coeff:
+            out[dst] = out.get(dst, ZERO) + value * coeff
+    return {i: value * scale for i, value in out.items() if value and scale}
+
+
+def transfer(sites, alpha, beta, w1, w2):
+    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn."""
+    for raises, lowers in sites:
+        w1, w2 = (_half_step(raises, w2, w1, alpha),
+                  _half_step(lowers, w1, w2, beta))
+    return w1, w2
+
+
+def b_string(sites, vec, ys):
+    for y in ys:
+        vec = transfer(sites, ONE, Fraction(y), {}, vec)[0]
+    return vec
+
+
+def c_string(sites, vec, xs):
+    for x in xs:
+        vec = transfer(sites, Fraction(x), ONE, vec, {})[1]
+    return vec
+
+
+def oracle_pairing(model, spec, xs, ys, insertion=None):
+    n, m, q = _resolve(model, spec)
+    sites = site_tables(n, m, q)
+    vec = {0: ONE}
+    if insertion is not None:
+        occ = tuple(1 if i == insertion else 0 for i in range(m + 1))
+        coeff = _raise_coeff(q, insertion, 0)
+        vec = {sector_basis(n, m).states.index(occ): coeff} if coeff else {}
+    vec = c_string(sites, b_string(sites, vec, ys), xs)
+    return vec.get(0, ZERO)
+
+
+def bethe_state(model, spec, roots):
+    n, m, q = _resolve(model, spec)
+    ys = [Fraction(u) ** 2 for u in roots]
+    vec = b_string(site_tables(n, m, q), {0: ONE}, ys)
+    lo = sector_basis(n, m).offsets[len(ys)]
+    return {lam: vec.get(lo + i, ZERO)
+            for i, lam in enumerate(enumerate_in_box(len(ys), m))}
+
+
+def build_monodromy(model, spec, u):
+    u = Fraction(u)
+    n, m, q = _resolve(model, spec)
+    sites = site_tables(n, m, q)
+    ext = sector_basis(n + 1, m)
+    x, scale = u * u, ONE / u ** (m + 1)
+
+    def block(start, read, shift, factor):
+        ops = []
+        for s in range(max(0, -shift), n + 1 - max(0, shift)):
+            columns = []
+            for j in ext.sector_indices(s):
+                unit = ({j: ONE}, {}) if start == 0 else ({}, {j: ONE})
+                columns.append(transfer(sites, ONE, x, *unit)[read])
+            matrix = tuple(tuple(col.get(i, ZERO) * factor for col in columns)
+                           for i in ext.sector_indices(s + shift))
+            ops.append(SectorOperator(source=s, target=s + shift,
+                                      matrix=matrix))
+        return tuple(ops)
+
+    return Monodromy(a=block(0, 0, 0, scale), b=block(1, 0, 1, u * scale),
+                     c=block(0, 1, -1, scale / u), d=block(1, 1, 0, scale))
+
+
+def commutation_check(model, spec, y1, y2):
+    n, m, q = _resolve(model, spec)
+    sites = site_tables(n, m, q)
+    basis = sector_basis(n, m)
+    return all(b_string(sites, {j: ONE}, (y2, y1))
+               == b_string(sites, {j: ONE}, (y1, y2))
+               for s in range(n - 1) for j in basis.sector_indices(s))

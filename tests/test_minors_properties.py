@@ -3,7 +3,9 @@ determinants against references.
 
 ``maximal_minors`` and ``jacobi_trudi_box`` replace one Gaussian
 elimination per partition; each is compared here with ``det_rational``
-on signed, zero and repeated inputs.  The determinant quotient and the
+on signed, zero and repeated inputs, and the sweep, which runs on rows
+cleared of denominators, on rows that mix ints with Fractions of large
+denominators.  The determinant quotient and the
 power-column determinant take divided differences instead of dividing
 by Vandermondes.  Where the Vandermonde references of
 ``symfunc_reference`` are defined they must agree; at coincident points
@@ -42,12 +44,18 @@ def points(draw, size):
                          max_size=size))
 
 
+# the sweep clears each row's denominators: rows mix plain ints with
+# Fractions whose denominators reach 10**6
+ENTRIES = st.one_of(st.just(F(0)), RATIONALS, st.integers(-9, 9),
+                    st.fractions(min_value=-5, max_value=5,
+                                 max_denominator=10 ** 6))
+
+
 @st.composite
 def matrices(draw):
     """n x K with n <= 4, K <= 8, rows drawn from a pool with a zero row."""
     n, width = draw(st.integers(0, 4)), draw(st.integers(0, 8))
-    row = st.lists(st.one_of(st.just(F(0)), RATIONALS), min_size=width,
-                   max_size=width)
+    row = st.lists(ENTRIES, min_size=width, max_size=width)
     pool = draw(st.lists(row, min_size=1, max_size=3)) + [[F(0)] * width]
     return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
 

@@ -12,7 +12,7 @@ from qtau.qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
                                scalar_product_q)
 from qtau.symfunc import (hall_littlewood_eval, kostka_tables, q_coeff_list,
                           schur_eval)
-from qtau.algebra_core import QPoly, jacobi_trudi
+from qtau.algebra_core import QPoly, jacobi_trudi, jacobi_trudi_box
 
 
 def test_hl_sum_single_variable():
@@ -142,6 +142,26 @@ def test_mode_report_repeated_points():
         for key in ("values", "graded_equal_hl", "exact_equal_hl"):
             assert set(rep[key]) == set(MODES)
         assert all(rep["graded_equal_hl"].values())
+
+
+def test_mode_report_sweeps_each_generator_list_once(monkeypatch):
+    # the Schur-type modes read three distinct lists at N = 2, M = 3:
+    # h(x), h(y) for det_quotient's Q = 0 pieces, and the y-list that
+    # big_schur and twisted_schur share
+    from qtau import qboson_model
+
+    sweeps = []
+
+    def counted(gens, n, m, mu=()):
+        sweeps.append(tuple(gens))
+        return jacobi_trudi_box(gens, n, m, mu)
+
+    monkeypatch.setattr(qboson_model, "jacobi_trudi_box", counted)
+    spec = QBosonSpec(BoxSpec(2, 3), F(1, 3))
+    rep = mode_agreement_report([F(1, 2), F(1, 3)], [F(1, 5), F(2, 7)],
+                                spec)
+    assert set(rep["values"]) == set(MODES)
+    assert len(sweeps) == len(set(sweeps)) == 3
 
 
 def test_mode_report_vanishing_denominator():
