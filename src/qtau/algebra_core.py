@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -340,6 +340,17 @@ def h_from_times(times: Sequence, kmax: int):
 # ---------------------------------------------------------------------------
 
 
+def _cleared_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """Each row times the lcm of its entries' denominators, as ints, and
+    the product of those lcms."""
+    scale, out = 1, []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        scale *= den
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out, scale
+
+
 def det_rational(rows: Sequence[Sequence]) -> Fraction:
     """Determinant of a square matrix of ints and Fractions, exactly.
 
@@ -356,12 +367,7 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
             raise ValueError("matrix is not square")
     if n == 0:
         return ONE
-    a = []
-    scale = 1
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        a.append([x.numerator * (den // x.denominator) for x in row])
+    a, scale = _cleared_rows(rows)
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -418,14 +424,9 @@ def maximal_minors(
     zero map to 0; an n x K matrix with n > K has no maximal minors.
     """
     width = len(rows[0]) if rows else 0
-    scale = 1
-    int_rows = []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("rows have different lengths")
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        int_rows.append([x.numerator * (den // x.denominator) for x in row])
+    if any(len(row) != width for row in rows):
+        raise ValueError("rows have different lengths")
+    int_rows, scale = _cleared_rows(rows)
     minors: Dict[Tuple[int, ...], int] = {(): 1}
     for k, row in enumerate(int_rows):
         grown: Dict[Tuple[int, ...], int] = {}

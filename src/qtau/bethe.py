@@ -13,10 +13,12 @@ with the two-body scattering ratio,
 
 At Q = 0 the ratio degenerates to (-y_j)/y_i and the system collapses
 to the phase-model form y_i^{N+M} = (-1)^{N-1} prod_{j != i} y_j, which
-is why Newton continuation in Q starts from the phase solution.  Each
-Newton step solves its N x N complex linear system by Gaussian
-elimination on plain lists, which at desk sizes (N <= 4) needs no
-numerical library.
+is why Newton continuation in Q starts from the phase solution, and why
+one residual, the ratio form's, serves both models.  At Q = -1 a root
+set can tend to a pair y_k = -y_j, which gives no Bethe vector; such a
+set is reported, not raised.  Each Newton step solves its N x N complex
+linear system by Gaussian elimination on plain lists, which at desk
+sizes (N <= 4) needs no numerical library.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import combinations, permutations
+from typing import List, Optional, Sequence, Tuple
 
 MAX_NEWTON_STEPS = 80
 TARGET_RESIDUAL = 1e-10
@@ -34,10 +37,15 @@ ANGLE_TIE = 1e-9
 
 @dataclass(frozen=True)
 class BetheRoots:
-    """Roots sorted by phase angle, with the reported equation residual."""
+    """Roots sorted by phase angle, with the reported equation residual.
+
+    A set reported at Q = -1 has no roots, residual inf, and the pair
+    (k, j) it tends to in ``vanishing_pair``.
+    """
 
     roots: Tuple[complex, ...]
     residual: float
+    vanishing_pair: Optional[Tuple[int, int]] = None
 
 
 def _angle(z: complex) -> float:
@@ -69,24 +77,35 @@ def _sorted_roots(values) -> Tuple[complex, ...]:
 
 def residual(model: str, n: int, m: int, q: float,
              roots: Sequence[complex]) -> float:
-    """Max over i of |LHS_i - RHS_i| for the stated equation form."""
+    """Max over i of |y_i^{M+1} - prod_{j != i} (Q y_i - y_j)/(y_i - Q y_j)|.
+
+    The phase model is the ratio form at Q = 0.  On the unit circle, where
+    solve_phase puts its roots, this agrees to rounding with the residual
+    of y_i^{N+M} = (-1)^{N-1} prod_{j != i} y_j.
+    """
+    if model == "phase":
+        q = 0.0
+    elif model != "qboson":
+        raise ValueError(f"unknown model {model!r}")
     ys = [complex(z) for z in roots]
     worst = 0.0
     for i, y in enumerate(ys):
-        others = [z for j, z in enumerate(ys) if j != i]
-        if model == "phase":
-            lhs = y ** (n + m)
-            rhs = (-1) ** (n - 1) * math.prod(others) if others else \
-                complex((-1) ** (n - 1))
-        elif model == "qboson":
-            lhs = y ** (m + 1)
-            rhs = complex(1.0)
-            for z in others:
-                rhs *= (q * y - z) / (y - q * z)
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        worst = max(worst, abs(lhs - rhs))
+        try:
+            rhs = math.prod((q * y - z) / (y - q * z)
+                            for j, z in enumerate(ys) if j != i)
+        except ZeroDivisionError:
+            raise _pole_error(ys, q) from None
+        worst = max(worst, abs(y ** (m + 1) - rhs))
     return worst
+
+
+def _pole_error(ys: Sequence[complex], q: complex) -> ArithmeticError:
+    """The error for a division by zero here: every divisor is a factor
+    y_i - Q y_j of the scattering ratio, so some pair sits on its pole."""
+    i, j = next((i, j) for i, j in permutations(range(len(ys)), 2)
+                if ys[i] - q * ys[j] == 0)
+    return ArithmeticError(f"roots {i} and {j} sit on a pole of the "
+                           f"scattering ratio: y_{i} = Q y_{j}")
 
 
 def solve_phase(n: int, m: int,
@@ -193,10 +212,8 @@ def solve_qboson(n: int, m: int, q: complex,
     for _ in range(MAX_NEWTON_STEPS):
         try:
             F, J = _cleared_system(ys, m, q)
-        except ZeroDivisionError as exc:
-            raise ArithmeticError(
-                "Jacobian evaluation hit a pole of the scattering ratio"
-            ) from exc
+        except ZeroDivisionError:
+            raise _pole_error(ys, q) from None
         if not all(cmath.isfinite(f) for f in F):
             raise ArithmeticError("divergent Newton iterate")
         delta = _solve(J, [-f for f in F])
@@ -238,11 +255,24 @@ def solve_qboson_continued(n: int, m: int, q: float,
     (2,3), (2,4), (3,3), (3,4) and (4,4): every set converges at Q in
     {3/2, 2}, and steps 0.05 and 0.025 give the same roots.  Larger Q
     is not covered: at Q = 3 some sets fail or the two steps reach
-    different root sets.  At Q = -1 some sets still raise: their roots
-    tend to a pair y_k = -y_j = Q y_j, where B(y)B(-y)|0> = 0, so the
-    limit is no Bethe vector.
+    different root sets.  At Q = -1 many sets tend to a pair
+    y_k = -y_j = Q y_j, where B(y)B(-y)|0> = 0, so the limit is no Bethe
+    vector.  When the stage at Q = -1 raises and the roots entering it
+    hold a pair with |y_k + y_j| <= step, the result is
+    BetheRoots((), inf, (k, j)); any other failure raises.  Over those
+    cells, 177 of the 268 sets are reported, 82 converge and 9 raise,
+    the same sets at either step.
     """
     state = solve_phase(n, m, quantum_numbers)
     for qs in _continuation_path(q, step):
-        state = solve_qboson(n, m, qs, state)
+        try:
+            state = solve_qboson(n, m, qs, state)
+        except ArithmeticError:
+            pair = next((p for p in combinations(range(n), 2)
+                         if abs(state.roots[p[0]] + state.roots[p[1]])
+                         <= step), None)
+            if qs != -1 or pair is None:
+                raise
+            return BetheRoots(roots=(), residual=math.inf,
+                              vanishing_pair=pair)
     return state

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .algebra_core import format_rational, parse_rational
 from .phase_model import BoxSpec, correlation_Am, scalar_product
@@ -61,6 +61,27 @@ def _write_out(text: str, out: Optional[str]) -> None:
         raise ValueError(f"cannot write {out!r}: {exc}") from exc
 
 
+def _print_routes(values: Dict[str, object]) -> None:
+    """One `route = value` line per entry, route names padded to one width."""
+    width = max(len(route) for route in values)
+    for route, value in values.items():
+        print(f"{route:<{width}} = {value}")
+
+
+def _two_routes(evaluate: Callable[[str], Fraction], routes: Sequence[str],
+                mode: str) -> int:
+    """One route's value, or both and MISMATCH (exit 1) if they differ."""
+    if mode != "both":
+        print(format_rational(evaluate(mode)))
+        return 0
+    values = {route: evaluate(route) for route in routes}
+    _print_routes(values)
+    if len(set(values.values())) > 1:
+        print("MISMATCH")
+        return 1
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -72,17 +93,8 @@ def _cmd_scalar(args) -> int:
     if len(xs) != args.n or len(ys) != args.n:
         raise ValueError("need exactly N values in --x and in --y")
     box = BoxSpec(args.n, args.m)
-    if args.mode in ("det", "schur_sum"):
-        print(format_rational(scalar_product(xs, ys, box, mode=args.mode)))
-        return 0
-    det = scalar_product(xs, ys, box, mode="det")
-    sch = scalar_product(xs, ys, box, mode="schur_sum")
-    print(f"det       = {format_rational(det)}")
-    print(f"schur_sum = {format_rational(sch)}")
-    if det != sch:
-        print("MISMATCH")
-        return 1
-    return 0
+    return _two_routes(lambda mode: scalar_product(xs, ys, box, mode=mode),
+                       ("det", "schur_sum"), args.mode)
 
 
 def _cmd_qscalar(args) -> int:
@@ -100,12 +112,8 @@ def _cmd_qscalar(args) -> int:
         print(format_rational(value))
         return 0
     rep = mode_agreement_report(xs, ys, spec)
-    width = max(len(mode) for mode in MODES)
-    for mode in MODES:
-        value = rep["values"].get(mode)
-        shown = ("n/a (denominator determinant vanishes)" if value is None
-                 else format_rational(value))
-        print(f"{mode:<{width}} = {shown}")
+    _print_routes({mode: rep["values"].get(
+        mode, "n/a (denominator determinant vanishes)") for mode in MODES})
     graded = rep["graded_equal_hl"]
     bad = [mode for mode in graded if not graded[mode]]
     print(f"graded agreement through degree {rep['graded_window']}: "
@@ -120,18 +128,9 @@ def _cmd_corr(args) -> int:
         raise ValueError("the one-point function pairs N points in --x "
                          "with N-1 points in --y")
     box = BoxSpec(args.n, args.m)
-    if args.mode in ("det", "skew_sum"):
-        value = correlation_Am(xs, ys, args.site, box, mode=args.mode)
-        print(format_rational(value))
-        return 0
-    det = correlation_Am(xs, ys, args.site, box, mode="det")
-    sk = correlation_Am(xs, ys, args.site, box, mode="skew_sum")
-    print(f"det      = {format_rational(det)}")
-    print(f"skew_sum = {format_rational(sk)}")
-    if det != sk:
-        print("MISMATCH")
-        return 1
-    return 0
+    return _two_routes(
+        lambda mode: correlation_Am(xs, ys, args.site, box, mode=mode),
+        ("det", "skew_sum"), args.mode)
 
 
 def _cmd_oracle(args) -> int:
@@ -151,8 +150,7 @@ def _cmd_oracle(args) -> int:
         formula = scalar_product(xs, ys, box, mode="schur_sum")
     else:
         formula = scalar_product_q(xs, ys, spec, mode="hl_sum")
-    print(f"oracle  = {format_rational(value)}")
-    print(f"formula = {format_rational(formula)}")
+    _print_routes({"oracle": value, "formula": formula})
     agree = value == formula
     print("agreement: " + ("yes" if agree else "NO"))
     return 0 if agree else 1
@@ -166,6 +164,10 @@ def _cmd_bethe(args) -> int:
         result = bethe_mod.solve_phase(args.n, args.m, qn)
     else:
         result = bethe_mod.solve_qboson_continued(args.n, args.m, q_used, qn)
+    if result.vanishing_pair is not None:
+        k, j = result.vanishing_pair
+        raise ValueError(f"no Bethe vector: roots {k} and {j} tend to "
+                         f"y_{k} = -y_{j} at Q = -1, where B(y)B(-y)|0> = 0")
     payload = {
         "model": args.model,
         "n": args.n,
@@ -193,18 +195,10 @@ def _cmd_kostka(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q_values = tuple(_points(args.q)) if args.q else None
     kwargs = dict(suite=args.suite, seed=args.seed, trials=args.trials)
-    if args.n is not None:
-        kwargs["n_max"] = args.n
-    if args.m is not None:
-        kwargs["m_max"] = args.m
-    if args.cutoff is not None:
-        kwargs["cutoff"] = args.cutoff
-    if q_values:
-        kwargs["q_values"] = q_values
-    config = SuiteConfig(**kwargs)
-    report = run_suite(config)
+    if args.q:
+        kwargs["q_values"] = tuple(_points(args.q))
+    report = run_suite(SuiteConfig(**kwargs))
     _write_out(emit_report(report, fmt=args.format), args.out)
     return 0 if report.all_pass else 1
 
@@ -307,10 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--n", type=int, default=None, help="override N bound")
-    p.add_argument("--m", type=int, default=None, help="override M bound")
-    p.add_argument("--cutoff", type=int, default=None,
-                   help="override degree bound")
     p.add_argument("--q", default=None,
                    help="comma-separated deformation values as p/q")
     p.add_argument("--seed", type=int, default=0)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra_core import (ZERO, QPoly, h_from_times, jacobi_trudi_box,
                            mat_mul_ring, power_series_div)
@@ -118,7 +118,8 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
 
 
 def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
-                      mode: str, degree: int) -> List[Fraction]:
+                      mode: str, degree: int,
+                      sweeps: Optional[dict] = None) -> List[Fraction]:
     """Degree-d pieces (d = 0..degree) of the chosen representation.
 
     Grading is diagonal: scaling y by a formal parameter multiplies the
@@ -126,22 +127,17 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     sums are the fixed-|lam| subsums.  The pieces c_d of S(x, delta y)
     are the Schur subsums, those of S(x, delta Q y) are Q^d c_d, and
     c_0 = 1, so the quotient divides as a power series at every Q.
+    ``sweeps`` is the box-table memo of ``_terms``.
     """
-    return _graded(xs, ys, spec, mode, degree, {})
-
-
-def _graded(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
-            degree: int, sweeps: Dict[tuple, Dict[Partition, Fraction]]
-            ) -> List[Fraction]:
-    """``graded_components`` with the box tables of ``_terms`` kept in
-    ``sweeps``."""
+    if sweeps is None:
+        sweeps = {}
     xs = as_points(xs)
     ys = as_points(ys)
     if len(xs) != spec.box.n or len(ys) != spec.box.n:
         raise ValueError("point sets must both have N entries")
     if mode == "det_quotient":
-        c = _graded(xs, ys, QBosonSpec(spec.box, 0), "big_schur", degree,
-                    sweeps)
+        c = graded_components(xs, ys, QBosonSpec(spec.box, 0), "big_schur",
+                              degree, sweeps)
         return power_series_div(c, [spec.q ** d * c_d
                                     for d, c_d in enumerate(c)], degree)
     if mode not in SUM_MODES:
@@ -172,7 +168,7 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
     values, comps, sweeps = {}, {}, {}
     for mode in MODES:
         if mode in SUM_MODES:
-            pieces = _graded(xs, ys, spec, mode, degree, sweeps)
+            pieces = graded_components(xs, ys, spec, mode, degree, sweeps)
             values[mode] = sum(pieces, ZERO)
             comps[mode] = pieces[:window + 1]
             continue
@@ -180,7 +176,7 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
             values[mode] = scalar_product_q(xs, ys, spec, mode)
         except ZeroDivisionError:  # S(x, Qy) = 0
             continue
-        comps[mode] = _graded(xs, ys, spec, mode, window, sweeps)
+        comps[mode] = graded_components(xs, ys, spec, mode, window, sweeps)
     graded_ok = {mode: comps[mode] == comps["hl_sum"] for mode in values}
     exact_ok = {mode: values[mode] == values["hl_sum"] for mode in values}
     return {

@@ -153,3 +153,48 @@ def test_solver_runs_without_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 1e-10
+
+
+def _outcome(n, m, q, qn, step):
+    """(kind, data): ("reported", pair) or ("converged", roots)."""
+    br = solve_qboson_continued(n, m, q, list(qn), step=step)
+    if br.vanishing_pair is not None:
+        assert br.roots == () and br.residual == math.inf
+        return "reported", br.vanishing_pair
+    assert br.residual < 1e-10
+    return "converged", br.roots
+
+
+def test_vanishing_pairs_reported_at_q_minus_one():
+    # at Q = -1 the sets whose roots tend to y_k = -y_j are reported,
+    # not raised; at the other Q every set of (2, 3) converges, and both
+    # steps agree on every set
+    reported = set()
+    for q in (0.0, 1.0, -1.0, 2.0):
+        for qn in itertools.combinations(range(6), 2):
+            (kind, a), (kind_fine, b) = (_outcome(2, 3, q, qn, step)
+                                         for step in (0.05, 0.025))
+            assert kind == kind_fine
+            if kind == "reported":
+                assert a == b
+                reported.add((q, qn))
+            else:
+                assert all(min(abs(z - w) for w in b) < 1e-8 for z in a)
+    assert reported == {(-1.0, (0, 3)), (-1.0, (1, 4)), (-1.0, (2, 5))}
+
+
+def test_q_minus_one_counts():
+    # measured: over (2,2), (2,3) and (3,3) no set raises at Q = -1
+    kinds = [_outcome(n, m, -1.0, qn, 0.05)[0]
+             for n, m in ((2, 2), (2, 3), (3, 3))
+             for qn in itertools.combinations(range(n + m + 1), n)]
+    assert (kinds.count("reported"), kinds.count("converged")) == (22, 38)
+
+
+def test_pole_of_the_scattering_ratio_is_named():
+    # this set meets y_2 = Q y_3 exactly at Q = -1, with no root pair
+    # near -y in the stage before, so it is neither reported nor converged
+    with pytest.raises(ArithmeticError, match="roots 2 and 3 sit on a pole"):
+        solve_qboson_continued(4, 4, -1.0, [0, 1, 2, 3])
+    with pytest.raises(ArithmeticError, match="roots 0 and 1 sit on a pole"):
+        residual("qboson", 2, 3, -1.0, [1, -1])

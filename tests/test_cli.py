@@ -146,6 +146,14 @@ def test_bethe_rational_q(capsys):
         assert code == 2 and "not a finite rational" in err
 
 
+def test_bethe_vanishing_pair_is_usage_error(capsys):
+    # at Q = -1 these roots tend to y_0 = -y_1: no Bethe vector, exit 2
+    code, out, err = run(capsys, "bethe", "--model", "qboson", "--n", "2",
+                         "--m", "3", "--qn", "0,3", "--q", "-1")
+    assert code == 2 and out == ""
+    assert "roots 0 and 1" in err
+
+
 def test_phase_model_rejects_nonzero_q(capsys):
     size = ("--n", "1", "--m", "2")
     for argv in (("bethe", "--model", "phase", *size, "--qn", "0"),

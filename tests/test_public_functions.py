@@ -1,14 +1,16 @@
-"""Every public function and method of the package has a caller inside it.
+"""Every function and method of the package has a caller inside it.
 
 A public top-level function, or a public method or property of a
 top-level class, that only its own unit test calls is a second route
 kept alive by its test; such a route belongs in the tests (see
-``symfunc_reference``) or nowhere.  The check parses ``src/qtau`` and
-looks for each name anywhere in the package outside the definition's own
-body, the re-exports of ``__init__`` excluded.  Dunder methods are
-exempt: the language calls them.  The check goes by name, so a method
-that shares its name with a used one (``coefficient`` on two classes,
-say) passes unseen.
+``symfunc_reference``) or nowhere.  A private top-level function that
+nothing calls is dead code, such as a helper left behind when two paths
+are folded into one.  The check parses ``src/qtau`` and looks for each
+name anywhere in the package outside the definition's own body, the
+re-exports of ``__init__`` excluded.  Dunder methods are exempt: the
+language calls them.  The check goes by name, so a method that shares
+its name with a used one (``coefficient`` on two classes, say) passes
+unseen.
 """
 
 import ast
@@ -30,7 +32,15 @@ def _public_definitions(tree):
                     yield f"{node.name}.{fn.name}", fn
 
 
-def _uncalled_public_functions(package=PACKAGE):
+def _private_definitions(tree):
+    """(name, node) of every private top-level function."""
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            yield node.name, node
+
+
+def _uncalled(definitions, package=PACKAGE):
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     uses = []  # (node id, name) of every name or attribute use
@@ -44,7 +54,7 @@ def _uncalled_public_functions(package=PACKAGE):
                 uses.append((id(node), node.attr))
     uncalled = []
     for name, tree in trees.items():
-        for qualname, fn in _public_definitions(tree):
+        for qualname, fn in definitions(tree):
             own = {id(node) for node in ast.walk(fn)}
             if not any(used == fn.name and key not in own
                        for key, used in uses):
@@ -53,4 +63,8 @@ def _uncalled_public_functions(package=PACKAGE):
 
 
 def test_every_public_function_is_used_in_the_package():
-    assert _uncalled_public_functions() == []
+    assert _uncalled(_public_definitions) == []
+
+
+def test_every_private_function_is_used_in_the_package():
+    assert _uncalled(_private_definitions) == []

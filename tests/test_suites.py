@@ -1,12 +1,14 @@
 """Verification-suite runner: registration, determinism, serialization."""
 
+import dataclasses
 import json
 
 import pytest
 
 from qtau import suites
 from qtau.suites import (CheckResult, Report, SuiteConfig, SUITES,
-                         _ssyt_count, desk_caps, emit_report, run_suite)
+                         _ssyt_count, check_caps, desk_caps, emit_report,
+                         run_suite)
 
 
 def test_all_registered_suites_pass():
@@ -23,10 +25,13 @@ def test_unknown_suite():
 
 
 def test_config_caps():
+    # suites run fixed sizes; only the single-value commands take sizes
+    assert [f.name for f in dataclasses.fields(SuiteConfig)] == [
+        "suite", "q_values", "seed", "trials"]
     with pytest.raises(ValueError):
-        SuiteConfig(suite="kostka", n_max=9)
+        check_caps(n=9)
     with pytest.raises(ValueError):
-        SuiteConfig(suite="kostka", cutoff=40)
+        check_caps(degree=40)
     with pytest.raises(ValueError):
         SuiteConfig(suite="kostka", trials=0)
     caps = desk_caps()
@@ -36,7 +41,7 @@ def test_config_caps():
 def test_caps_override(monkeypatch):
     monkeypatch.setenv("QTAU_MAX_SIZE", "10")
     assert desk_caps() == (10, 10, 10)
-    SuiteConfig(suite="kostka", n_max=9)     # no longer rejected
+    check_caps(n=9)     # no longer rejected
 
 
 def test_kostka_inverse_failure_is_reported(monkeypatch):
@@ -52,6 +57,21 @@ def test_kostka_inverse_failure_is_reported(monkeypatch):
     report = run_suite(SuiteConfig(suite="kostka", seed=0))
     assert [c.name for c in report.checks if not c.passed] == [
         "kostka-inverse-d3"]
+
+
+def test_corr_skew_vacuum_check_can_fail(monkeypatch):
+    # the vacuum case is checked against the det route, so a wrong det
+    # value must fail it
+    real = suites.scalar_product
+
+    def det_off_by_one(xs, ys, box, mode):
+        value = real(xs, ys, box, mode=mode)
+        return value + 1 if mode == "det" else value
+
+    monkeypatch.setattr(suites, "scalar_product", det_off_by_one)
+    report = run_suite(SuiteConfig(suite="phase-corr", seed=0))
+    assert [c.name for c in report.checks if not c.passed] == [
+        "corr-skew-empty-equals-scalar"]
 
 
 def test_supersym_builds_one_generator_list_per_route(monkeypatch):
