@@ -53,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -140,6 +141,30 @@ _FORBIDDEN = -1
 
 
 @lru_cache(maxsize=None)
+def _site_layout(n: int, m: int):
+    """Per-site (raise targets, occupancies, lower targets) on the
+    bound-(n+1) basis: everything in the site tables but their values.
+
+    A raise target is _FORBIDDEN where it leaves the extended basis, and
+    a lower target is None where the site is empty.  None of it depends
+    on Q, so it is built once per (n, m).
+    """
+    ext = sector_basis(n + 1, m)
+    index = {occ: i for i, occ in enumerate(ext.states)}
+    layout = []
+    for site in range(m + 1):
+        raises, occupancies, lowers = [], [], []
+        for occ in ext.states:
+            k = occ[site]
+            head, tail = occ[:site], occ[site + 1:]
+            raises.append(index.get(head + (k + 1,) + tail, _FORBIDDEN))
+            occupancies.append(k)
+            lowers.append(index[head + (k - 1,) + tail] if k else None)
+        layout.append((tuple(raises), tuple(occupancies), tuple(lowers)))
+    return tuple(layout)
+
+
+@lru_cache(maxsize=None)
 def _symbolic_blocks(n: int, m: int, q: Fraction):
     """Per-site (raise, lower) tables on the bound-(n+1) basis, and their
     shared denominator den = b**(n+2) for Q = a/b.
@@ -149,27 +174,22 @@ def _symbolic_blocks(n: int, m: int, q: Fraction):
     Lowering is 1 and site 0 is bare (see the module doc), so those
     entries are den.  Raising occupancy k at a deformed site is the
     combined (1-Q)^{1/2} b+ element 1 - Q^{k+1}, whose numerator is
-    den - a^{k+1} b^{n+1-k}; k <= n+1 on the extended basis.  The tables
-    are the monodromy's only Q-dependent data, and the phase model reads
-    them at Q = 0.  Index layouts agree between the bound-n and
-    bound-(n+1) bases because sectors enumerate identically.
+    den - a^{k+1} b^{n+1-k}; k <= n+1 on the extended basis.  These n+2
+    numerators are the monodromy's only Q-dependent data, and the phase
+    model reads them at Q = 0; the targets come from ``_site_layout``.
+    Index layouts agree between the bound-n and bound-(n+1) bases
+    because sectors enumerate identically.
     """
     a, b = q.numerator, q.denominator
     den = b ** (n + 2)
     deformed = [den - a ** (k + 1) * b ** (n + 1 - k) for k in range(n + 2)]
-    ext = sector_basis(n + 1, m)
-    index = {occ: i for i, occ in enumerate(ext.states)}
     sites = []
-    for site in range(m + 1):
-        rmap, lmap = [], []
-        for occ in ext.states:
-            k = occ[site]
-            raised = occ[:site] + (k + 1,) + occ[site + 1:]
-            lowered = occ[:site] + (k - 1,) + occ[site + 1:]
-            rmap.append((index.get(raised, _FORBIDDEN),
-                         deformed[k] if site else den))
-            lmap.append((index[lowered], den) if k else None)
-        sites.append((tuple(rmap), tuple(lmap)))
+    for site, (raises, occupancies, lowers) in enumerate(_site_layout(n, m)):
+        coeffs = (map(deformed.__getitem__, occupancies) if site
+                  else repeat(den))
+        sites.append((tuple(zip(raises, coeffs)),
+                      tuple(None if dst is None else (dst, den)
+                            for dst in lowers)))
     return tuple(sites), den
 
 

@@ -33,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import (ZERO, QPoly, h_from_times, jacobi_trudi_box,
+from .algebra_core import (ONE, ZERO, QPoly, h_from_times, jacobi_trudi_box,
                            mat_mul_ring, power_series_div)
 from .miwa import from_points, twist
-from .partitions import Partition, b_lambda, weight
+from .partitions import Partition, b_lambda, multiplicities, weight
 from .phase_model import BoxSpec, scalar_product
 from .symfunc import (as_points, hall_littlewood_evaluator, kostka_tables,
                       q_coeff_list)
@@ -63,7 +64,8 @@ def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
            ) -> Dict[Partition, Fraction]:
     """lam -> the lam-th term of a sum mode, over the whole box.
 
-    Both Hall-Littlewood evaluators are built once per point set, and the
+    Both Hall-Littlewood evaluators are built once per point set, b_lam(Q)
+    is read from one list of Q-factorials evaluated at Q, and the
     Schur-type modes read every s_lam(x) and every y-side value from one
     ``jacobi_trudi_box`` sweep each.  That sweep reads c_0..c_{N+M-1}, so
     the twisted times need support N+M only.  ``sweeps`` maps a generator
@@ -74,7 +76,12 @@ def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
     if mode == "hl_sum":
         px = hall_littlewood_evaluator(xs, q)
         py = hall_littlewood_evaluator(ys, q)
-        return {lam: b_lambda(lam)(q) * px(lam) * py(lam)
+        # phi[r] = (1 - Q)...(1 - Q^r), so b_lam(Q) = prod_i phi[m_i(lam)]
+        phi = [ONE]
+        for r in range(1, box.n + 1):
+            phi.append(phi[-1] * (1 - q ** r))
+        return {lam: prod((phi[c] for c in multiplicities(lam).values()),
+                          start=ONE) * px(lam) * py(lam)
                 for lam in box.partitions()}
     kmax = box.m + box.n
     if mode == "big_schur":

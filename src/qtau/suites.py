@@ -28,8 +28,8 @@ from .phase_model import (BoxSpec, correlation_Am, correlation_Am_power_column,
                           scalar_product, schur_pair_sum_miwa)
 from .qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
                            mode_agreement_report, scalar_product_q)
-from .symfunc import (cauchy_kernel_series, hall_littlewood_eval, hl_series,
-                      kostka_tables, q_coeff_list, schur_eval,
+from .symfunc import (cauchy_kernel_series, hall_littlewood_evaluator,
+                      hl_series, kostka_tables, q_coeff_list, schur_eval,
                       supersymmetric_times, vandermonde, xy_names)
 from .miwa import from_points, twist
 from . import bethe as bethe_mod
@@ -473,10 +473,8 @@ def _suite_oracle_cross(cfg: SuiteConfig, rng: random.Random):
     spec = QBosonSpec(BoxSpec(2, 3), q)
     us = _sample(rng, 2)
     coeffs = oracle.bethe_state("qboson", spec, us)
-    ys = [u * u for u in us]
-    ok = all(
-        c == b_lambda(lam)(q) * hall_littlewood_eval(lam, ys, q)
-        for lam, c in coeffs.items())
+    p_y = hall_littlewood_evaluator([u * u for u in us], q)
+    ok = all(c == b_lambda(lam)(q) * p_y(lam) for lam, c in coeffs.items())
     checks.append(CheckResult(
         "oracle-qboson-string-law", "bethe-state/hl-coefficients",
         ok, "deformed string coefficients are b_lam(Q) * P_lam(y;Q) "

@@ -19,7 +19,11 @@ where psi picks up a factor (1 - Q^{m_j(mu)}) for every column length j
 whose multiplicity grows when the strip is removed.  Evaluated at the
 points, the recursion only multiplies and adds, so P_lam is defined at
 every Q, including the roots of unity where the symmetrization formula
-divides by zero.  Kept symbolic in Q, it gives the P-to-monomial table;
+divides by zero.  It runs on Python ints: with x_i = X_i / L over the
+lcm L of the point denominators and Q = a/b, P_mu(x_1..x_r) is an int
+numerator over L^{|mu|} b^{r(r-1)/2} (the bound is argued at
+``hall_littlewood_evaluator``), and a Fraction is made only for a
+returned value.  Kept symbolic in Q, it gives the P-to-monomial table;
 with every psi weight set to 1 it counts semistandard tableaux, which is
 how the (classical) Kostka numbers are produced.  The tests check all of
 these against independent routes kept in ``tests/``.
@@ -36,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, jacobi_trudi,
@@ -185,44 +189,75 @@ def hall_littlewood_evaluator(xs: Sequence,
                               q) -> Callable[[Partition], Fraction]:
     """lam -> P_lam(x; Q) on one point set, by the branching rule.
 
-    P_mu(x_1..x_r) is memoised by (mu, r) for as long as the returned
-    function lives, so a sum over a box of partitions reuses every value
-    the recursion meets.
+    The recursion runs on Python ints.  Write x_i = X_i / L with L the
+    lcm of the point denominators, and Q = a/b in lowest terms.  Then
+    P_mu(x_1..x_r) is an int numerator V(mu, r) over L^{|mu|} b^{r(r-1)/2}:
+    the strip mu -> lam at level r contributes
+
+        psi_{lam/mu} x_r^{|lam/mu|} P_mu(x_1..x_{r-1})
+          = prod_c (b^c - a^c) b^{r-1-sum c} X_r^{|lam/mu|} V(mu, r-1)
+            / (L^{|lam|} b^{r(r-1)/2}),
+
+    because each 1 - Q^c is (b^c - a^c)/b^c, the weights add up to
+    |lam|, and (r-1)(r-2)/2 + r-1 = r(r-1)/2.  The exponent r-1-sum c is
+    never negative: the c are multiplicities m_j(mu) of distinct parts,
+    so sum c <= l(mu), and only mu with l(mu) < r contribute.  The base
+    cases are V(mu, 1) = X_1^{mu_1} and V((), r) = b^{r(r-1)/2}.  No gcd
+    is taken inside the recursion; each returned value is one Fraction,
+    V(lam, N) / (L^{|lam|} b^{N(N-1)/2}), built when lam is asked for.
+
+    V(mu, r) is memoised by (mu, r) for as long as the returned function
+    lives, so a sum over a box of partitions reuses every value the
+    recursion meets.
     """
     xs = as_points(xs)
     q = Fraction(q)
-    # psi factors 1 - Q^c have c = m_j(mu) <= l(mu) < len(xs)
-    one_minus = [1 - q ** c for c in range(len(xs))]
-    memo: Dict[Tuple[Partition, int], Fraction] = {}
+    n = len(xs)
+    scale = lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (scale // x.denominator) for x in xs]
+    a, b = q.numerator, q.denominator
+    # c = m_j(mu) <= l(mu) < n, and so is r - 1 - sum c
+    one_minus = [b ** c - a ** c for c in range(n)]
+    b_pow = [b ** k for k in range(n)]
+    # psi exponents -> (prod_c (b^c - a^c), sum c)
+    factors: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    memo: Dict[Tuple[Partition, int], int] = {}
 
-    def value(lam: Partition, r: int) -> Fraction:
+    def value(lam: Partition, r: int) -> int:
         if len(lam) > r:
-            return ZERO
+            return 0
         if not lam:
-            return ONE
+            return b ** (r * (r - 1) // 2)
         if r == 1:
-            return xs[0] ** lam[0]
+            return ints[0] ** lam[0]
         key = (lam, r)
-        if key not in memo:
-            x = xs[r - 1]
-            acc = ZERO
+        acc = memo.get(key)
+        if acc is None:
+            x = ints[r - 1]
+            acc = 0
             for mu, size, psi_exps in _strips(lam):
                 # zero terms: l(mu) >= r leaves too few variables for
                 # P_mu, and x^size vanishes at x = 0 unless size = 0
                 if len(mu) >= r or (size and not x):
                     continue
-                psi = prod((one_minus[c] for c in psi_exps), start=ONE)
+                factor = factors.get(psi_exps)
+                if factor is None:
+                    factor = factors[psi_exps] = (
+                        prod(one_minus[c] for c in psi_exps), sum(psi_exps))
+                psi, spent = factor
                 if psi:
-                    acc += psi * x ** size * value(mu, r - 1)
+                    acc += (psi * b_pow[r - 1 - spent] * x ** size
+                            * value(mu, r - 1))
             memo[key] = acc
-        return memo[key]
+        return acc
 
-    return lambda lam: value(normalize(lam), len(xs))
+    den = b ** (n * (n - 1) // 2)
 
+    def evaluate(lam: Partition) -> Fraction:
+        lam = normalize(lam)
+        return Fraction(value(lam, n), scale ** weight(lam) * den)
 
-def hall_littlewood_eval(lam: Partition, xs: Sequence, q) -> Fraction:
-    """P_lam(x; Q) exactly, at every point set and every Q."""
-    return hall_littlewood_evaluator(xs, q)(lam)
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

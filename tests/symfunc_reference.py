@@ -12,6 +12,9 @@ those and are slower or defined on fewer inputs:
   v_lam(Q), so it needs distinct points and v_lam(Q) != 0;
 - ``hl_via_monomials`` contracts a row of ``hl_monomial_table`` with
   ``monomial_eval``;
+- ``hall_littlewood_fraction`` is not an independent route: it is the
+  library's branching rule with a Fraction at every step, the reference
+  for the int numerators of ``hall_littlewood_evaluator``;
 - ``big_schur_matrix`` and ``schur_in_miwa_matrix`` write the deformed
   and time-coordinate Schur determinants out entry by entry;
 - ``det_fraction`` is Gaussian elimination over Fractions, the reference
@@ -27,11 +30,12 @@ those and are slower or defined on fewer inputs:
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 from qtau.algebra_core import ONE, ZERO, h_from_times, power_series_div
 from qtau.partitions import multiplicities, normalize, weight
-from qtau.symfunc import (as_points, hl_monomial_table, q_coeff_list,
-                          vandermonde)
+from qtau.symfunc import (_strips, as_points, hl_monomial_table,
+                          q_coeff_list, vandermonde)
 
 
 def det_fraction(rows) -> Fraction:
@@ -122,6 +126,43 @@ def hl_via_monomials(lam, xs, q) -> Fraction:
     row = hl_monomial_table(weight(lam))[lam]
     return sum((coeff(Fraction(q)) * monomial_eval(mu, xs)
                 for mu, coeff in row.items()), ZERO)
+
+
+def hall_littlewood_fraction(xs, q):
+    """lam -> P_lam(x; Q) by the branching rule, every step a Fraction.
+
+    P_mu(x_1..x_r) is memoised by (mu, r) for as long as the returned
+    function lives.
+    """
+    xs = as_points(xs)
+    q = Fraction(q)
+    # psi factors 1 - Q^c have c = m_j(mu) <= l(mu) < len(xs)
+    one_minus = [1 - q ** c for c in range(len(xs))]
+    memo = {}
+
+    def value(lam, r):
+        if len(lam) > r:
+            return ZERO
+        if not lam:
+            return ONE
+        if r == 1:
+            return xs[0] ** lam[0]
+        key = (lam, r)
+        if key not in memo:
+            x = xs[r - 1]
+            acc = ZERO
+            for mu, size, psi_exps in _strips(lam):
+                # zero terms: l(mu) >= r leaves too few variables for
+                # P_mu, and x^size vanishes at x = 0 unless size = 0
+                if len(mu) >= r or (size and not x):
+                    continue
+                psi = prod((one_minus[c] for c in psi_exps), start=ONE)
+                if psi:
+                    acc += psi * x ** size * value(mu, r - 1)
+            memo[key] = acc
+        return memo[key]
+
+    return lambda lam: value(normalize(lam), len(xs))
 
 
 def _matrix_det(gens, lam) -> Fraction:

@@ -10,7 +10,7 @@ from qtau import fock_oracle as oracle
 from qtau.partitions import b_lambda
 from qtau.phase_model import BoxSpec, correlation_Am, scalar_product
 from qtau.qboson_model import QBosonSpec, scalar_product_q
-from qtau.symfunc import hall_littlewood_eval, schur_eval
+from qtau.symfunc import hall_littlewood_evaluator, schur_eval
 
 
 def test_sector_basis_counts():
@@ -120,9 +120,9 @@ def test_qboson_bethe_state_coefficients():
     ys = [u * u for u in us]
     coeffs = oracle.bethe_state("qboson", spec, us)
     assert list(coeffs) == spec.box.partitions()
+    p_y = hall_littlewood_evaluator(ys, q)
     for lam in spec.box.partitions():
-        expect = b_lambda(lam)(q) * hall_littlewood_eval(lam, ys, q)
-        assert coeffs[lam] == expect
+        assert coeffs[lam] == b_lambda(lam)(q) * p_y(lam)
 
 
 def test_qboson_site_matrix_element():

@@ -10,8 +10,8 @@ from qtau.phase_model import BoxSpec, scalar_product
 from qtau.qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
                                graded_components, mode_agreement_report,
                                scalar_product_q)
-from qtau.symfunc import (hall_littlewood_eval, kostka_tables, q_coeff_list,
-                          schur_eval)
+from qtau.symfunc import (hall_littlewood_evaluator, kostka_tables,
+                          q_coeff_list, schur_eval)
 from qtau.algebra_core import QPoly, jacobi_trudi, jacobi_trudi_box
 
 
@@ -49,11 +49,10 @@ def test_hl_sum_matches_definition():
     xs, ys = [F(1, 2), F(2, 5)], [F(1, 3), F(1, 7)]
     q = F(1, 4)
     spec = QBosonSpec(BoxSpec(2, 2), q)
-    manual = sum(
-        b_lambda(lam)(q)
-        * hall_littlewood_eval(lam, xs, q)
-        * hall_littlewood_eval(lam, ys, q)
-        for lam in spec.box.partitions())
+    px = hall_littlewood_evaluator(xs, q)
+    py = hall_littlewood_evaluator(ys, q)
+    manual = sum(b_lambda(lam)(q) * px(lam) * py(lam)
+                 for lam in spec.box.partitions())
     assert scalar_product_q(xs, ys, spec, mode="hl_sum") == manual
 
 
@@ -162,6 +161,24 @@ def test_mode_report_sweeps_each_generator_list_once(monkeypatch):
                                 spec)
     assert set(rep["values"]) == set(MODES)
     assert len(sweeps) == len(set(sweeps)) == 3
+
+
+def test_hl_sum_builds_no_b_lambda_polynomial(monkeypatch):
+    # hl_sum reads b_lam(Q) from one list of Q-factorials evaluated at Q;
+    # the symbolic b_lambda is for c_tilde_matrix alone
+    from qtau import qboson_model
+
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return b_lambda(lam)
+
+    monkeypatch.setattr(qboson_model, "b_lambda", counted)
+    spec = QBosonSpec(BoxSpec(3, 3), F(-2, 5))
+    scalar_product_q([F(1, 2), F(1, 3), F(0)], [F(2, 7), F(2, 7), F(-1, 5)],
+                     spec, "hl_sum")
+    assert calls == []
 
 
 def test_mode_report_vanishing_denominator():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from qtau.algebra_core import QPoly, h_from_times, jacobi_trudi
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
-from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_eval,
+from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_evaluator,
                           hl_series, homogeneous_list, kostka_tables,
                           kostka_tables_json, q_coeff_list, schur_eval,
                           skew_schur_eval, supersymmetric_times, vandermonde,
@@ -51,22 +51,24 @@ def test_monomial_eval():
 
 def test_hall_littlewood_eval():
     a, b = F(1, 2), F(1, 3)
-    q = F(1, 4)
-    assert hall_littlewood_eval((1,), [a, b], q) == a + b
-    assert hall_littlewood_eval((1, 1), [a, b], q) == a * b
-    assert hall_littlewood_eval((2,), [a, b], F(0)) == a * a + a * b + b * b
+    p = hall_littlewood_evaluator([a, b], F(1, 4))
+    assert p((1,)) == a + b
+    assert p((1, 1)) == a * b
+    assert (hall_littlewood_evaluator([a, b], F(0))((2,))
+            == a * a + a * b + b * b)
     # Q = 0 reduces to Schur for all |lam| <= 4
     ys = [F(2, 5), F(1, 7), F(1, 2)]
+    p = hall_littlewood_evaluator(ys, F(0))
     for d in range(5):
         for lam in partitions_of(d):
-            assert hall_littlewood_eval(lam, ys, F(0)) == schur_eval(lam, ys)
+            assert p(lam) == schur_eval(lam, ys)
 
 
 def test_hall_littlewood_eval_at_q_minus_one():
     # v_(2)(-1) = 0 for three variables, so the symmetrization formula
     # divides by zero here; P_(2)(x; -1) = m_2 + 2 m_11 = (x1+x2+x3)^2
     xs = [F(1, 2), F(1, 3), F(1, 5)]
-    assert hall_littlewood_eval((2,), xs, -1) == F(961, 900)
+    assert hall_littlewood_evaluator(xs, -1)((2,)) == F(961, 900)
 
 
 def test_kostka_tables():
@@ -159,7 +161,7 @@ def test_series_match_point_evaluation():
 
 
 def test_hl_series_consistency():
-    # series coefficients of P_lam match hall_littlewood_eval structure:
+    # series coefficients of P_lam match the evaluator's structure:
     # evaluate the series formally against the monomial expansion
     q = F(1, 3)
     names = ("x1", "x2")

@@ -6,19 +6,22 @@ Points are signed rationals, zero and repeats included; Q is drawn from
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtau.algebra_core import det_rational, h_from_times, jacobi_trudi
 from qtau.miwa import from_points, twist
-from qtau.partitions import contains, partitions_of, weight
-from qtau.symfunc import (hall_littlewood_eval, homogeneous_list,
+from qtau.partitions import b_lambda, contains, partitions_of, weight
+from qtau.phase_model import BoxSpec
+from qtau.qboson_model import QBosonSpec, scalar_product_q
+from qtau.symfunc import (hall_littlewood_evaluator, homogeneous_list,
                           q_coeff_list, schur_eval, skew_schur_eval)
 from symfunc_reference import (big_schur_matrix, det_fraction,
-                               hl_symmetrization, hl_via_monomials,
-                               schur_bialternant, schur_in_miwa_matrix,
-                               v_lambda)
+                               hall_littlewood_fraction, hl_symmetrization,
+                               hl_via_monomials, schur_bialternant,
+                               schur_in_miwa_matrix, v_lambda)
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 QS = st.one_of(st.sampled_from([F(0), F(1), F(-1), F(2)]), RATIONALS)
@@ -41,14 +44,46 @@ SETTINGS = settings(max_examples=30, deadline=None)
 @SETTINGS
 @given(PARTITIONS, points(), QS)
 def test_hall_littlewood_matches_monomial_table(lam, xs, q):
-    assert hall_littlewood_eval(lam, xs, q) == hl_via_monomials(lam, xs, q)
+    assert (hall_littlewood_evaluator(xs, q)(lam)
+            == hl_via_monomials(lam, xs, q))
 
 
 @SETTINGS
 @given(PARTITIONS, DISTINCT_POINTS, QS)
 def test_hall_littlewood_matches_symmetrization(lam, xs, q):
     assume(v_lambda(lam, len(xs), q) != 0)
-    assert hall_littlewood_eval(lam, xs, q) == hl_symmetrization(lam, xs, q)
+    assert (hall_littlewood_evaluator(xs, q)(lam)
+            == hl_symmetrization(lam, xs, q))
+
+
+SHAPES = [lam for d in range(7) for lam in partitions_of(d)]
+
+
+@SETTINGS
+@given(st.one_of(st.just([]), points()), QS)
+def test_hall_littlewood_matches_fraction_branching(xs, q):
+    # every |lam| <= 6, so shapes longer than the point set come up too;
+    # and the evaluator's stated bound: P_lam(x; Q) L^{|lam|} b^{N(N-1)/2}
+    # is an int, for L the lcm of the point denominators and Q = a/b
+    L = lcm(*(F(x).denominator for x in xs))
+    den = F(q).denominator ** (len(xs) * (len(xs) - 1) // 2)
+    p, ref = hall_littlewood_evaluator(xs, q), hall_littlewood_fraction(xs, q)
+    for lam in SHAPES:
+        value = p(lam)
+        assert value == ref(lam)
+        assert (value * L ** weight(lam) * den).denominator == 1
+
+
+@SETTINGS
+@given(points(), points(), st.integers(0, 3), QS)
+def test_hl_sum_matches_fraction_branching(xs, ys, m, q):
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    spec = QBosonSpec(BoxSpec(n, m), q)
+    px, py = hall_littlewood_fraction(xs, q), hall_littlewood_fraction(ys, q)
+    expect = sum((b_lambda(lam)(q) * px(lam) * py(lam)
+                  for lam in spec.box.partitions()), F(0))
+    assert scalar_product_q(xs, ys, spec, "hl_sum") == expect
 
 
 @SETTINGS
