@@ -98,11 +98,6 @@ class QPoly:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        """Degree, with deg 0 = -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -144,14 +139,6 @@ class QPoly:
         return QPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = QPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __call__(self, q) -> Fraction:
         """Evaluate at an exact rational point (Horner)."""

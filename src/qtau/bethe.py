@@ -75,18 +75,13 @@ def _sorted_roots(values) -> Tuple[complex, ...]:
     return tuple(out)
 
 
-def residual(model: str, n: int, m: int, q: float,
-             roots: Sequence[complex]) -> float:
+def residual(m: int, q: float, roots: Sequence[complex]) -> float:
     """Max over i of |y_i^{M+1} - prod_{j != i} (Q y_i - y_j)/(y_i - Q y_j)|.
 
     The phase model is the ratio form at Q = 0.  On the unit circle, where
     solve_phase puts its roots, this agrees to rounding with the residual
     of y_i^{N+M} = (-1)^{N-1} prod_{j != i} y_j.
     """
-    if model == "phase":
-        q = 0.0
-    elif model != "qboson":
-        raise ValueError(f"unknown model {model!r}")
     ys = [complex(z) for z in roots]
     worst = 0.0
     for i, y in enumerate(ys):
@@ -127,7 +122,7 @@ def solve_phase(n: int, m: int,
     thetas = [(math.pi * (n - 1) + total + 2.0 * math.pi * k) / (n + m + 1)
               for k in ks]
     roots = [cmath.exp(1j * t) for t in thetas]
-    res = residual("phase", n, m, 0.0, roots)
+    res = residual(m, 0.0, roots)
     if res > TARGET_RESIDUAL:
         raise ArithmeticError(
             f"closed-form phase roots missed the residual target: {res}")
@@ -220,7 +215,7 @@ def solve_qboson(n: int, m: int, q: complex,
         ys = [y + d for y, d in zip(ys, delta)]
         if max(abs(d) for d in delta) < 1e-13:
             break
-    res = residual("qboson", n, m, q, ys)
+    res = residual(m, q, ys)
     if not res < TARGET_RESIDUAL:
         raise ArithmeticError(
             f"Newton iteration did not converge: residual {res}")

@@ -7,12 +7,14 @@ determinant over Vandermondes, whose entries come from the kernel
 H(z, w) = sum_{k<M+N} (zw)^k, and a partition sum over the box [N, M] --
 and the test suite insists that the routes agree exactly.
 
-Every partition sum reads its Schur values from ``jacobi_trudi_box``:
-s_lam over the whole box are the maximal minors of one N x (N+M) matrix
-[h_{j-i}], so one Laplace sweep per point set replaces an elimination
-per partition.  No determinant route divides by a Vandermonde: each
-takes Newton divided differences of its columns, so coincident points
-are ordinary inputs.
+Every partition sum -- the scalar product, the one-point function and
+the skew pairing -- is one box sum, ``correlation_skew``, which reads
+its Schur values from ``jacobi_trudi_box``: s_{mu/lam} over the whole
+box are the maximal minors of one N x (N+M) matrix [h_{j-i}], so one
+Laplace sweep per point set replaces an elimination per partition.  No
+determinant route divides by a Vandermonde: each lists its columns as
+polynomials in x and hands them to one divided-difference determinant,
+``_newton_det``, so coincident points are ordinary inputs.
 
 A note on the correlation determinant: the route implemented by
 ``correlation_Am(..., mode="det")`` is the Cauchy-Binet compression of
@@ -33,7 +35,7 @@ from .algebra_core import (ONE, ZERO, det_rational, h_from_times, jacobi_trudi,
                            jacobi_trudi_box)
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, normalize, partitions_of, weight)
-from .symfunc import as_points, homogeneous_list, skew_schur_eval
+from .symfunc import PointSet, as_points, homogeneous_list
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,21 @@ class BoxSpec:
         return homogeneous_list(xs, self.m + self.n)
 
 
-def _divided_powers(xs: Sequence[Fraction], kmax: int) -> List[List[Fraction]]:
-    """Row i lists h_0..h_kmax(x_0..x_i), i.e. the divided differences
-    x^(k+i)[x_0..x_i] of the monomials.
+def _newton_det(xs: PointSet, columns: Sequence[Sequence]) -> Fraction:
+    """det[f_j[x_0..x_i]] for f_j(x) = sum_k columns[j][k] x^k.
 
     By Newton, det[f_j(x_i)] = prod_{i<j} (x_j - x_i) * det[f_j[x_0..x_i]],
     which turns a determinant over Delta(x) into one with no division,
-    defined at coincident points.
+    defined at coincident points.  The divided difference of x^k over
+    x_0..x_i is h_{k-i}(x_0..x_i), so row i reads one h-list.
     """
-    return [homogeneous_list(xs[:i + 1], kmax) for i in range(len(xs))]
+    top = max(map(len, columns), default=1) - 1
+    rows = []
+    for i in range(len(xs)):
+        hs = homogeneous_list(xs[:i + 1], top - i)
+        rows.append([sum((col[k] * hs[k - i] for k in range(i, len(col))
+                          if col[k]), ZERO) for col in columns])
+    return det_rational(rows)
 
 
 def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
@@ -71,8 +79,9 @@ def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
     """Off-shell N-particle pairing: det H/(Delta Delta) or the Schur sum.
 
     det divides H(x, y) by both Vandermondes through divided differences:
-    entry (i, j) is sum_k h_{k-i}(x_0..x_i) h_{k-j}(y_0..y_j), and the
-    two Vandermonde signs cancel, so repeated points are ordinary.
+    column j lists the coefficients in x of H(x, y)[y_0..y_j], which are
+    h_{k-j}(y_0..y_j), and the two Vandermonde signs cancel, so repeated
+    points are ordinary.
     """
     xs = as_points(xs)
     ys = as_points(ys)
@@ -80,13 +89,9 @@ def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
         raise ValueError("point sets must both have N entries")
     if mode == "det":
         size = box.m + box.n
-        dx = _divided_powers(xs, size - 1)
-        dy = _divided_powers(ys, size - 1)
-        return det_rational([
-            [sum((dx[i][k - i] * dy[j][k - j]
-                  for k in range(max(i, j), size)), ZERO)
-             for j in range(box.n)]
-            for i in range(box.n)])
+        columns = [[ZERO] * j + homogeneous_list(ys[:j + 1], size - 1 - j)
+                   for j in range(box.n)]
+        return _newton_det(xs, columns)
     if mode == "schur_sum":
         return correlation_skew((), (), xs, ys, box)
     raise ValueError(f"unknown mode {mode!r}")
@@ -121,21 +126,14 @@ def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
     if not 0 <= m <= mm:
         raise ValueError("site index m out of range")
     if mode == "skew_sum":
-        row = (m,) if m else ()
-        sy = jacobi_trudi_box(box.h_list(ys), n, mm, row)
-        sx = jacobi_trudi_box(box.h_list(xs), n, mm)
-        return sum((sy[mu] * sx[mu] for mu in sx), ZERO)
+        return correlation_skew((), (m,), xs, ys, box)
     if mode == "det":
         hs = homogeneous_list(ys, mm + n - 1)
-        dx = _divided_powers(xs, mm + n - 1)
         # column (shift, top) of C is x^shift * sum_{k <= top} h_k(y) x^k
-        columns = [(n - 1 + m, mm - m)] + [(n - j, mm + j - 1)
-                                           for j in range(2, n + 1)]
-        det = det_rational([
-            [sum((hs[k] * dx[i][shift + k - i] for k in range(top + 1)
-                  if shift + k >= i), ZERO)
-             for shift, top in columns]
-            for i in range(n)])
+        shape = [(n - 1 + m, mm - m)] + [(n - j, mm + j - 1)
+                                         for j in range(2, n + 1)]
+        det = _newton_det(xs, [[ZERO] * shift + hs[:top + 1]
+                               for shift, top in shape])
         return -det if n * (n - 1) // 2 % 2 else det
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -162,12 +160,8 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     expo = (mm + n - 1 - 2 * m) // 2
     if expo < 0:
         raise ValueError("site index m too large for the power column")
-    size = mm + n
-    dx = _divided_powers(xs, size - 1)
-    det = det_rational([
-        [sum((y ** k * dx[i][k - i] for k in range(i, size)), ZERO)
-         for y in ys] + [dx[i][expo - i] if expo >= i else ZERO]
-        for i in range(n)])
+    det = _newton_det(xs, [[y ** k for k in range(mm + n)] for y in ys]
+                      + [[ZERO] * expo + [ONE]])
     return -det if n * (n - 1) // 2 % 2 else det
 
 
@@ -175,17 +169,11 @@ def correlation_skew(lam1: Partition, lam2: Partition, xs: Sequence,
                      ys: Sequence, box: BoxSpec) -> Fraction:
     """Two-sided skew pairing sum_mu s_{mu/lam1}(x) s_{mu/lam2}(y).
 
-    mu runs over the box [min(|x|, |y|), M]; terms not containing lam1
-    and lam2 vanish through the skew Schur containment rule.
+    mu runs over the box [N, M]; terms not containing lam1 and lam2
+    vanish through the skew Schur containment rule.
     """
-    lam1 = normalize(lam1)
-    lam2 = normalize(lam2)
-    xs = as_points(xs)
-    ys = as_points(ys)
-    rows = min(len(xs), len(ys))
-    kmax = box.m + rows
-    sx = jacobi_trudi_box(homogeneous_list(xs, kmax), rows, box.m, lam1)
-    sy = jacobi_trudi_box(homogeneous_list(ys, kmax), rows, box.m, lam2)
+    sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m, normalize(lam1))
+    sy = jacobi_trudi_box(box.h_list(ys), box.n, box.m, normalize(lam2))
     return sum((sx[mu] * sy[mu] for mu in sx), ZERO)
 
 
@@ -214,10 +202,11 @@ def factorization_report(lam1: Partition, lam2: Partition, xs: Sequence,
     ys = as_points(ys)
     lhs = correlation_skew(lam1, lam2, xs, ys, box)
     norm = correlation_skew((), (), xs, ys, box)
+    hx = homogeneous_list(xs, weight(lam1))
+    hy = homogeneous_list(ys, weight(lam2))
     meet = tuple(min(a, b) for a, b in zip(lam1, lam2))
-    tail = ZERO
-    for nu in _subpartitions(normalize(meet)):
-        tail += skew_schur_eval(lam1, nu, xs) * skew_schur_eval(lam2, nu, ys)
+    tail = sum((jacobi_trudi(hx, lam1, nu) * jacobi_trudi(hy, lam2, nu)
+                for nu in _subpartitions(normalize(meet))), ZERO)
     rhs = norm * tail
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 

@@ -4,11 +4,11 @@ Everything here is exact, and every quantity has one route.  Schur,
 skew Schur and deformed (big) Schur values are Jacobi-Trudi determinants
 det(c_{lam_i - mu_j - i + j}) over one-row generators -- h_k of the
 points, or the deformed coefficients q_k -- through
-``algebra_core.jacobi_trudi``.  Anything that loops over partitions at
-one point set -- a box sum, or a verification suite running through
-every shape of bounded weight -- builds the generator list once per
-point set (``homogeneous_list``, ``q_coeff_list``, or ``h_from_times``
-of a tuple of times) and calls that helper directly.
+``algebra_core.jacobi_trudi``.  There is no per-shape wrapper: a caller
+builds the generator list once per point set (``homogeneous_list``,
+``q_coeff_list``, or ``h_from_times`` of a tuple of times) and reads
+one shape from ``jacobi_trudi`` or a whole box from
+``algebra_core.jacobi_trudi_box``.
 
 Hall-Littlewood values and the monomial tables both come from the
 horizontal-strip branching rule
@@ -43,11 +43,10 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, jacobi_trudi,
-                           mat_mul_ring)
+from .algebra_core import ONE, ZERO, QPoly, TruncatedSeries, mat_mul_ring
 from .miwa import from_points
-from .partitions import (Partition, contains, multiplicities, normalize,
-                         partitions_of, weight)
+from .partitions import (Partition, multiplicities, normalize, partitions_of,
+                         weight)
 
 PointSet = Tuple[Fraction, ...]
 
@@ -79,26 +78,6 @@ def homogeneous_list(xs: Sequence, kmax: int) -> List[Fraction]:
         for k in range(1, kmax + 1):
             hs[k] += x * hs[k - 1]
     return hs
-
-
-# ---------------------------------------------------------------------------
-# Schur and skew Schur values
-# ---------------------------------------------------------------------------
-
-
-def schur_eval(lam: Partition, xs: Sequence) -> Fraction:
-    """s_lam = det(h_{lam_i - i + j}) on the point set."""
-    lam = normalize(lam)
-    return jacobi_trudi(homogeneous_list(xs, weight(lam)), lam)
-
-
-def skew_schur_eval(lam: Partition, mu: Partition, xs: Sequence) -> Fraction:
-    """s_{lam/mu} = det(h_{lam_i - mu_j - i + j}) on the point set."""
-    lam = normalize(lam)
-    mu = normalize(mu)
-    if not contains(lam, mu):
-        return ZERO
-    return jacobi_trudi(homogeneous_list(xs, weight(lam)), lam, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,21 @@ those and are slower or defined on fewer inputs:
   expands det H(x, delta y) by Cauchy-Binet and divides the two series,
   so both need pairwise-distinct points and Q != 0 unless N = 1;
 - ``power_column_reference`` divides the power-column determinant by
-  the Vandermonde of x, so it needs pairwise-distinct x.
+  the Vandermonde of x, so it needs pairwise-distinct x;
+- ``schur_value`` is not an independent route either: it is the
+  library's one, ``jacobi_trudi`` over ``homogeneous_list``, written
+  once for tests that want a single Schur or skew Schur value.
 """
 
 import itertools
 from fractions import Fraction
 from math import prod
 
-from qtau.algebra_core import ONE, ZERO, h_from_times, power_series_div
+from qtau.algebra_core import (ONE, ZERO, h_from_times, jacobi_trudi,
+                               power_series_div)
 from qtau.partitions import multiplicities, normalize, weight
 from qtau.symfunc import (_strips, as_points, hl_monomial_table,
-                          q_coeff_list, vandermonde)
+                          homogeneous_list, q_coeff_list, vandermonde)
 
 
 def det_fraction(rows) -> Fraction:
@@ -85,6 +89,15 @@ def schur_bialternant(lam, xs) -> Fraction:
     rows = [[xs[i] ** (padded[j] + n - 1 - j) for j in range(n)]
             for i in range(n)]
     return det_fraction(rows) / vandermonde(xs)
+
+
+def schur_value(lam, xs, mu=()) -> Fraction:
+    """s_{lam/mu}(x) by the library route; zero unless mu is inside lam.
+
+    The h-list reaches lam_1 + max(l(lam), l(mu)) - 1, the largest index
+    the Jacobi-Trudi matrix reads, even when mu is not contained in lam.
+    """
+    return jacobi_trudi(homogeneous_list(xs, weight(lam) + len(mu)), lam, mu)
 
 
 def v_lambda(lam, nvars: int, q) -> Fraction:

@@ -36,9 +36,9 @@ def test_phase_residuals():
 
 def test_residual_sensitivity():
     br = solve_phase(2, 2, [0, 1])
-    assert residual("phase", 2, 2, 0.0, br.roots) < 1e-12
+    assert residual(2, 0.0, br.roots) < 1e-12
     bumped = [br.roots[0] + 1e-3, br.roots[1]]
-    assert residual("phase", 2, 2, 0.0, bumped) > 1e-4
+    assert residual(2, 0.0, bumped) > 1e-4
 
 
 def test_product_consistency_relation():
@@ -66,7 +66,7 @@ def test_qboson_continuation():
     for n, m in ((2, 2), (2, 4), (3, 3)):
         br = solve_qboson_continued(n, m, 0.3, list(range(n)))
         assert br.residual < 1e-10
-        assert residual("qboson", n, m, 0.3, br.roots) < 1e-10
+        assert residual(m, 0.3, br.roots) < 1e-10
 
 
 def test_single_particle_any_deformation():
@@ -83,7 +83,7 @@ def test_deformation_beyond_unit_interval():
     for q in (1.0, -0.5):
         br = solve_qboson_continued(2, 3, q, [0, 1])
         assert br.residual < 1e-10
-        assert residual("qboson", 2, 3, q, br.roots) < 1e-10
+        assert residual(3, q, br.roots) < 1e-10
         fine = solve_qboson_continued(2, 3, q, [0, 1], step=0.025)
         for a, b in ((br.roots, fine.roots), (fine.roots, br.roots)):
             assert all(min(abs(z - w) for w in b) < 1e-8 for z in a)
@@ -197,4 +197,4 @@ def test_pole_of_the_scattering_ratio_is_named():
     with pytest.raises(ArithmeticError, match="roots 2 and 3 sit on a pole"):
         solve_qboson_continued(4, 4, -1.0, [0, 1, 2, 3])
     with pytest.raises(ArithmeticError, match="roots 0 and 1 sit on a pole"):
-        residual("qboson", 2, 3, -1.0, [1, -1])
+        residual(3, -1.0, [1, -1])

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtau.fock_oracle import oracle_pairing
-from qtau.phase_model import BoxSpec, correlation_Am, scalar_product
+from qtau.phase_model import (BoxSpec, correlation_Am, correlation_skew,
+                              scalar_product)
 from qtau.qboson_model import QBosonSpec, scalar_product_q
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -45,6 +46,7 @@ def test_insertion_oracle_matches_formulas(data, box):
     value = oracle_pairing("phase", box, xs, ys, insertion=site)
     assert value == correlation_Am(xs, ys, site, box, mode="skew_sum")
     assert value == correlation_Am(xs, ys, site, box, mode="det")
+    assert value == correlation_skew((), (site,), xs, ys, box)
 
 
 @SETTINGS

@@ -7,10 +7,11 @@ kept alive by its test; such a route belongs in the tests (see
 nothing calls is dead code, such as a helper left behind when two paths
 are folded into one.  The check parses ``src/qtau`` and looks for each
 name anywhere in the package outside the definition's own body, the
-re-exports of ``__init__`` excluded.  Dunder methods are exempt: the
-language calls them.  The check goes by name, so a method that shares
-its name with a used one (``coefficient`` on two classes, say) passes
-unseen.
+re-exports of ``__init__`` excluded; a method or property counts only
+attribute uses (``obj.name``), so a local variable of the same name does
+not keep it alive.  Dunder methods are exempt: the language calls them.
+The check goes by name, so a method that shares its name with a used
+one (``coefficient`` on two classes, say) passes unseen.
 """
 
 import ast
@@ -43,21 +44,23 @@ def _private_definitions(tree):
 def _uncalled(definitions, package=PACKAGE):
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    uses = []  # (node id, name) of every name or attribute use
+    uses = []  # (node id, name, is attribute) of every name or attribute use
     for name, tree in trees.items():
         if name == "__init__.py":
             continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.append((id(node), node.id))
+                uses.append((id(node), node.id, False))
             elif isinstance(node, ast.Attribute):
-                uses.append((id(node), node.attr))
+                uses.append((id(node), node.attr, True))
     uncalled = []
     for name, tree in trees.items():
         for qualname, fn in definitions(tree):
             own = {id(node) for node in ast.walk(fn)}
+            method = "." in qualname
             if not any(used == fn.name and key not in own
-                       for key, used in uses):
+                       and (attr or not method)
+                       for key, used, attr in uses):
                 uncalled.append(f"{Path(name).stem}.{qualname}")
     return uncalled
 
