@@ -241,6 +241,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "kostka", "--cutoff", "9")
     assert code == 2 and "desk-scale caps" in err
+    # two spellings of one Q would repeat every per-Q check name
+    code, _, err = run(capsys, "verify", "--suite", "hl-cauchy",
+                       "--q", "1/4,2/8")
+    assert code == 2 and "Q value 1/4 is repeated" in err
     # a zero denominator is a usage error, not a failed comparison
     code, _, err = run(capsys, "scalar", "--n", "1", "--m", "1",
                        "--x", "1/0", "--y", "1/3")

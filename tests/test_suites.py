@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import random
+import types
+from fractions import Fraction
 
 import pytest
 
 from qtau import suites
+from qtau.cli import main
 from qtau.suites import (CheckResult, Report, SuiteConfig, SUITES,
                          _ssyt_count, check_caps, desk_caps, emit_report,
                          run_suite)
@@ -42,6 +46,20 @@ def test_caps_override(monkeypatch):
     monkeypatch.setenv("QTAU_MAX_SIZE", "10")
     assert desk_caps() == (10, 10, 10)
     check_caps(n=9)     # no longer rejected
+
+
+def test_caps_reject_malformed_override(monkeypatch, capsys):
+    monkeypatch.setenv("QTAU_MAX_SIZE", "abc")
+    with pytest.raises(ValueError, match="QTAU_MAX_SIZE must be an integer"):
+        desk_caps()
+    assert main(["kostka", "--cutoff", "2"]) == 2
+    assert "QTAU_MAX_SIZE must be an integer" in capsys.readouterr().err
+
+
+def test_repeated_q_values_rejected():
+    # 2/8 normalises to 1/4, so the per-Q check names would repeat
+    with pytest.raises(ValueError, match="Q value 1/4 is repeated"):
+        SuiteConfig(suite="hl-cauchy", q_values=(Fraction(1, 4), "2/8"))
 
 
 def test_kostka_inverse_failure_is_reported(monkeypatch):
@@ -136,3 +154,66 @@ def test_ssyt_counter():
     assert _ssyt_count((3,), (1, 1, 1)) == 1
     # weight of content must land in the shape for a nonzero count
     assert _ssyt_count((2,), (1, 1)) == 1
+
+
+# every check a wrong det value must fail, at seed 0 of the default config
+DET_DEPENDENT = {
+    "scalar_product": (
+        {f"scalar-det-vs-sum-N{n}-M{m}" for n in range(1, 4)
+         for m in range(1, 5)}
+        | {f"oracle-scalar-N{n}-M{m}" for n in range(1, 4)
+           for m in range(1, 4)}
+        | {f"qmode-q0-reduction-N{n}-M{m}" for n, m in ((1, 2), (2, 2),
+                                                        (2, 3))}
+        | {"scalar-det-at-repeated-points", "corr-skew-empty-equals-scalar"}),
+    "correlation_Am": (
+        {f"corr-Am-three-routes-m{site}" for site in range(4)}
+        | {"oracle-correlation-insertion"}),
+}
+
+
+def _run_all_but_bethe(monkeypatch):
+    """Every check but bethe's at seed 0, with every rng draw recorded."""
+    draws = []
+
+    class Recording(random.Random):
+        def sample(self, population, k):
+            drawn = super().sample(population, k)
+            draws.append(tuple(drawn))
+            return drawn
+
+    monkeypatch.setattr(suites, "random", types.SimpleNamespace(
+        Random=Recording))
+    checks = [c for name in sorted(SUITES) if name != "bethe"
+              for c in run_suite(SuiteConfig(suite=name, seed=0)).checks]
+    return checks, draws
+
+
+@pytest.mark.parametrize("route", sorted(DET_DEPENDENT))
+def test_sampled_checks_fail_on_a_wrong_det(monkeypatch, route):
+    # a folded trial loop over an empty or spent draw list would pass
+    # vacuously; a failing trial must not change any later draw either
+    base, base_draws = _run_all_but_bethe(monkeypatch)
+    real = getattr(suites, route)
+
+    def det_off_by_one(*args, mode):
+        value = real(*args, mode=mode)
+        return value + 1 if mode == "det" else value
+
+    monkeypatch.setattr(suites, route, det_off_by_one)
+    bad, bad_draws = _run_all_but_bethe(monkeypatch)
+    assert {c.name for c in bad if not c.passed} == DET_DEPENDENT[route]
+    assert bad_draws == base_draws
+    assert len(bad) == len(base)
+    changed = [(a.name, a.detail, b.detail) for a, b in zip(base, bad)
+               if (a.name, a.paper_ref, a.detail)
+               != (b.name, b.paper_ref, b.detail)]
+    if route == "correlation_Am":
+        # this check prints the det value at its pinned point
+        assert changed == [("corr-power-column-variant-measured",
+                            "power-column determinant is a distinct "
+                            "quantity: 116965 vs 8626 at a pinned point",
+                            "power-column determinant is a distinct "
+                            "quantity: 116965 vs 8627 at a pinned point")]
+    else:
+        assert changed == []
