@@ -16,17 +16,20 @@ exact:
     construction, so products re-truncate automatically.
 
 The module also carries the small amount of exact linear algebra the
-rest of the package needs (determinants of rational matrices, by
-fraction-free elimination on ints, and power-series division), the
-coefficients h_k(t) of exp(sum_k t_k z^k) that the Miwa-coordinate code
-builds Schur values from, and the one Jacobi-Trudi determinant that
-every Schur-type value is built from.
+rest of the package needs (determinants by fraction-free elimination on
+ints, and power-series division), the coefficients h_k(t) of
+exp(sum_k t_k z^k) that the Miwa-coordinate code builds Schur values
+from, and the one Jacobi-Trudi determinant that every Schur-type value
+is built from.
 
 A box sum needs the Jacobi-Trudi value of every partition in the n x m
 box.  Those are the maximal minors (Pluecker coordinates) of a single
-n x (n+m) matrix of one-row generators, so ``jacobi_trudi_box`` reads
-them all from one division-free Laplace sweep, ``maximal_minors``, in
-which every sub-minor is computed once and shared.
+n x (n+m) matrix of one-row generators, so ``box_minors`` reads them all
+from one division-free Laplace sweep, ``maximal_minors``, in which every
+sub-minor is computed once and shared.  Both kernels hand back ints over
+one scale, as ``det_int`` hands back an int; a Fraction is made only by
+the wrappers that return one (``det_rational``, ``jacobi_trudi``,
+``jacobi_trudi_box``) and by the Fraction carriers and series above.
 """
 
 from __future__ import annotations
@@ -329,7 +332,9 @@ def h_from_times(times: Sequence, kmax: int):
 
 def _cleared_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     """Each row times the lcm of its entries' denominators, as ints, and
-    the product of those lcms."""
+    the product of those lcms; int rows pass through with scale 1."""
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
     scale, out = 1, []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
@@ -338,23 +343,19 @@ def _cleared_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     return out, scale
 
 
-def det_rational(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix of ints and Fractions, exactly.
+def det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix, by fraction-free elimination.
 
-    Fraction-free elimination (Bareiss 1968): each row is scaled by the
-    lcm of its entries' denominators, so the work runs on Python ints.
-    The step a_rc <- (a_kk a_rc - a_rk a_kc) / p, with p the previous
-    pivot, divides exactly, and a zero pivot is swapped with a row
-    below it.  The last pivot is the determinant of the scaled matrix,
-    so the result is one Fraction(sign * last pivot, product of scales).
+    Bareiss (1968): the step a_rc <- (a_kk a_rc - a_rk a_kc) / p, with p
+    the previous pivot, divides exactly, and a zero pivot is swapped with
+    a row below it.  The last pivot is the determinant.
     """
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
     if n == 0:
-        return ONE
-    a, scale = _cleared_rows(rows)
+        return 1
+    a = [list(row) for row in rows]
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
@@ -364,7 +365,7 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
                     sign = -sign
                     break
             else:
-                return ZERO
+                return 0
         pivot_row = a[k]
         pivot = pivot_row[k]
         for r in range(k + 1, n):
@@ -373,7 +374,14 @@ def det_rational(rows: Sequence[Sequence]) -> Fraction:
             for c in range(k + 1, n):
                 row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1]
+
+
+def det_rational(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix of ints and Fractions: ``det_int``
+    of the rows cleared of denominators, over the product of scales."""
+    a, scale = _cleared_rows(rows)
+    return Fraction(det_int(a), scale)
 
 
 def jacobi_trudi(gens: Sequence, lam: Sequence[int],
@@ -396,8 +404,8 @@ def jacobi_trudi(gens: Sequence, lam: Sequence[int],
 
 
 def maximal_minors(
-        rows: Sequence[Sequence]) -> Dict[Tuple[int, ...], Fraction]:
-    """Every maximal minor of an n x K matrix, keyed by its sorted columns.
+        rows: Sequence[Sequence]) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """Every maximal minor of an n x K matrix, as ints over one scale.
 
     One Laplace sweep down the rows: the minors of the first k rows over
     every k-subset of columns extend, along row k, to those of the first
@@ -405,10 +413,10 @@ def maximal_minors(
     minor that contains it.  Only +, - and * are used, and zero entries
     and zero sub-minors are skipped.  Every maximal minor takes exactly
     one entry from each row, so scaling row r by the lcm s_r of its
-    entries' denominators scales every minor by the same s_0 ... s_{n-1};
-    the sweep runs on the scaled rows in Python ints, and each minor is
-    one Fraction(int minor, product of scales).  Subsets whose minor is
-    zero map to 0; an n x K matrix with n > K has no maximal minors.
+    entries' denominators scales every minor by s = s_0 ... s_{n-1}; the
+    sweep runs on the scaled rows in Python ints.  Returns ({cols: D}, s)
+    with minor D / s for every sorted column subset, in ``combinations``
+    order; an n x K matrix with n > K has no maximal minors.
     """
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
@@ -432,43 +440,53 @@ def maximal_minors(
                 acc = grown.get(key)
                 grown[key] = term if acc is None else acc + term
         minors = {cols: v for cols, v in grown.items() if v != 0}
-    return {cols: Fraction(minors.get(cols, 0), scale)
-            for cols in combinations(range(width), len(rows))}
+    return ({cols: minors.get(cols, 0)
+             for cols in combinations(range(width), len(rows))}, scale)
 
 
-def jacobi_trudi_box(gens: Sequence, n: int, m: int, mu: Sequence[int] = ()
-                     ) -> Dict[Tuple[int, ...], Fraction]:
-    """{lam: jacobi_trudi(gens, lam, mu)} for every lam in the n x m box.
+def box_minors(gens: Sequence, den: int, n: int, m: int,
+               mu: Sequence[int] = ()
+               ) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """({lam: D}, s) with jacobi_trudi(c, lam, mu) = D / s over the n x m box.
 
+    The generators are c_k = gens[k] / den^k, with gens ints over a
+    graded denominator (``symfunc.q_coeff_ints``) or any Fractions.
     Every such determinant is a maximal minor of one n x (n+m) matrix:
-    row r = mu_j + n-1-j and column p = lam_i + n-1-i hold c_{p-r}, which
-    is zero for p < r.  So one ``maximal_minors`` sweep gives the whole
-    box.  Padding lam and mu to n parts adds rows whose diagonal entry is
-    c_0, so ``gens`` must start with c_0 = 1, as every one-row generator
-    list does; it needs c_0..c_{n+m-1}.  Keys are partitions as
-    ``partitions.enumerate_in_box`` writes them, every value is 0 when mu
-    has more than n nonzero parts, and the dict's order is not the box
-    order.
+    row r = mu_j + n-1-j and column p = lam_i + n-1-i hold c_{p-r}, zero
+    for p < r.  Row r times den^{n+m-1-r} reads gens[p-r] den^{n+m-1-p},
+    so one ``maximal_minors`` sweep gives the whole box.  Padding lam and
+    mu to n parts adds rows whose diagonal entry is c_0, so ``gens`` must
+    start with c_0 = 1; it needs c_0..c_{n+m-1}.  Keys are partitions as
+    ``partitions.enumerate_in_box`` writes them, in another order, and
+    every value is 0 when mu has more than n nonzero parts.
     """
     if gens[0] != 1:
         raise ValueError("one-row generators must start with c_0 = 1")
     mu = tuple(p for p in mu if p)
+    top = n + m - 1
     if len(mu) <= n:
         mu += (0,) * (n - len(mu))
-        rows = []
+        powers = [den ** k for k in range(n + m)]
+        rows, spent = [], 0
         for t in range(n):
             r = mu[n - 1 - t] + t
-            rows.append([gens[p - r] if p >= r else ZERO
+            rows.append([gens[p - r] * powers[top - p] if p >= r else 0
                          for p in range(n + m)])
-        minors = maximal_minors(rows)
+            spent += max(top - r, 0)  # a row past the last column is zero
+        minors, scale = maximal_minors(rows)
+        scale *= den ** spent
     else:
-        minors = {}
+        minors, scale = dict.fromkeys(combinations(range(n + m), n), 0), 1
     # sorted columns P_0 < ... < P_{n-1} are lam_{n-1-k} + k
-    out = {}
-    for cols in combinations(range(n + m), n):
-        lam = tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k)
-        out[lam] = minors.get(cols, ZERO)
-    return out
+    return ({tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k): v
+             for cols, v in minors.items()}, scale)
+
+
+def jacobi_trudi_box(gens: Sequence, n: int, m: int, mu: Sequence[int] = ()
+                     ) -> Dict[Tuple[int, ...], Fraction]:
+    """{lam: jacobi_trudi(gens, lam, mu)} over the box, from ``box_minors``."""
+    minors, scale = box_minors(gens, 1, n, m, mu)
+    return {lam: Fraction(v, scale) for lam, v in minors.items()}
 
 
 def power_series_div(num: Sequence, den: Sequence, order: int):

@@ -15,6 +15,7 @@ its triangular solves.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Tuple
 
 from .algebra_core import QPoly
@@ -99,14 +100,16 @@ def partitions_of(d: int, max_part: int | None = None,
     return list(rec(d, cap, rows))
 
 
-def enumerate_in_box(n: int, m: int) -> List[Partition]:
-    """All partitions inside the n x m box, graded order (see module doc)."""
+@lru_cache(maxsize=None)
+def enumerate_in_box(n: int, m: int) -> Tuple[Partition, ...]:
+    """All partitions inside the n x m box, graded order (see module doc).
+
+    Built once per (n, m); the tuple is shared by every caller.
+    """
     if n < 0 or m < 0:
         raise ValueError("box dimensions must be nonnegative")
-    out: List[Partition] = []
-    for d in range(n * m + 1):
-        out.extend(partitions_of(d, max_part=m, max_len=n))
-    return out
+    return tuple(lam for d in range(n * m + 1)
+                 for lam in partitions_of(d, max_part=m, max_len=n))
 
 
 def multiplicities(lam: Partition) -> dict:

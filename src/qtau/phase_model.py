@@ -9,12 +9,15 @@ and the test suite insists that the routes agree exactly.
 
 Every partition sum -- the scalar product, the one-point function and
 the skew pairing -- is one box sum, ``correlation_skew``, which reads
-its Schur values from ``jacobi_trudi_box``: s_{mu/lam} over the whole
-box are the maximal minors of one N x (N+M) matrix [h_{j-i}], so one
-Laplace sweep per point set replaces an elimination per partition.  No
+its Schur values from ``box_minors``: s_{mu/lam} over the whole box are
+the maximal minors of one N x (N+M) matrix [h_{j-i}], so one Laplace
+sweep per point set replaces an elimination per partition.  No
 determinant route divides by a Vandermonde: each lists its columns as
 polynomials in x and hands them to one divided-difference determinant,
-``_newton_det``, so coincident points are ordinary inputs.
+``_newton_det``, so coincident points are ordinary inputs.  Both run on
+the int h-lists of ``symfunc.q_coeff_ints``, with one scale per box
+sweep or per determinant row and column, so a pairing makes one
+Fraction, for the value it returns.
 
 A note on the correlation determinant: the route implemented by
 ``correlation_Am(..., mode="det")`` is the Cauchy-Binet compression of
@@ -29,13 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from math import prod
+from typing import Dict, List, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, det_rational, h_from_times, jacobi_trudi,
-                           jacobi_trudi_box)
+from .algebra_core import (ONE, ZERO, box_minors, det_int, det_rational,
+                           h_from_times, jacobi_trudi)
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, normalize, partitions_of, weight)
-from .symfunc import PointSet, as_points, homogeneous_list
+from .symfunc import PointSet, as_points, homogeneous_list, q_coeff_ints
 
 
 @dataclass(frozen=True)
@@ -50,28 +54,35 @@ class BoxSpec:
             raise ValueError("BoxSpec requires nonnegative N and M")
 
     def partitions(self) -> List[Partition]:
-        return enumerate_in_box(self.n, self.m)
-
-    def h_list(self, xs: Sequence) -> List[Fraction]:
-        """h_0..h_{M+N} of a point set: enough for every shape in the box."""
-        return homogeneous_list(xs, self.m + self.n)
+        return list(enumerate_in_box(self.n, self.m))
 
 
-def _newton_det(xs: PointSet, columns: Sequence[Sequence]) -> Fraction:
-    """det[f_j[x_0..x_i]] for f_j(x) = sum_k columns[j][k] x^k.
+def _column(gs: Sequence[int], den: int,
+            shift: int = 0) -> Tuple[List[int], int]:
+    """sum_k gs[k] (x/den)^k times x^shift, as (int coefficients, scale)."""
+    top = len(gs) - 1
+    return ([0] * shift + [g * den ** (top - k) for k, g in enumerate(gs)],
+            den ** top)
+
+
+def _newton_det(xs: PointSet,
+                columns: Sequence[Tuple[Sequence[int], int]]) -> Fraction:
+    """det[f_j[x_0..x_i]] for f_j(x) = sum_k c_k x^k / s, (c, s) = columns[j].
 
     By Newton, det[f_j(x_i)] = prod_{i<j} (x_j - x_i) * det[f_j[x_0..x_i]],
     which turns a determinant over Delta(x) into one with no division,
     defined at coincident points.  The divided difference of x^k over
-    x_0..x_i is h_{k-i}(x_0..x_i), so row i reads one h-list.
+    x_0..x_i is h_{k-i}(x_0..x_i) = H_{k-i} / L^{k-i}, so row i times
+    L^{top-i} reads one int h-list.
     """
-    top = max(map(len, columns), default=1) - 1
-    rows = []
+    top = max((len(col) for col, _ in columns), default=1) - 1
+    rows, den = [], prod(scale for _, scale in columns)
     for i in range(len(xs)):
-        hs = homogeneous_list(xs[:i + 1], top - i)
-        rows.append([sum((col[k] * hs[k - i] for k in range(i, len(col))
-                          if col[k]), ZERO) for col in columns])
-    return det_rational(rows)
+        hs, scale = _column(*q_coeff_ints(xs[:i + 1], 0, top - i))
+        den *= scale
+        rows.append([sum(col[k] * hs[k - i] for k in range(i, len(col))
+                         if col[k]) for col, _ in columns])
+    return Fraction(det_int(rows), den)
 
 
 def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
@@ -89,9 +100,9 @@ def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
         raise ValueError("point sets must both have N entries")
     if mode == "det":
         size = box.m + box.n
-        columns = [[ZERO] * j + homogeneous_list(ys[:j + 1], size - 1 - j)
-                   for j in range(box.n)]
-        return _newton_det(xs, columns)
+        return _newton_det(xs, [
+            _column(*q_coeff_ints(ys[:j + 1], 0, size - 1 - j), j)
+            for j in range(box.n)])
     if mode == "schur_sum":
         return correlation_skew((), (), xs, ys, box)
     raise ValueError(f"unknown mode {mode!r}")
@@ -128,11 +139,11 @@ def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
     if mode == "skew_sum":
         return correlation_skew((), (m,), xs, ys, box)
     if mode == "det":
-        hs = homogeneous_list(ys, mm + n - 1)
+        hs, den = q_coeff_ints(ys, 0, mm + n - 1)
         # column (shift, top) of C is x^shift * sum_{k <= top} h_k(y) x^k
         shape = [(n - 1 + m, mm - m)] + [(n - j, mm + j - 1)
                                          for j in range(2, n + 1)]
-        det = _newton_det(xs, [[ZERO] * shift + hs[:top + 1]
+        det = _newton_det(xs, [_column(hs[:top + 1], den, shift)
                                for shift, top in shape])
         return -det if n * (n - 1) // 2 % 2 else det
     raise ValueError(f"unknown mode {mode!r}")
@@ -160,8 +171,9 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     expo = (mm + n - 1 - 2 * m) // 2
     if expo < 0:
         raise ValueError("site index m too large for the power column")
-    det = _newton_det(xs, [[y ** k for k in range(mm + n)] for y in ys]
-                      + [[ZERO] * expo + [ONE]])
+    det = _newton_det(xs, [_column([y.numerator ** k for k in range(mm + n)],
+                                   y.denominator) for y in ys]
+                      + [_column([1], 1, expo)])
     return -det if n * (n - 1) // 2 % 2 else det
 
 
@@ -172,9 +184,10 @@ def correlation_skew(lam1: Partition, lam2: Partition, xs: Sequence,
     mu runs over the box [N, M]; terms not containing lam1 and lam2
     vanish through the skew Schur containment rule.
     """
-    sx = jacobi_trudi_box(box.h_list(xs), box.n, box.m, normalize(lam1))
-    sy = jacobi_trudi_box(box.h_list(ys), box.n, box.m, normalize(lam2))
-    return sum((sx[mu] * sy[mu] for mu in sx), ZERO)
+    (sx, dx), (sy, dy) = (
+        box_minors(*q_coeff_ints(pts, 0, box.m + box.n), box.n, box.m,
+                   normalize(lam)) for pts, lam in ((xs, lam1), (ys, lam2)))
+    return Fraction(sum(sx[mu] * sy[mu] for mu in sx), dx * dy)
 
 
 def _subpartitions(lam: Partition) -> List[Partition]:

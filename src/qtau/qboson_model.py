@@ -19,7 +19,9 @@ Each sum mode builds one term table lam -> term over the box (``_terms``),
 and ``graded_components`` groups it by |lam|: that is the one path every
 sum mode is read through.  The full value sums the pieces through degree
 N*M, and ``mode_agreement_report`` makes one such call per mode.  The
-Schur-type tables come from ``jacobi_trudi_box``.  The determinant
+Schur-type tables come from ``box_minors``.  Every term is an int over
+a denominator fixed per degree, so a sum mode makes one Fraction per
+graded piece; det_quotient divides Fractions.  The determinant
 quotient Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S
 the phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S
 takes divided differences instead of dividing by Vandermondes, so the
@@ -33,16 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, QPoly, h_from_times, jacobi_trudi_box,
+from .algebra_core import (ZERO, QPoly, box_minors, h_from_times,
                            mat_mul_ring, power_series_div)
 from .miwa import from_points, twist
 from .partitions import Partition, b_lambda, multiplicities, weight
 from .phase_model import BoxSpec, scalar_product
-from .symfunc import (as_points, hall_littlewood_evaluator, kostka_tables,
-                      q_coeff_list)
+from .symfunc import (as_points, hall_littlewood_ints, kostka_tables,
+                      q_coeff_ints)
 
 MODES = ("hl_sum", "det_quotient", "big_schur", "twisted_schur")
 SUM_MODES = ("hl_sum", "big_schur", "twisted_schur")
@@ -60,43 +62,54 @@ class QBosonSpec:
 
 
 def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
-           mode: str, sweeps: Dict[tuple, Dict[Partition, Fraction]]
-           ) -> Dict[Partition, Fraction]:
-    """lam -> the lam-th term of a sum mode, over the whole box.
+           mode: str, sweeps: Dict[tuple, Tuple[Dict[Partition, int], int]]
+           ) -> Tuple[Dict[Partition, int], int, int]:
+    """(lam -> T_lam, base, step), the lam-th term of a sum mode being
+    T_lam / (base * step^|lam|), over the whole box.
 
-    Both Hall-Littlewood evaluators are built once per point set, b_lam(Q)
-    is read from one list of Q-factorials evaluated at Q, and the
-    Schur-type modes read every s_lam(x) and every y-side value from one
-    ``jacobi_trudi_box`` sweep each.  That sweep reads c_0..c_{N+M-1}, so
-    the twisted times need support N+M only.  ``sweeps`` maps a generator
-    tuple to its box table; a caller that shares it across modes sweeps
-    each distinct list once.
+    hl_sum reads P_lam = V(lam) / (L^{|lam|} b^{N(N-1)/2}) on each side
+    (``hall_littlewood_ints``, Q = a/b), and b_lam(Q) is
+    prod_i prod_{j <= m_i} (b^j - a^j) over b^{sum_i m_i(m_i+1)/2}, so
+    over b^{N(N+1)/2}.  The Schur-type modes read s_lam(x) and the y-side
+    values from one ``box_minors`` sweep each, which reads c_0..c_{N+M-1},
+    so the twisted times need support N+M only; they are put over the
+    big_schur denominator, where they are ints.  ``sweeps`` maps a
+    generator list to its box table; a caller that shares it across
+    modes sweeps each distinct list once.
     """
     box, q = spec.box, spec.q
     if mode == "hl_sum":
-        px = hall_littlewood_evaluator(xs, q)
-        py = hall_littlewood_evaluator(ys, q)
-        # phi[r] = (1 - Q)...(1 - Q^r), so b_lam(Q) = prod_i phi[m_i(lam)]
-        phi = [ONE]
+        vx, lx, bx = hall_littlewood_ints(xs, q)
+        vy, ly, by = hall_littlewood_ints(ys, q)
+        a, b = q.numerator, q.denominator
+        top = box.n * (box.n + 1) // 2
+        # phi[r] = (b - a)(b^2 - a^2)...(b^r - a^r)
+        phi = [1]
         for r in range(1, box.n + 1):
-            phi.append(phi[-1] * (1 - q ** r))
-        return {lam: prod((phi[c] for c in multiplicities(lam).values()),
-                          start=ONE) * px(lam) * py(lam)
-                for lam in box.partitions()}
+            phi.append(phi[-1] * (b ** r - a ** r))
+        terms = {}
+        for lam in box.partitions():
+            ms = multiplicities(lam).values()
+            terms[lam] = (prod(phi[c] for c in ms) * vx(lam) * vy(lam)
+                          * b ** (top - sum(c * (c + 1) // 2 for c in ms)))
+        return terms, b ** top * bx * by, lx * ly
     kmax = box.m + box.n
     if mode == "big_schur":
-        gy = q_coeff_list(ys, q, kmax)
+        gy, dy = q_coeff_ints(ys, q, kmax)
     else:
-        gy = h_from_times(twist(from_points(ys, kmax), q), kmax)
+        dy = lcm(*(y.denominator for y in ys)) * q.denominator
+        gy = [c * dy ** k for k, c in enumerate(
+            h_from_times(twist(from_points(ys, kmax), q), kmax))]
 
-    def table(gens):
-        key = tuple(gens)
+    def table(gens, den):
+        key = (tuple(gens), den)
         if key not in sweeps:
-            sweeps[key] = jacobi_trudi_box(key, box.n, box.m)
+            sweeps[key] = box_minors(gens, den, box.n, box.m)
         return sweeps[key]
 
-    sy, sx = table(gy), table(box.h_list(xs))
-    return {lam: sy[lam] * sx[lam] for lam in sx}
+    (sy, scale_y), (sx, scale_x) = (table(gy, dy),
+                                    table(*q_coeff_ints(xs, 0, kmax)))
+    return {lam: sy[lam] * sx[lam] for lam in sx}, scale_x * scale_y, 1
 
 
 def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
@@ -149,12 +162,13 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
                                     for d, c_d in enumerate(c)], degree)
     if mode not in SUM_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    out = [ZERO] * (degree + 1)
-    for lam, term in _terms(xs, ys, spec, mode, sweeps).items():
+    terms, base, step = _terms(xs, ys, spec, mode, sweeps)
+    out = [0] * (degree + 1)
+    for lam, term in terms.items():
         d = weight(lam)
         if d <= degree:
             out[d] += term
-    return out
+    return [Fraction(v, base * step ** d) for d, v in enumerate(out)]
 
 
 def mode_agreement_report(xs: Sequence, ys: Sequence,

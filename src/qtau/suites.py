@@ -35,7 +35,7 @@ from .phase_model import (BoxSpec, correlation_Am, correlation_Am_power_column,
 from .qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
                            mode_agreement_report, scalar_product_q)
 from .symfunc import (cauchy_kernel_series, hall_littlewood_evaluator,
-                      hl_series, kostka_tables, q_coeff_list,
+                      hl_series, homogeneous_list, kostka_tables, q_coeff_list,
                       supersymmetric_times, vandermonde, xy_names)
 from .miwa import from_points, twist
 from . import bethe as bethe_mod
@@ -416,7 +416,8 @@ def _suite_oracle_cross(cfg: SuiteConfig, rng: random.Random):
     [(us,)] = _draws(rng, [(3,)])
     coeffs = oracle.bethe_state("phase", box, us)
     ys = [u * u for u in us]
-    schur = jacobi_trudi_box(box.h_list(ys), box.n, box.m)
+    schur = jacobi_trudi_box(homogeneous_list(ys, box.m + box.n), box.n,
+                             box.m)
     ok = all(c == schur[lam] for lam, c in coeffs.items())
     yield CheckResult(
         "oracle-bethe-coefficients", "bethe-state/schur-coefficients",

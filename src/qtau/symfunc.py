@@ -8,7 +8,8 @@ points, or the deformed coefficients q_k -- through
 builds the generator list once per point set (``homogeneous_list``,
 ``q_coeff_list``, or ``h_from_times`` of a tuple of times) and reads
 one shape from ``jacobi_trudi`` or a whole box from
-``algebra_core.jacobi_trudi_box``.
+``algebra_core.box_minors``.  The point-set lists are ints over powers
+of one denominator (``q_coeff_ints``), which the pairing routes read.
 
 Hall-Littlewood values and the monomial tables both come from the
 horizontal-strip branching rule
@@ -22,10 +23,11 @@ every Q, including the roots of unity where the symmetrization formula
 divides by zero.  It runs on Python ints: with x_i = X_i / L over the
 lcm L of the point denominators and Q = a/b, P_mu(x_1..x_r) is an int
 numerator over L^{|mu|} b^{r(r-1)/2} (the bound is argued at
-``hall_littlewood_evaluator``), and a Fraction is made only for a
-returned value.  Kept symbolic in Q, it gives the P-to-monomial table;
-with every psi weight set to 1 it counts semistandard tableaux, which is
-how the (classical) Kostka numbers are produced.  The tests check all of
+``hall_littlewood_ints``, which the hl_sum route reads), and a Fraction
+is made only for a value the evaluator returns.  Kept symbolic in Q, it
+gives the P-to-monomial table; with every psi weight set to 1 it counts
+semistandard tableaux, which is how the (classical) Kostka numbers are
+produced.  The tests check all of
 these against independent routes kept in ``tests/``.
 
 Kostka-Foulkes matrices are solved from the monomial tables: with
@@ -71,13 +73,8 @@ def vandermonde(xs: Sequence) -> Fraction:
 
 
 def homogeneous_list(xs: Sequence, kmax: int) -> List[Fraction]:
-    """h_0..h_kmax of the point set, by absorbing one geometric factor per point."""
-    xs = as_points(xs)
-    hs = [ONE] + [ZERO] * kmax
-    for x in xs:
-        for k in range(1, kmax + 1):
-            hs[k] += x * hs[k - 1]
-    return hs
+    """h_0..h_kmax of the point set: ``q_coeff_list`` at Q = 0."""
+    return q_coeff_list(xs, 0, kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +161,14 @@ def schur_monomial_table(d: int) -> Dict[Partition, Dict[Partition, int]]:
 # ---------------------------------------------------------------------------
 
 
-def hall_littlewood_evaluator(xs: Sequence,
-                              q) -> Callable[[Partition], Fraction]:
-    """lam -> P_lam(x; Q) on one point set, by the branching rule.
+def hall_littlewood_ints(xs: Sequence, q
+                        ) -> Tuple[Callable[[Partition], int], int, int]:
+    """(V, L, B) with P_lam(x; Q) = V(lam) / (L^{|lam|} B) on one point set.
 
-    The recursion runs on Python ints.  Write x_i = X_i / L with L the
-    lcm of the point denominators, and Q = a/b in lowest terms.  Then
-    P_mu(x_1..x_r) is an int numerator V(mu, r) over L^{|mu|} b^{r(r-1)/2}:
-    the strip mu -> lam at level r contributes
+    lam is normalized.  The branching rule runs on Python ints.  Write
+    x_i = X_i / L with L the lcm of the point denominators, and Q = a/b
+    in lowest terms.  Then P_mu(x_1..x_r) is an int numerator V(mu, r)
+    over L^{|mu|} b^{r(r-1)/2}: the strip mu -> lam at level r contributes
 
         psi_{lam/mu} x_r^{|lam/mu|} P_mu(x_1..x_{r-1})
           = prod_c (b^c - a^c) b^{r-1-sum c} X_r^{|lam/mu|} V(mu, r-1)
@@ -182,8 +179,8 @@ def hall_littlewood_evaluator(xs: Sequence,
     never negative: the c are multiplicities m_j(mu) of distinct parts,
     so sum c <= l(mu), and only mu with l(mu) < r contribute.  The base
     cases are V(mu, 1) = X_1^{mu_1} and V((), r) = b^{r(r-1)/2}.  No gcd
-    is taken inside the recursion; each returned value is one Fraction,
-    V(lam, N) / (L^{|lam|} b^{N(N-1)/2}), built when lam is asked for.
+    is taken inside the recursion; V(lam) is V(lam, N) and B is
+    b^{N(N-1)/2}.
 
     V(mu, r) is memoised by (mu, r) for as long as the returned function
     lives, so a sum over a box of partitions reuses every value the
@@ -230,11 +227,17 @@ def hall_littlewood_evaluator(xs: Sequence,
             memo[key] = acc
         return acc
 
-    den = b ** (n * (n - 1) // 2)
+    return (lambda lam: value(lam, n)), scale, b ** (n * (n - 1) // 2)
+
+
+def hall_littlewood_evaluator(xs: Sequence,
+                              q) -> Callable[[Partition], Fraction]:
+    """lam -> P_lam(x; Q), one Fraction from ``hall_littlewood_ints``."""
+    value, scale, den = hall_littlewood_ints(xs, q)
 
     def evaluate(lam: Partition) -> Fraction:
         lam = normalize(lam)
-        return Fraction(value(lam, n), scale ** weight(lam) * den)
+        return Fraction(value(lam), scale ** weight(lam) * den)
 
     return evaluate
 
@@ -307,18 +310,32 @@ def kostka_tables_json(tables: KostkaTables) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def q_coeff_list(ys: Sequence, q, mmax: int) -> List[Fraction]:
-    """Coefficients q_0..q_mmax of prod_j (1 - Q y_j z)/(1 - y_j z)."""
+def q_coeff_ints(ys: Sequence, q, mmax: int) -> Tuple[List[int], int]:
+    """(G, D) with q_k = G_k / D^k for k <= mmax (see ``q_coeff_list``).
+
+    With y_j = Y_j / L, L the lcm of the point denominators, Q = a/b and
+    z = L b w, each factor is (1 - a Y_j w)/(1 - b Y_j w), so D = L b.
+    """
     ys = as_points(ys)
     q = Fraction(q)
-    cs = [ONE] + [ZERO] * mmax
+    a, b = q.numerator, q.denominator
+    den = lcm(*(y.denominator for y in ys))
+    gs = [1] + [0] * mmax
     for y in ys:
-        qy = q * y
-        for k in range(mmax, 0, -1):
-            cs[k] -= qy * cs[k - 1]
+        y = y.numerator * (den // y.denominator)
+        ay, by = a * y, b * y
+        if ay:
+            for k in range(mmax, 0, -1):
+                gs[k] -= ay * gs[k - 1]
         for k in range(1, mmax + 1):
-            cs[k] += y * cs[k - 1]
-    return cs
+            gs[k] += by * gs[k - 1]
+    return gs, den * b
+
+
+def q_coeff_list(ys: Sequence, q, mmax: int) -> List[Fraction]:
+    """Coefficients q_0..q_mmax of prod_j (1 - Q y_j z)/(1 - y_j z)."""
+    gs, den = q_coeff_ints(ys, q, mmax)
+    return [Fraction(g, den ** k) for k, g in enumerate(gs)]
 
 
 def supersymmetric_times(alpha: Sequence, beta: Sequence,

@@ -99,11 +99,15 @@ def test_jacobi_trudi():
 
 def test_maximal_minors():
     rows = [[F(1), F(2), F(0)], [F(3), F(4), F(1)]]
-    assert maximal_minors(rows) == {(0, 1): -2, (0, 2): 1, (1, 2): 2}
+    assert maximal_minors(rows) == ({(0, 1): -2, (0, 2): 1, (1, 2): 2}, 1)
     square = [[F(1), F(2), F(0)], [F(3), F(4), F(1)], [F(0), F(1), F(2)]]
-    assert maximal_minors(square) == {(0, 1, 2): det_rational(square)}
-    assert maximal_minors([]) == {(): 1}
-    assert maximal_minors([[F(1)], [F(2)]]) == {}
+    assert maximal_minors(square) == ({(0, 1, 2): det_rational(square)}, 1)
+    # each row is cleared by the lcm of its denominators: 2 * 3
+    halves = [[F(1, 2), F(1)], [F(1, 3), F(2, 3)]]
+    assert maximal_minors(halves) == ({(0, 1): 0}, 6)
+    assert maximal_minors([[F(1, 2), F(3)], [1, 5]]) == ({(0, 1): -1}, 2)
+    assert maximal_minors([]) == ({(): 1}, 1)
+    assert maximal_minors([[F(1)], [F(2)]]) == ({}, 1)
 
 
 def test_jacobi_trudi_box():

@@ -45,11 +45,11 @@ def test_frobenius_coordinates():
 
 
 def test_enumerate_in_box():
-    assert enumerate_in_box(0, 5) == [()]
+    assert enumerate_in_box(0, 5) == ((),)
     assert set(enumerate_in_box(2, 2)) == {(), (1,), (2,), (1, 1), (2, 1),
                                            (2, 2)}
     assert len(enumerate_in_box(2, 2)) == math.comb(4, 2) == 6
-    assert enumerate_in_box(1, 4) == [(), (1,), (2,), (3,), (4,)]
+    assert enumerate_in_box(1, 4) == ((), (1,), (2,), (3,), (4,))
     for lam in enumerate_in_box(3, 4):
         assert in_box(lam, 3, 4)
     assert not in_box((5,), 3, 4)

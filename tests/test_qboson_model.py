@@ -12,7 +12,7 @@ from qtau.qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
                                scalar_product_q)
 from qtau.symfunc import (hall_littlewood_evaluator, kostka_tables,
                           q_coeff_list)
-from qtau.algebra_core import QPoly, jacobi_trudi, jacobi_trudi_box
+from qtau.algebra_core import QPoly, box_minors, jacobi_trudi
 from symfunc_reference import schur_value
 
 
@@ -152,11 +152,11 @@ def test_mode_report_sweeps_each_generator_list_once(monkeypatch):
 
     sweeps = []
 
-    def counted(gens, n, m, mu=()):
-        sweeps.append(tuple(gens))
-        return jacobi_trudi_box(gens, n, m, mu)
+    def counted(gens, den, n, m, mu=()):
+        sweeps.append((tuple(gens), den))
+        return box_minors(gens, den, n, m, mu)
 
-    monkeypatch.setattr(qboson_model, "jacobi_trudi_box", counted)
+    monkeypatch.setattr(qboson_model, "box_minors", counted)
     spec = QBosonSpec(BoxSpec(2, 3), F(1, 3))
     rep = mode_agreement_report([F(1, 2), F(1, 3)], [F(1, 5), F(2, 7)],
                                 spec)
