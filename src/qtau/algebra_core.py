@@ -28,8 +28,8 @@ n x (n+m) matrix of one-row generators, so ``box_minors`` reads them all
 from one division-free Laplace sweep, ``maximal_minors``, in which every
 sub-minor is computed once and shared.  Both kernels hand back ints over
 one scale, as ``det_int`` hands back an int; a Fraction is made only by
-the wrappers that return one (``det_rational``, ``jacobi_trudi``,
-``jacobi_trudi_box``) and by the Fraction carriers and series above.
+the wrappers that return one (``det_rational``, ``jacobi_trudi``) and by
+the Fraction carriers and series above.
 """
 
 from __future__ import annotations
@@ -480,13 +480,6 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
     # sorted columns P_0 < ... < P_{n-1} are lam_{n-1-k} + k
     return ({tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k): v
              for cols, v in minors.items()}, scale)
-
-
-def jacobi_trudi_box(gens: Sequence, n: int, m: int, mu: Sequence[int] = ()
-                     ) -> Dict[Tuple[int, ...], Fraction]:
-    """{lam: jacobi_trudi(gens, lam, mu)} over the box, from ``box_minors``."""
-    minors, scale = box_minors(gens, 1, n, m, mu)
-    return {lam: Fraction(v, scale) for lam, v in minors.items()}
 
 
 def power_series_div(num: Sequence, den: Sequence, order: int):

@@ -39,7 +39,7 @@ from .algebra_core import (ONE, ZERO, box_minors, det_int, det_rational,
                            h_from_times, jacobi_trudi)
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, normalize, partitions_of, weight)
-from .symfunc import PointSet, as_points, homogeneous_list, q_coeff_ints
+from .symfunc import PointSet, as_points, q_coeff_ints, q_coeff_list
 
 
 @dataclass(frozen=True)
@@ -190,16 +190,6 @@ def correlation_skew(lam1: Partition, lam2: Partition, xs: Sequence,
     return Fraction(sum(sx[mu] * sy[mu] for mu in sx), dx * dy)
 
 
-def _subpartitions(lam: Partition) -> List[Partition]:
-    out = []
-    for d in range(weight(lam) + 1):
-        for nu in partitions_of(d, max_part=lam[0] if lam else 0,
-                                max_len=len(lam)):
-            if contains(lam, nu):
-                out.append(nu)
-    return out
-
-
 def factorization_report(lam1: Partition, lam2: Partition, xs: Sequence,
                          ys: Sequence, box: BoxSpec) -> Dict[str, object]:
     """Measure whether the skew pairing factors at finite size.
@@ -215,11 +205,12 @@ def factorization_report(lam1: Partition, lam2: Partition, xs: Sequence,
     ys = as_points(ys)
     lhs = correlation_skew(lam1, lam2, xs, ys, box)
     norm = correlation_skew((), (), xs, ys, box)
-    hx = homogeneous_list(xs, weight(lam1))
-    hy = homogeneous_list(ys, weight(lam2))
-    meet = tuple(min(a, b) for a, b in zip(lam1, lam2))
+    hx = q_coeff_list(xs, 0, weight(lam1))
+    hy = q_coeff_list(ys, 0, weight(lam2))
+    meet = normalize(tuple(min(a, b) for a, b in zip(lam1, lam2)))
     tail = sum((jacobi_trudi(hx, lam1, nu) * jacobi_trudi(hy, lam2, nu)
-                for nu in _subpartitions(normalize(meet))), ZERO)
+                for nu in enumerate_in_box(len(meet), max(meet, default=0))
+                if contains(meet, nu)), ZERO)
     rhs = norm * tail
     return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
@@ -298,7 +289,7 @@ def giambelli_check(ys: Sequence, shapes: Sequence[Partition]) -> bool:
     recur across lam.
     """
     shapes = [normalize(lam) for lam in shapes]
-    hs = homogeneous_list(ys, max((weight(lam) for lam in shapes), default=0))
+    hs = q_coeff_list(ys, 0, max((weight(lam) for lam in shapes), default=0))
     values: Dict[Partition, Fraction] = {}
 
     def c(shape: Partition) -> Fraction:

@@ -16,12 +16,11 @@ instead gives a genuinely different box-restricted sum because the
 restriction cuts the two expansions along different axes.
 
 Each sum mode builds one term table lam -> term over the box (``_terms``),
-and ``graded_components`` groups it by |lam|: that is the one path every
-sum mode is read through.  The full value sums the pieces through degree
-N*M, and ``mode_agreement_report`` makes one such call per mode.  The
-Schur-type tables come from ``box_minors``.  Every term is an int over
-a denominator fixed per degree, so a sum mode makes one Fraction per
-graded piece; det_quotient divides Fractions.  The determinant
+and ``_graded_ints`` groups it by |lam|: the one path every sum mode is
+read through.  Every term is an int over a denominator fixed per degree,
+so ``graded_components`` makes one Fraction per graded piece and
+``scalar_product_q`` one for the full value.  The Schur-type tables
+come from ``box_minors``; det_quotient divides Fractions.  The determinant
 quotient Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S
 the phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S
 takes divided differences instead of dividing by Vandermondes, so the
@@ -73,9 +72,10 @@ def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
     over b^{N(N+1)/2}.  The Schur-type modes read s_lam(x) and the y-side
     values from one ``box_minors`` sweep each, which reads c_0..c_{N+M-1},
     so the twisted times need support N+M only; they are put over the
-    big_schur denominator, where they are ints.  ``sweeps`` maps a
-    generator list to its box table; a caller that shares it across
-    modes sweeps each distinct list once.
+    big_schur denominator, where they are int-valued Fractions (an
+    ``int()`` would truncate silently if the identity this mode checks
+    failed).  ``sweeps`` maps a generator list to its box table; a caller
+    that shares it across modes sweeps each distinct list once.
     """
     box, q = spec.box, spec.q
     if mode == "hl_sum":
@@ -125,7 +125,7 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     at any points, and S(x, 0) = 1, so at Q = 0 every mode returns the
     phase-model value.  det_quotient raises ZeroDivisionError only where
     S(x, Qy) = 0.  A sum mode is the sum of its graded pieces through
-    N*M, the largest |lam| in the box.
+    N*M, the largest |lam| in the box, divided once.
     """
     box = spec.box
     if mode == "det_quotient":
@@ -134,7 +134,27 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
         if den == 0:
             raise ZeroDivisionError("denominator determinant vanishes")
         return scalar_product(xs, ys, box, "det") / den
-    return sum(graded_components(xs, ys, spec, mode, box.n * box.m), ZERO)
+    top = box.n * box.m
+    pieces, base, step = _graded_ints(xs, ys, spec, mode, top, {})
+    return Fraction(sum(p * step ** (top - d) for d, p in enumerate(pieces)),
+                    base * step ** top)
+
+
+def _graded_ints(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
+                 degree: int, sweeps: dict) -> Tuple[List, int, int]:
+    """(P, base, step) with P[d] / (base * step^d) the degree-d piece."""
+    xs, ys = as_points(xs), as_points(ys)
+    if len(xs) != spec.box.n or len(ys) != spec.box.n:
+        raise ValueError("point sets must both have N entries")
+    if mode not in SUM_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    terms, base, step = _terms(xs, ys, spec, mode, sweeps)
+    out = [0] * (degree + 1)
+    for lam, term in terms.items():
+        d = weight(lam)
+        if d <= degree:
+            out[d] += term
+    return out, base, step
 
 
 def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
@@ -151,24 +171,13 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     """
     if sweeps is None:
         sweeps = {}
-    xs = as_points(xs)
-    ys = as_points(ys)
-    if len(xs) != spec.box.n or len(ys) != spec.box.n:
-        raise ValueError("point sets must both have N entries")
     if mode == "det_quotient":
         c = graded_components(xs, ys, QBosonSpec(spec.box, 0), "big_schur",
                               degree, sweeps)
         return power_series_div(c, [spec.q ** d * c_d
                                     for d, c_d in enumerate(c)], degree)
-    if mode not in SUM_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    terms, base, step = _terms(xs, ys, spec, mode, sweeps)
-    out = [0] * (degree + 1)
-    for lam, term in terms.items():
-        d = weight(lam)
-        if d <= degree:
-            out[d] += term
-    return [Fraction(v, base * step ** d) for d, v in enumerate(out)]
+    pieces, base, step = _graded_ints(xs, ys, spec, mode, degree, sweeps)
+    return [Fraction(p, base * step ** d) for d, p in enumerate(pieces)]
 
 
 def mode_agreement_report(xs: Sequence, ys: Sequence,

@@ -5,11 +5,12 @@ skew Schur and deformed (big) Schur values are Jacobi-Trudi determinants
 det(c_{lam_i - mu_j - i + j}) over one-row generators -- h_k of the
 points, or the deformed coefficients q_k -- through
 ``algebra_core.jacobi_trudi``.  There is no per-shape wrapper: a caller
-builds the generator list once per point set (``homogeneous_list``,
-``q_coeff_list``, or ``h_from_times`` of a tuple of times) and reads
+builds the generator list once per point set (``q_coeff_list``, which is
+the h-list at Q = 0, or ``h_from_times`` of a tuple of times) and reads
 one shape from ``jacobi_trudi`` or a whole box from
 ``algebra_core.box_minors``.  The point-set lists are ints over powers
-of one denominator (``q_coeff_ints``), which the pairing routes read.
+of one denominator (``q_coeff_ints``), which the pairing routes read;
+they read Fraction points and an int or Fraction Q as they are.
 
 Hall-Littlewood values and the monomial tables both come from the
 horizontal-strip branching rule
@@ -54,7 +55,14 @@ PointSet = Tuple[Fraction, ...]
 
 
 def as_points(xs: Sequence) -> PointSet:
-    return tuple(Fraction(x) for x in xs)
+    """The points as Fractions; a Fraction is kept as it is."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
+
+
+def _num_den(q) -> Tuple[int, int]:
+    """Q = a/b in lowest terms; an int or a Fraction is read directly."""
+    q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+    return q.numerator, q.denominator
 
 
 def vandermonde(xs: Sequence) -> Fraction:
@@ -65,16 +73,6 @@ def vandermonde(xs: Sequence) -> Fraction:
         for j in range(i + 1, len(xs)):
             acc *= xs[i] - xs[j]
     return acc
-
-
-# ---------------------------------------------------------------------------
-# classical one-row bases
-# ---------------------------------------------------------------------------
-
-
-def homogeneous_list(xs: Sequence, kmax: int) -> List[Fraction]:
-    """h_0..h_kmax of the point set: ``q_coeff_list`` at Q = 0."""
-    return q_coeff_list(xs, 0, kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +185,10 @@ def hall_littlewood_ints(xs: Sequence, q
     recursion meets.
     """
     xs = as_points(xs)
-    q = Fraction(q)
+    a, b = _num_den(q)
     n = len(xs)
     scale = lcm(*(x.denominator for x in xs))
     ints = [x.numerator * (scale // x.denominator) for x in xs]
-    a, b = q.numerator, q.denominator
     # c = m_j(mu) <= l(mu) < n, and so is r - 1 - sum c
     one_minus = [b ** c - a ** c for c in range(n)]
     b_pow = [b ** k for k in range(n)]
@@ -317,8 +314,7 @@ def q_coeff_ints(ys: Sequence, q, mmax: int) -> Tuple[List[int], int]:
     z = L b w, each factor is (1 - a Y_j w)/(1 - b Y_j w), so D = L b.
     """
     ys = as_points(ys)
-    q = Fraction(q)
-    a, b = q.numerator, q.denominator
+    a, b = _num_den(q)
     den = lcm(*(y.denominator for y in ys))
     gs = [1] + [0] * mmax
     for y in ys:

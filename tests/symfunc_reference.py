@@ -27,7 +27,8 @@ those and are slower or defined on fewer inputs:
 - ``power_column_reference`` divides the power-column determinant by
   the Vandermonde of x, so it needs pairwise-distinct x;
 - ``schur_value`` is not an independent route either: it is the
-  library's one, ``jacobi_trudi`` over ``homogeneous_list``, written
+  library's one, ``jacobi_trudi`` over the h-list ``q_coeff_list`` at
+  Q = 0, written
   once for tests that want a single Schur or skew Schur value.
 """
 
@@ -39,7 +40,7 @@ from qtau.algebra_core import (ONE, ZERO, h_from_times, jacobi_trudi,
                                power_series_div)
 from qtau.partitions import multiplicities, normalize, weight
 from qtau.symfunc import (_strips, as_points, hl_monomial_table,
-                          homogeneous_list, q_coeff_list, vandermonde)
+                          q_coeff_list, vandermonde)
 
 
 def det_fraction(rows) -> Fraction:
@@ -97,7 +98,7 @@ def schur_value(lam, xs, mu=()) -> Fraction:
     The h-list reaches lam_1 + max(l(lam), l(mu)) - 1, the largest index
     the Jacobi-Trudi matrix reads, even when mu is not contained in lam.
     """
-    return jacobi_trudi(homogeneous_list(xs, weight(lam) + len(mu)), lam, mu)
+    return jacobi_trudi(q_coeff_list(xs, 0, weight(lam) + len(mu)), lam, mu)
 
 
 def v_lambda(lam, nvars: int, q) -> Fraction:

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from qtau.algebra_core import (QPoly, TruncatedSeries, det_rational,
-                               format_rational, h_from_times, jacobi_trudi,
-                               jacobi_trudi_box, mat_mul_ring, maximal_minors,
+from qtau.algebra_core import (QPoly, TruncatedSeries, box_minors,
+                               det_rational, format_rational, h_from_times,
+                               jacobi_trudi, mat_mul_ring, maximal_minors,
                                parse_rational, power_series_div)
 from qtau.miwa import from_points
+from qtau.symfunc import q_coeff_list
 
 
 def test_parse_format_round_trip():
@@ -69,13 +70,12 @@ def test_series_mismatched_variables():
 
 
 def test_h_from_times_matches_points():
-    from qtau.symfunc import homogeneous_list
     # exp(z) = 1 + z + z^2/2 + z^3/6
     assert h_from_times([F(1), F(0), F(0)], 3) == [1, 1, F(1, 2), F(1, 6)]
     assert h_from_times([], 2) == [1, 0, 0]
     pts = [F(1, 2), F(1, 3), F(2, 5)]
     times = from_points(pts, 5)
-    assert h_from_times(times, 5) == homogeneous_list(pts, 5)
+    assert h_from_times(times, 5) == q_coeff_list(pts, 0, 5)
 
 
 def test_det_rational():
@@ -85,9 +85,8 @@ def test_det_rational():
 
 
 def test_jacobi_trudi():
-    from qtau.symfunc import homogeneous_list
     a, b = F(1, 2), F(1, 3)
-    hs = homogeneous_list([a, b], 4)
+    hs = q_coeff_list([a, b], 0, 4)
     assert jacobi_trudi(hs, ()) == 1
     assert jacobi_trudi(hs, (2, 1)) == a * b * (a + b)
     assert jacobi_trudi(hs, (1, 1, 1)) == 0
@@ -110,14 +109,21 @@ def test_maximal_minors():
     assert maximal_minors([[F(1)], [F(2)]]) == ({}, 1)
 
 
-def test_jacobi_trudi_box():
+def test_box_minors():
     a, b = F(1, 2), F(1, 3)
     hs = [F(1), a + b, a * a + a * b + b * b,
           a ** 3 + a * a * b + a * b * b + b ** 3]
-    table = jacobi_trudi_box(hs, 2, 1)
-    assert table == {(): 1, (1,): a + b, (1, 1): a * b}
-    assert jacobi_trudi_box(hs, 2, 1, (1,)) == {(): 0, (1,): 1, (1, 1): a + b}
-    assert jacobi_trudi_box(hs, 1, 2, (1, 1)) == {(): 0, (1,): 0, (2,): 0}
+
+    def table(*shape):
+        minors, scale = box_minors(hs, 1, *shape)
+        return {lam: F(v, scale) for lam, v in minors.items()}
+
+    assert table(2, 1) == {(): 1, (1,): a + b, (1, 1): a * b}
+    assert table(2, 1, (1,)) == {(): 0, (1,): 1, (1, 1): a + b}
+    assert table(1, 2, (1, 1)) == {(): 0, (1,): 0, (2,): 0}
+    # int generators: h_k(1/2, 1/3) = [1, 5, 19, 65][k] / 6^k
+    assert box_minors([1, 5, 19, 65], 6, 2, 1) == (
+        {(): 216, (1,): 180, (1, 1): 36}, 216)
 
 
 def test_power_series_div():

@@ -34,6 +34,14 @@ def test_monodromy_grading():
         oracle.build_monodromy("phase", BoxSpec(2, 2), F(0))
 
 
+def test_reduced_guards_the_sector():
+    basis = oracle.sector_basis(2, 2)
+    one, two = basis.sector_indices(1)[0], basis.sector_indices(2)[0]
+    assert oracle._reduced({one: 4}, 6, basis, 1) == ({one: 2}, 3)
+    with pytest.raises(AssertionError, match="not pure in particle number"):
+        oracle._reduced({one: 4, two: 2}, 6, basis, 1)
+
+
 def _vacuum_column(ops):
     """The source-sector-0 column of a graded block list, keyed by target."""
     op = next(op for op in ops if op.source == 0)

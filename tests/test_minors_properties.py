@@ -1,8 +1,8 @@
 """Property tests: the one-sweep minor kernel and the divided-difference
 determinants against references.
 
-``maximal_minors`` and ``jacobi_trudi_box`` replace one Gaussian
-elimination per partition; each is compared here with ``det_rational``
+``maximal_minors`` and ``box_minors`` replace one Gaussian elimination
+per partition; each is compared here with ``det_rational``
 on signed, zero and repeated inputs, and the sweep, which runs on rows
 cleared of denominators, on rows that mix ints with Fractions of large
 denominators.  The determinant quotient and the
@@ -20,13 +20,13 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtau.algebra_core import (det_rational, jacobi_trudi, jacobi_trudi_box,
+from qtau.algebra_core import (box_minors, det_rational, jacobi_trudi,
                                maximal_minors)
 from qtau.partitions import enumerate_in_box
 from qtau.phase_model import BoxSpec, correlation_Am_power_column
 from qtau.qboson_model import (QBosonSpec, graded_components,
                                scalar_product_q)
-from qtau.symfunc import homogeneous_list, q_coeff_list
+from qtau.symfunc import q_coeff_ints, q_coeff_list
 
 from symfunc_reference import (det_quotient_components_reference,
                                det_quotient_reference, power_column_reference)
@@ -77,20 +77,19 @@ def test_maximal_minors_match_elimination(rows):
 @SETTINGS
 @given(st.data(), st.integers(0, 4), st.integers(0, 5),
        st.sampled_from(["h", "q"]))
-def test_jacobi_trudi_box_matches_single_values(data, n, m, kind):
+def test_box_minors_match_single_values(data, n, m, kind):
     pts = data.draw(points(data.draw(st.integers(0, 4))))
-    if kind == "h":
-        gens = homogeneous_list(pts, n + m)
-    else:
+    q = F(0)
+    if kind == "q":
         q = data.draw(st.one_of(st.sampled_from([F(0), F(1), F(-1)]),
                                 RATIONALS))
-        gens = q_coeff_list(pts, q, n + m)
+    gens = q_coeff_list(pts, q, n + m)
     for mu in ((), (m,), (1,) * (n + 1)):
-        table = jacobi_trudi_box(gens, n, m, mu)
+        table, scale = box_minors(*q_coeff_ints(pts, q, n + m), n, m, mu)
         box = enumerate_in_box(n, m)
         assert sorted(table) == sorted(box)
         for lam in box:
-            assert table[lam] == jacobi_trudi(gens, lam, mu)
+            assert F(table[lam], scale) == jacobi_trudi(gens, lam, mu)
 
 
 def _distinct(pts):

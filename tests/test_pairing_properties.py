@@ -6,11 +6,14 @@ compared here with the same algorithm written on Fractions
 (``pairing_reference``): h-lists and deformed coefficients, the box
 sweep and the box sums, the scalar-product determinant, the correlation
 determinant and its power-column variant, and the graded pieces of the
-sum modes.  Points are signed, zero and repeated, with small and large
+sum modes, and a sum mode's full value, divided once, with the sum of
+its pieces.  Points are signed, zero and repeated, with small and large
 denominators; N runs from 0, the correlation routes take N = 1 with an
-empty y set, and Q takes 0, 1, -1, 2, -3/7 and 5/3.  A last test counts
-the Fractions two box-sum routes make, so that per-term Fractions do
-not come back.
+empty y set, and Q takes 0, 1, -1, 2, -3/7 and 5/3.  Int points and an
+int Q read as the equal Fractions, and "p/q" strings are still accepted.
+A last test counts the Fractions each route makes: one for an input
+that is not already a Fraction and one for the value it returns, so
+that per-term and per-layer Fractions do not come back.
 """
 
 import sys
@@ -19,12 +22,15 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtau.algebra_core import box_minors, jacobi_trudi_box
+from qtau.algebra_core import box_minors
+from qtau.partitions import enumerate_in_box
 from qtau.phase_model import (BoxSpec, correlation_Am,
                               correlation_Am_power_column, correlation_skew,
                               scalar_product)
-from qtau.qboson_model import QBosonSpec, graded_components
-from qtau.symfunc import homogeneous_list, q_coeff_ints, q_coeff_list
+from qtau.qboson_model import (SUM_MODES, QBosonSpec, graded_components,
+                               scalar_product_q)
+from qtau.symfunc import (hall_littlewood_evaluator, hall_littlewood_ints,
+                          q_coeff_ints, q_coeff_list)
 
 from pairing_reference import (correlation_Am_det_fraction,
                                correlation_skew_fraction,
@@ -52,7 +58,7 @@ def points(draw, size):
 @given(st.data(), st.integers(0, 4), st.integers(0, 9), QS)
 def test_generator_lists_match_fraction_recurrence(data, size, kmax, q):
     pts = data.draw(points(size))
-    assert homogeneous_list(pts, kmax) == homogeneous_fraction(pts, kmax)
+    assert q_coeff_list(pts, 0, kmax) == homogeneous_fraction(pts, kmax)
     assert q_coeff_list(pts, q, kmax) == q_coeff_fraction(pts, q, kmax)
     gs, den = q_coeff_ints(pts, q, kmax)
     assert all(type(g) is int for g in gs) and type(den) is int
@@ -71,8 +77,9 @@ def test_box_sweep_matches_fraction_sweep(data, n, m, q):
         minors, scale = box_minors(gens, den, n, m, mu)
         assert all(type(v) is int for v in minors.values())
         assert {lam: F(v, scale) for lam, v in minors.items()} == expect
-        assert jacobi_trudi_box(q_coeff_list(pts, q, n + m), n, m,
-                                mu) == expect
+        # Fraction generators over den = 1 are cleared row by row
+        minors, scale = box_minors(q_coeff_list(pts, q, n + m), 1, n, m, mu)
+        assert {lam: F(v, scale) for lam, v in minors.items()} == expect
 
 
 @SETTINGS
@@ -123,6 +130,48 @@ def test_graded_pieces_match_fraction_terms(data, n, m, q, mode):
             == graded_components_fraction(xs, ys, spec, mode, degree))
 
 
+@SETTINGS
+@given(st.data(), st.integers(0, 3), st.integers(0, 3), QS,
+       st.sampled_from(SUM_MODES))
+def test_sum_mode_value_is_sum_of_pieces(data, n, m, q, mode):
+    spec = QBosonSpec(BoxSpec(n, m), q)
+    xs, ys = data.draw(points(n)), data.draw(points(n))
+    assert scalar_product_q(xs, ys, spec, mode) == sum(
+        graded_components(xs, ys, spec, mode, n * m))
+
+
+@SETTINGS
+@given(st.lists(st.integers(-4, 4), max_size=4), st.integers(-3, 3),
+       st.integers(0, 6))
+def test_int_inputs_read_as_fractions(ints, q, kmax):
+    fracs = [F(v) for v in ints]
+    assert q_coeff_ints(ints, q, kmax) == q_coeff_ints(fracs, F(q), kmax)
+    v_int, *rest_int = hall_littlewood_ints(ints, q)
+    v_frac, *rest_frac = hall_littlewood_ints(fracs, F(q))
+    assert rest_int == rest_frac
+    for lam in enumerate_in_box(len(ints), 3):
+        assert v_int(lam) == v_frac(lam)
+
+
+def test_public_routes_accept_rational_strings():
+    box = BoxSpec(2, 2)
+    xs, ys, q = ["1/2", "-1/3"], ["2/5", "0"], "-3/7"
+    fx, fy, fq = [F(v) for v in xs], [F(v) for v in ys], F(q)
+    for mode in ("det", "schur_sum"):
+        assert (scalar_product(xs, ys, box, mode)
+                == scalar_product(fx, fy, box, mode))
+    for mode in ("det", "skew_sum"):
+        assert (correlation_Am(xs, ys[:1], 1, box, mode)
+                == correlation_Am(fx, fy[:1], 1, box, mode))
+    for mode in ("hl_sum", "det_quotient", "big_schur", "twisted_schur"):
+        assert (scalar_product_q(xs, ys, QBosonSpec(box, q), mode)
+                == scalar_product_q(fx, fy, QBosonSpec(box, fq), mode))
+    assert q_coeff_list(ys, q, 4) == q_coeff_list(fy, fq, 4)
+    assert q_coeff_ints(ys, q, 4) == q_coeff_ints(fy, fq, 4)
+    assert (hall_littlewood_evaluator(xs, q)((2, 1))
+            == hall_littlewood_evaluator(fx, fq)((2, 1)))
+
+
 def _fractions_made(route) -> int:
     """How many Fractions route() makes, counted at Fraction.__new__.
 
@@ -149,14 +198,32 @@ def _fractions_made(route) -> int:
 
 def test_box_sums_make_one_fraction_per_value():
     # a (3, 3) box has 20 partitions and its hl_sum 10 graded pieces.
-    # The routes make 15 and 24 Fractions: the points are read as
-    # Fractions twice a side (at the route and at its generator list),
-    # then Q, then one per returned value.  One Fraction per term would
-    # add at least 20 to either count.
+    # Points that are Fractions and Q are read as they are, so a route
+    # makes one Fraction, for the value it returns.  The correlation
+    # determinants make a second when they flip its sign; det_quotient
+    # makes the three Q*y, its two determinants and their quotient; and
+    # graded_components makes one per piece.  One Fraction per term would
+    # add at least 20 to any count.
     box = BoxSpec(3, 3)
     xs, ys = [F(1, 2), F(-1, 3), F(2, 5)], [F(1, 5), F(2, 7), F(0)]
-    assert _fractions_made(
-        lambda: scalar_product(xs, ys, box, "schur_sum")) <= 18
     spec = QBosonSpec(box, F(-3, 7))
-    assert _fractions_made(
-        lambda: graded_components(xs, ys, spec, "hl_sum", 9)) <= 28
+    counts = {
+        "schur_sum": (lambda: scalar_product(xs, ys, box, "schur_sum"), 1),
+        "det": (lambda: scalar_product(xs, ys, box, "det"), 1),
+        "skew_sum": (
+            lambda: correlation_Am(xs, ys[:2], 1, box, "skew_sum"), 1),
+        "correlation det": (
+            lambda: correlation_Am(xs, ys[:2], 1, box, "det"), 2),
+        "power column": (lambda: correlation_Am_power_column(
+            xs, ys[:2], 1, BoxSpec(3, 4)), 2),
+        "hl_sum": (lambda: scalar_product_q(xs, ys, spec, "hl_sum"), 1),
+        "big_schur": (lambda: scalar_product_q(xs, ys, spec, "big_schur"),
+                      1),
+        "det_quotient": (
+            lambda: scalar_product_q(xs, ys, spec, "det_quotient"), 6),
+        "hl_sum pieces": (
+            lambda: graded_components(xs, ys, spec, "hl_sum", 9), 10),
+    }
+    assert {name: _fractions_made(route)
+            for name, (route, _) in counts.items()} == {
+        name: made for name, (_, made) in counts.items()}

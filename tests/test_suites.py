@@ -92,6 +92,24 @@ def test_corr_skew_vacuum_check_can_fail(monkeypatch):
         "corr-skew-empty-equals-scalar"]
 
 
+def test_grading_check_reads_the_oracle_sector_guard(monkeypatch):
+    # build_monodromy writes each block's sector labels itself, so the
+    # check reads the oracle's own guard: an AssertionError raised when
+    # a block leaves its sector fails this one check and nothing else
+    clean = run_suite(SuiteConfig(suite="oracle-cross", seed=0))
+
+    def impure(*args):
+        raise AssertionError("result is not pure in particle number")
+
+    monkeypatch.setattr(suites.oracle, "build_monodromy", impure)
+    report = run_suite(SuiteConfig(suite="oracle-cross", seed=0))
+    assert clean.all_pass
+    assert [c.name for c in report.checks if not c.passed] == [
+        "oracle-grading-structure"]
+    assert ([(c.name, c.paper_ref, c.detail) for c in report.checks]
+            == [(c.name, c.paper_ref, c.detail) for c in clean.checks])
+
+
 def test_supersym_builds_one_generator_list_per_route(monkeypatch):
     # every shape of a trial reads the same three generator lists
     calls = {"h_from_times": 0, "q_coeff_list": 0}

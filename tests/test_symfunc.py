@@ -6,8 +6,8 @@ from qtau.algebra_core import QPoly, h_from_times, jacobi_trudi
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
 from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_evaluator,
-                          hl_series, homogeneous_list, kostka_tables,
-                          kostka_tables_json, q_coeff_list,
+                          hl_series, kostka_tables, kostka_tables_json,
+                          q_coeff_list,
                           supersymmetric_times, vandermonde, xy_names)
 from symfunc_reference import monomial_eval, schur_bialternant, schur_value
 
@@ -109,9 +109,9 @@ def test_q_coeff_list():
     a = F(2, 3)
     q = F(1, 5)
     assert q_coeff_list([a], q, 1) == [1, (1 - q) * a]
-    xs = [F(1, 2), F(1, 7)]
-    for m in range(4):
-        assert q_coeff_list(xs, F(0), m) == homogeneous_list(xs, m)
+    # at Q = 0 the coefficients are h_k of the points
+    a, b = F(1, 2), F(1, 7)
+    assert q_coeff_list([a, b], 0, 2) == [1, a + b, a * a + a * b + b * b]
 
 
 def test_big_schur_eval():
@@ -168,4 +168,4 @@ def test_hl_series_consistency():
     # P_(2)(x; Q) = m_(2) + (1-Q) m_(11)
     assert s.terms[(2, 0)] == 1
     assert s.terms[(1, 1)] == 1 - q
-    assert homogeneous_list([F(1, 2)], 2)[2] == F(1, 4)
+    assert q_coeff_list([F(1, 2)], 0, 2)[2] == F(1, 4)

@@ -16,8 +16,7 @@ from qtau.miwa import from_points, twist
 from qtau.partitions import b_lambda, contains, partitions_of, weight
 from qtau.phase_model import BoxSpec
 from qtau.qboson_model import QBosonSpec, scalar_product_q
-from qtau.symfunc import (hall_littlewood_evaluator, homogeneous_list,
-                          q_coeff_list)
+from qtau.symfunc import hall_littlewood_evaluator, q_coeff_list
 from symfunc_reference import (big_schur_matrix, det_fraction,
                                hall_littlewood_fraction, hl_symmetrization,
                                hl_via_monomials, schur_bialternant,
@@ -105,7 +104,7 @@ def test_skew_schur_branching(lam, xs, ys):
 @given(PARTITIONS, PARTITIONS, points())
 def test_jacobi_trudi_vanishes_off_containment(lam, mu, ys):
     assume(not contains(lam, mu))
-    hs = homogeneous_list(ys, weight(lam) + weight(mu))
+    hs = q_coeff_list(ys, 0, weight(lam) + weight(mu))
     assert jacobi_trudi(hs, lam, mu) == 0
 
 
