@@ -196,7 +196,7 @@ def _cmd_kostka(args) -> int:
 
 def _cmd_verify(args) -> int:
     kwargs = dict(suite=args.suite, seed=args.seed, trials=args.trials)
-    if args.q:
+    if args.q is not None:
         kwargs["q_values"] = tuple(_points(args.q))
     report = run_suite(SuiteConfig(**kwargs))
     _write_out(emit_report(report, fmt=args.format), args.out)

@@ -15,18 +15,18 @@ the exact identity the tests pin down; putting the deformation on x
 instead gives a genuinely different box-restricted sum because the
 restriction cuts the two expansions along different axes.
 
-Each sum mode builds one term table lam -> term over the box (``_terms``),
-and ``_graded_ints`` groups it by |lam|: the one path every sum mode is
-read through.  Every term is an int over a denominator fixed per degree,
-so ``graded_components`` makes one Fraction per graded piece and
-``scalar_product_q`` one for the full value.  The Schur-type tables
-come from ``box_minors``; det_quotient divides Fractions.  The determinant
-quotient Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S
-the phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S
-takes divided differences instead of dividing by Vandermondes, so the
-quotient is defined at coincident points and at Q = 0.  Its graded
-pieces are those of big_schur at Q = 0 divided as power series, because
-S_lam(y; 0) = s_lam(y).
+``_graded_ints`` is the one reader of a sum mode: it sums the box terms
+by |lam| into int pieces over one denominator shared by every piece, so
+``graded_components`` makes one Fraction per piece, ``scalar_product_q``
+one per value, and ``mode_agreement_report`` one per value and per piece
+of its window.  The Schur-type tables come from ``box_minors``;
+det_quotient divides Fractions.  The determinant quotient Q^{N(N-1)/2}
+det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S the phase-model
+pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S takes divided
+differences instead of dividing by Vandermondes, so the quotient is
+defined at coincident points and at Q = 0.  Its graded pieces are those
+of big_schur at Q = 0 divided as power series, because S_lam(y; 0) =
+s_lam(y).
 """
 
 from __future__ import annotations
@@ -34,13 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import (ZERO, QPoly, box_minors, h_from_times,
-                           mat_mul_ring, power_series_div)
+from .algebra_core import (QPoly, box_minors, h_from_times, mat_mul_ring,
+                           power_series_div)
 from .miwa import from_points, twist
-from .partitions import Partition, b_lambda, multiplicities, weight
+from .partitions import b_lambda, multiplicities, weight
 from .phase_model import BoxSpec, scalar_product
 from .symfunc import (as_points, hall_littlewood_ints, kostka_tables,
                       q_coeff_ints)
@@ -60,58 +60,6 @@ class QBosonSpec:
         object.__setattr__(self, "q", Fraction(self.q))
 
 
-def _terms(xs: Sequence[Fraction], ys: Sequence[Fraction], spec: QBosonSpec,
-           mode: str, sweeps: Dict[tuple, Tuple[Dict[Partition, int], int]]
-           ) -> Tuple[Dict[Partition, int], int, int]:
-    """(lam -> T_lam, base, step), the lam-th term of a sum mode being
-    T_lam / (base * step^|lam|), over the whole box.
-
-    hl_sum reads P_lam = V(lam) / (L^{|lam|} b^{N(N-1)/2}) on each side
-    (``hall_littlewood_ints``, Q = a/b), and b_lam(Q) is
-    prod_i prod_{j <= m_i} (b^j - a^j) over b^{sum_i m_i(m_i+1)/2}, so
-    over b^{N(N+1)/2}.  The Schur-type modes read s_lam(x) and the y-side
-    values from one ``box_minors`` sweep each, which reads c_0..c_{N+M-1},
-    so the twisted times need support N+M only; they are put over the
-    big_schur denominator, where they are int-valued Fractions (an
-    ``int()`` would truncate silently if the identity this mode checks
-    failed).  ``sweeps`` maps a generator list to its box table; a caller
-    that shares it across modes sweeps each distinct list once.
-    """
-    box, q = spec.box, spec.q
-    if mode == "hl_sum":
-        vx, lx, bx = hall_littlewood_ints(xs, q)
-        vy, ly, by = hall_littlewood_ints(ys, q)
-        a, b = q.numerator, q.denominator
-        top = box.n * (box.n + 1) // 2
-        # phi[r] = (b - a)(b^2 - a^2)...(b^r - a^r)
-        phi = [1]
-        for r in range(1, box.n + 1):
-            phi.append(phi[-1] * (b ** r - a ** r))
-        terms = {}
-        for lam in box.partitions():
-            ms = multiplicities(lam).values()
-            terms[lam] = (prod(phi[c] for c in ms) * vx(lam) * vy(lam)
-                          * b ** (top - sum(c * (c + 1) // 2 for c in ms)))
-        return terms, b ** top * bx * by, lx * ly
-    kmax = box.m + box.n
-    if mode == "big_schur":
-        gy, dy = q_coeff_ints(ys, q, kmax)
-    else:
-        dy = lcm(*(y.denominator for y in ys)) * q.denominator
-        gy = [c * dy ** k for k, c in enumerate(
-            h_from_times(twist(from_points(ys, kmax), q), kmax))]
-
-    def table(gens, den):
-        key = (tuple(gens), den)
-        if key not in sweeps:
-            sweeps[key] = box_minors(gens, den, box.n, box.m)
-        return sweeps[key]
-
-    (sy, scale_y), (sx, scale_x) = (table(gy, dy),
-                                    table(*q_coeff_ints(xs, 0, kmax)))
-    return {lam: sy[lam] * sx[lam] for lam in sx}, scale_x * scale_y, 1
-
-
 def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
                      mode: str = "hl_sum") -> Fraction:
     """Deformed N-particle pairing in the requested representation.
@@ -125,7 +73,7 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     at any points, and S(x, 0) = 1, so at Q = 0 every mode returns the
     phase-model value.  det_quotient raises ZeroDivisionError only where
     S(x, Qy) = 0.  A sum mode is the sum of its graded pieces through
-    N*M, the largest |lam| in the box, divided once.
+    N*M, the largest |lam| in the box, over their one denominator.
     """
     box = spec.box
     if mode == "det_quotient":
@@ -134,27 +82,66 @@ def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
         if den == 0:
             raise ZeroDivisionError("denominator determinant vanishes")
         return scalar_product(xs, ys, box, "det") / den
-    top = box.n * box.m
-    pieces, base, step = _graded_ints(xs, ys, spec, mode, top, {})
-    return Fraction(sum(p * step ** (top - d) for d, p in enumerate(pieces)),
-                    base * step ** top)
+    pieces, den = _graded_ints(xs, ys, spec, mode, box.n * box.m, {})
+    return Fraction(sum(pieces), den)
 
 
 def _graded_ints(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
-                 degree: int, sweeps: dict) -> Tuple[List, int, int]:
-    """(P, base, step) with P[d] / (base * step^d) the degree-d piece."""
+                 degree: int, sweeps: dict) -> Tuple[List[int], int]:
+    """(P, D) with P[d] / D the degree-d piece, one D for every piece.
+
+    hl_sum reads P_lam(x) = V(lam) / (L^{|lam|} B) (``hall_littlewood_ints``)
+    and b_lam(Q) = prod_i prod_{j <= m_i} (b^j - a^j) / b^{sum m_i(m_i+1)/2}
+    for Q = a/b, so its degree-d subsum S_d is over b^{N(N+1)/2} B_x B_y
+    (L_x L_y)^d, and P[d] = S_d (L_x L_y)^{degree-d}.  The Schur-type
+    modes read s_lam(x) and the y-side values, over scale_x scale_y,
+    from one ``box_minors`` sweep of c_0..c_{N+M-1} each; the twisted
+    list is int-valued Fractions over the big_schur denominator (an
+    ``int()`` would truncate silently if this mode's identity failed).
+    ``sweeps`` maps a generator list to its box table, so a caller that
+    shares it across modes sweeps each distinct list once.
+    """
     xs, ys = as_points(xs), as_points(ys)
-    if len(xs) != spec.box.n or len(ys) != spec.box.n:
+    box, q = spec.box, spec.q
+    if len(xs) != box.n or len(ys) != box.n:
         raise ValueError("point sets must both have N entries")
     if mode not in SUM_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    terms, base, step = _terms(xs, ys, spec, mode, sweeps)
     out = [0] * (degree + 1)
-    for lam, term in terms.items():
+    if mode == "hl_sum":
+        vx, lx, bx = hall_littlewood_ints(xs, q)
+        vy, ly, by = hall_littlewood_ints(ys, q)
+        a, b, top = q.numerator, q.denominator, box.n * (box.n + 1) // 2
+        # phi[r] = (b - a)(b^2 - a^2)...(b^r - a^r)
+        phi = [1]
+        for r in range(1, box.n + 1):
+            phi.append(phi[-1] * (b ** r - a ** r))
+        for lam in box.partitions():
+            d = weight(lam)
+            if d <= degree:
+                ms = multiplicities(lam).values()
+                out[d] += (prod(phi[c] for c in ms) * vx(lam) * vy(lam)
+                           * b ** (top - sum(c * (c + 1) // 2 for c in ms)))
+        lxy = lx * ly
+        return ([p * lxy ** (degree - d) for d, p in enumerate(out)],
+                b ** top * bx * by * lxy ** degree)
+    kmax = box.m + box.n
+    gy, dy = q_coeff_ints(ys, q, kmax)
+    if mode == "twisted_schur":
+        gy = [c * dy ** k for k, c in enumerate(
+            h_from_times(twist(from_points(ys, kmax), q), kmax))]
+    tables = []
+    for gens, den in ((gy, dy), q_coeff_ints(xs, 0, kmax)):
+        key = (tuple(gens), den)
+        if key not in sweeps:
+            sweeps[key] = box_minors(gens, den, box.n, box.m)
+        tables.append(sweeps[key])
+    (sy, scale_y), (sx, scale_x) = tables
+    for lam, s in sx.items():
         d = weight(lam)
         if d <= degree:
-            out[d] += term
-    return out, base, step
+            out[d] += s * sy[lam]
+    return out, scale_x * scale_y
 
 
 def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
@@ -167,7 +154,7 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     sums are the fixed-|lam| subsums.  The pieces c_d of S(x, delta y)
     are the Schur subsums, those of S(x, delta Q y) are Q^d c_d, and
     c_0 = 1, so the quotient divides as a power series at every Q.
-    ``sweeps`` is the box-table memo of ``_terms``.
+    ``sweeps`` is the box-table memo of ``_graded_ints``.
     """
     if sweeps is None:
         sweeps = {}
@@ -176,8 +163,8 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
                               degree, sweeps)
         return power_series_div(c, [spec.q ** d * c_d
                                     for d, c_d in enumerate(c)], degree)
-    pieces, base, step = _graded_ints(xs, ys, spec, mode, degree, sweeps)
-    return [Fraction(p, base * step ** d) for d, p in enumerate(pieces)]
+    pieces, den = _graded_ints(xs, ys, spec, mode, degree, sweeps)
+    return [Fraction(p, den) for p in pieces]
 
 
 def mode_agreement_report(xs: Sequence, ys: Sequence,
@@ -186,21 +173,22 @@ def mode_agreement_report(xs: Sequence, ys: Sequence,
 
     Graded agreement is judged through total degree M, the theoretically
     protected window; exact full-sum equality against hl_sum is reported
-    per mode as an observation.  Each sum mode is read from one
-    ``graded_components`` pass through max(M, N*M).  The modes share one
-    memo of box tables, so each distinct generator list is swept once per
+    per mode as an observation.  Each sum mode's value and window come
+    from one ``_graded_ints`` call through max(M, N*M); only the value
+    and the window's pieces become Fractions.  The modes share one memo
+    of box tables, so each distinct generator list is swept once per
     report: h(x) is read by every Schur-type mode, and the big_schur and
-    twisted_schur y-lists coincide.  When S(x, Qy) vanishes, det_quotient
-    is undefined and its key is left out of every dict.
+    twisted_schur y-lists coincide.  When S(x, Qy) vanishes,
+    det_quotient is undefined and its key is left out of every dict.
     """
     window = spec.box.m
     degree = max(window, spec.box.n * spec.box.m)
     values, comps, sweeps = {}, {}, {}
     for mode in MODES:
         if mode in SUM_MODES:
-            pieces = graded_components(xs, ys, spec, mode, degree, sweeps)
-            values[mode] = sum(pieces, ZERO)
-            comps[mode] = pieces[:window + 1]
+            pieces, den = _graded_ints(xs, ys, spec, mode, degree, sweeps)
+            values[mode] = Fraction(sum(pieces), den)
+            comps[mode] = [Fraction(p, den) for p in pieces[:window + 1]]
             continue
         try:
             values[mode] = scalar_product_q(xs, ys, spec, mode)

@@ -79,6 +79,8 @@ class SuiteConfig:
         if self.trials < 1:
             raise ValueError("need at least one trial")
         qs = tuple(Fraction(q) for q in self.q_values)
+        if not qs:
+            raise ValueError("need at least one Q value")
         for i, q in enumerate(qs):
             if q in qs[:i]:
                 raise ValueError(f"Q value {format_rational(q)} is repeated")

@@ -257,6 +257,13 @@ def test_usage_errors(capsys):
     assert main([]) == 2
 
 
+def test_verify_rejects_empty_q_list(capsys):
+    # an empty --q is a usage error, not a run at the default Q values
+    code, out, err = run(capsys, "verify", "--suite", "hl-cauchy", "--q", "")
+    assert code == 2 and out == ""
+    assert "need at least one Q value" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--suite", "matrix-integral",

@@ -28,7 +28,7 @@ from qtau.phase_model import (BoxSpec, correlation_Am,
                               correlation_Am_power_column, correlation_skew,
                               scalar_product)
 from qtau.qboson_model import (SUM_MODES, QBosonSpec, graded_components,
-                               scalar_product_q)
+                               mode_agreement_report, scalar_product_q)
 from qtau.symfunc import (hall_littlewood_evaluator, hall_littlewood_ints,
                           q_coeff_ints, q_coeff_list)
 
@@ -202,8 +202,10 @@ def test_box_sums_make_one_fraction_per_value():
     # makes one Fraction, for the value it returns.  The correlation
     # determinants make a second when they flip its sign; det_quotient
     # makes the three Q*y, its two determinants and their quotient; and
-    # graded_components makes one per piece.  One Fraction per term would
-    # add at least 20 to any count.
+    # graded_components makes one per piece.  mode_agreement_report makes
+    # one per sum-mode value and one per piece in its window, and its
+    # twisted_schur y-list still goes through Fraction times.  One
+    # Fraction per term would add at least 20 to any count.
     box = BoxSpec(3, 3)
     xs, ys = [F(1, 2), F(-1, 3), F(2, 5)], [F(1, 5), F(2, 7), F(0)]
     spec = QBosonSpec(box, F(-3, 7))
@@ -223,6 +225,7 @@ def test_box_sums_make_one_fraction_per_value():
             lambda: scalar_product_q(xs, ys, spec, "det_quotient"), 6),
         "hl_sum pieces": (
             lambda: graded_components(xs, ys, spec, "hl_sum", 9), 10),
+        "mode report": (lambda: mode_agreement_report(xs, ys, spec), 212),
     }
     assert {name: _fractions_made(route)
             for name, (route, _) in counts.items()} == {

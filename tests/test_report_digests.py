@@ -1,7 +1,8 @@
 """Golden sha256 digests of the shipped reports.
 
 Every ``qtau verify`` suite but ``bethe`` is run at seeds 0, 1 and 2
-with the default config, in both report formats, and ``qtau kostka
+with the default config, and once more at seed 7 with two trials and
+the signed Q list -3/7, 2, -1, 1, in both report formats; ``qtau kostka
 --cutoff d`` output is rebuilt for d <= 6.
 A change to the arithmetic that alters any byte of these reports fails
 here, so an exact-value refactor can show that it kept every report
@@ -12,6 +13,7 @@ A deliberate change to a report updates its digest in the same commit.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -105,6 +107,39 @@ SUITE_DIGESTS = {
         "26938b44af685a9a5b975fcc1cfdede310ec7c12b0b1f4b962f28562b43a5529"),
 }
 
+# (json, text) digest of each report at seed 7, trials 2 and a signed Q
+# list: Q below 0, above 1 and at +-1
+SIGNED_Q = (Fraction(-3, 7), Fraction(2), Fraction(-1), Fraction(1))
+SIGNED_Q_DIGESTS = {
+    "giambelli": (
+        "b2e32580096bb9f360f7fb7a161727f63558173a1318e528c9882feee43b697c",
+        "1430706ed08e58b1375bc719225da36484806ce617795d2794f50568a25dab38"),
+    "hl-cauchy": (
+        "53069ea9209fed94f4480b2d988f3edae23a4c61d3131dbc352101756f6306fe",
+        "2032f9498d163015ae771fc25b08ce08b1d1aa0efac6c3e51500767550961326"),
+    "kostka": (
+        "a7188ad4ddd483b1ecb34ee4e1cccaf2d0399214ab949dfcceb733c4e056f5c1",
+        "c729959320234384778614d1d85318129f55708647b77a7790f3984b296ca42d"),
+    "matrix-integral": (
+        "5096e87147e0364e7fb1b452675d99cb2317056938f5e49bdd2e3ec1f9774ff9",
+        "4015ac3457414fd26c45f72f2252b4a48a4af6af9bd2b46d89df27bf9580a3ad"),
+    "oracle-cross": (
+        "3d522fc2f04d91cea71166ef10ed6b3e6a5daabbfb83e235daa5aa6ce65e31b4",
+        "4339723b212d1660b551d03035363665cd130741bb0f7e60ceedc85ded07b2eb"),
+    "phase-corr": (
+        "57c0797d6b93280833b7b4da624803ef39311d51023db73e567d7b4f1f154f85",
+        "ebdb22a7f351117c8881603aa8cbed3f3a2bd3d40225df5743664be81c41a662"),
+    "phase-scalar": (
+        "4f7504c3954aa4556c58d215a3424525c14a3a3341afb1b4d95fca62ec67a1a5",
+        "f14abb8bedd72c25ef56b3dc95f3d0d63a483271aa720df1f296b3e53fa5d1fc"),
+    "qboson-modes": (
+        "6a18bd4d67fc2e9379447b8efd7fa523c0907affd984a113624269cc451b0500",
+        "9822449fa895d7036faed6293cafab4e9b1c7efbf7dfc250b5cda73052ab8f69"),
+    "supersym": (
+        "57531a68058b2449230f621c66fb8474c9a52a3444437ec388d4b84de5873bf3",
+        "caabeba0a7ff26041a49541a557428aa2bb87a5b0efbbbd3d0dde8b0f6c33eff"),
+}
+
 # sha256 of the JSON text `qtau kostka --cutoff d` prints
 KOSTKA_DIGESTS = [
     "eb46c366d8e205679a4b8bbc50c2808ac32a835b7ba7a992e228545f6b4603ef",
@@ -128,6 +163,14 @@ def test_verify_report_digest(suite):
         digests = (_sha(emit_report(report, "json")),
                    _sha(emit_report(report, "text")))
         assert digests == SUITE_DIGESTS[suite, seed], seed
+
+
+@pytest.mark.parametrize("suite", sorted(SIGNED_Q_DIGESTS))
+def test_verify_report_digest_at_signed_q(suite):
+    report = run_suite(SuiteConfig(suite=suite, seed=7, trials=2,
+                                   q_values=SIGNED_Q))
+    assert (_sha(emit_report(report, "json")),
+            _sha(emit_report(report, "text"))) == SIGNED_Q_DIGESTS[suite]
 
 
 # bethe prints floats, so its report is pinned by verdict, not by digest

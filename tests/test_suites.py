@@ -62,6 +62,13 @@ def test_repeated_q_values_rejected():
         SuiteConfig(suite="hl-cauchy", q_values=(Fraction(1, 4), "2/8"))
 
 
+def test_empty_q_values_rejected():
+    # with no Q value the per-Q checks vanish and a report would pass
+    # vacuously
+    with pytest.raises(ValueError, match="need at least one Q value"):
+        SuiteConfig(suite="hl-cauchy", q_values=())
+
+
 def test_kostka_inverse_failure_is_reported(monkeypatch):
     # kostka_tables verifies K * K_inv itself; the suite reports its refusal
     real = suites.kostka_tables
