@@ -79,8 +79,6 @@ class SectorBasis:
     sum in the formula modules.
     """
 
-    m: int
-    n: int
     states: Tuple[Occupation, ...]
     offsets: Tuple[int, ...]
 
@@ -98,7 +96,7 @@ def sector_basis(n: int, m: int) -> SectorBasis:
         for lam in enumerate_in_box(s, m):
             states.append(occupation_from_partition(lam, s, m))
         offsets.append(len(states))
-    return SectorBasis(m=m, n=n, states=tuple(states), offsets=tuple(offsets))
+    return SectorBasis(states=tuple(states), offsets=tuple(offsets))
 
 
 @dataclass(frozen=True)

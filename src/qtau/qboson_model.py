@@ -19,14 +19,14 @@ restriction cuts the two expansions along different axes.
 by |lam| into int pieces over one denominator shared by every piece, so
 ``graded_components`` makes one Fraction per piece, ``scalar_product_q``
 one per value, and ``mode_agreement_report`` one per value and per piece
-of its window.  The Schur-type tables come from ``box_minors``;
-det_quotient divides Fractions.  The determinant quotient Q^{N(N-1)/2}
-det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S the phase-model
-pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S takes divided
-differences instead of dividing by Vandermondes, so the quotient is
-defined at coincident points and at Q = 0.  Its graded pieces are those
-of big_schur at Q = 0 divided as power series, because S_lam(y; 0) =
-s_lam(y).
+of its window.  The Schur-type tables come from ``box_minors``; the
+det_quotient value divides Fractions.  The determinant quotient
+Q^{N(N-1)/2} det H(x,y) / det H(x,Qy) is S(x,y)/S(x,Qy) with S the
+phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S takes
+divided differences instead of dividing by Vandermondes, so the quotient
+is defined at coincident points and at Q = 0.  Its graded pieces are the
+int pieces of big_schur at Q = 0 divided as power series, because
+S_lam(y; 0) = s_lam(y).
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     if sweeps is None:
         sweeps = {}
     if mode == "det_quotient":
-        c = graded_components(xs, ys, QBosonSpec(spec.box, 0), "big_schur",
-                              degree, sweeps)
+        # one denominator is shared by every c_d, so it cancels
+        c, _ = _graded_ints(xs, ys, QBosonSpec(spec.box, 0), "big_schur",
+                            degree, sweeps)
         return power_series_div(c, [spec.q ** d * c_d
                                     for d, c_d in enumerate(c)], degree)
     pieces, den = _graded_ints(xs, ys, spec, mode, degree, sweeps)

@@ -24,12 +24,11 @@ every Q, including the roots of unity where the symmetrization formula
 divides by zero.  It runs on Python ints: with x_i = X_i / L over the
 lcm L of the point denominators and Q = a/b, P_mu(x_1..x_r) is an int
 numerator over L^{|mu|} b^{r(r-1)/2} (the bound is argued at
-``hall_littlewood_ints``, which the hl_sum route reads), and a Fraction
-is made only for a value the evaluator returns.  Kept symbolic in Q, it
+``hall_littlewood_ints``), and its callers compare or sum those
+numerators without making a Fraction per value.  Kept symbolic in Q, it
 gives the P-to-monomial table; with every psi weight set to 1 it counts
 semistandard tableaux, which is how the (classical) Kostka numbers are
-produced.  The tests check all of
-these against independent routes kept in ``tests/``.
+produced.  The tests check these against independent routes in ``tests/``.
 
 Kostka-Foulkes matrices are solved from the monomial tables: with
 partitions of one weight ordered decreasing-lexicographically both the
@@ -225,18 +224,6 @@ def hall_littlewood_ints(xs: Sequence, q
         return acc
 
     return (lambda lam: value(lam, n)), scale, b ** (n * (n - 1) // 2)
-
-
-def hall_littlewood_evaluator(xs: Sequence,
-                              q) -> Callable[[Partition], Fraction]:
-    """lam -> P_lam(x; Q), one Fraction from ``hall_littlewood_ints``."""
-    value, scale, den = hall_littlewood_ints(xs, q)
-
-    def evaluate(lam: Partition) -> Fraction:
-        lam = normalize(lam)
-        return Fraction(value(lam), scale ** weight(lam) * den)
-
-    return evaluate
 
 
 # ---------------------------------------------------------------------------

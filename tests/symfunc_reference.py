@@ -14,7 +14,7 @@ those and are slower or defined on fewer inputs:
   ``monomial_eval``;
 - ``hall_littlewood_fraction`` is not an independent route: it is the
   library's branching rule with a Fraction at every step, the reference
-  for the int numerators of ``hall_littlewood_evaluator``;
+  for the int numerators of ``hall_littlewood_ints``;
 - ``big_schur_matrix`` and ``schur_in_miwa_matrix`` write the deformed
   and time-coordinate Schur determinants out entry by entry;
 - ``det_fraction`` is Gaussian elimination over Fractions, the reference

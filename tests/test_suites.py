@@ -118,7 +118,7 @@ def test_grading_check_reads_the_oracle_sector_guard(monkeypatch):
 
 
 def test_supersym_builds_one_generator_list_per_route(monkeypatch):
-    # every shape of a trial reads the same three generator lists
+    # each trial builds its three generator lists once
     calls = {"h_from_times": 0, "q_coeff_list": 0}
     for name in calls:
         real = getattr(suites, name)
@@ -132,6 +132,70 @@ def test_supersym_builds_one_generator_list_per_route(monkeypatch):
     trials = len(report.checks)
     assert report.all_pass and trials == 10
     assert calls == {"h_from_times": 2 * trials, "q_coeff_list": trials}
+
+
+def test_qmode_detail_names_an_undefined_mode(monkeypatch):
+    # where S(x, Qy) = 0 the report leaves det_quotient out; the detail
+    # then says so instead of claiming all four modes, and drops it from
+    # the full-sum disagreements as the report does; nothing else moves
+    clean = run_suite(SuiteConfig(suite="qboson-modes", seed=0))
+    real = suites.mode_agreement_report
+
+    def without_det_quotient(*args):
+        rep = real(*args)
+        for key in ("values", "graded_equal_hl", "exact_equal_hl"):
+            del rep[key]["det_quotient"]
+        return rep
+
+    monkeypatch.setattr(suites, "mode_agreement_report",
+                        without_det_quotient)
+    report = run_suite(SuiteConfig(suite="qboson-modes", seed=0))
+    assert ([(c.name, c.paper_ref, c.passed) for c in report.checks]
+            == [(c.name, c.paper_ref, c.passed) for c in clean.checks])
+    moved = 0
+    for a, b in zip(clean.checks, report.checks):
+        if a.name.startswith("qmode-graded-window-"):
+            moved += 1
+            assert a.detail.startswith("all four modes agree through")
+            head, tags = a.detail[:-1].split("[")
+            tags = ",".join(t for t in tags.split(",")
+                            if t and t != "det_quotient")
+            assert b.detail == head.replace(
+                "all four modes agree",
+                "every mode but det_quotient (undefined) agrees"
+            ) + f"[{tags}]"
+        else:
+            assert b.detail == a.detail
+    assert moved == 9
+
+
+# one entry c_k (k <= 6) of a generator source, or one time t_k (k >= 1)
+SUPERSYM_SOURCES = {"q_coeff_list": range(7),
+                    "supersymmetric_times": range(1, 7),
+                    "twist": range(1, 7)}
+
+
+@pytest.mark.parametrize("source,k", [
+    (source, k) for source, ks in SUPERSYM_SOURCES.items() for k in ks])
+def test_supersym_fails_on_one_perturbed_entry(monkeypatch, source, k):
+    # the verdict compares the three lists c_0..c_6, and a time t_k
+    # moves h_k by the same amount, so any one wrong entry fails every
+    # trial while names, tags and details stay
+    clean = run_suite(SuiteConfig(suite="supersym", seed=0))
+    real = getattr(suites, source)
+    at = k if source == "q_coeff_list" else k - 1
+
+    def perturbed(*args):
+        entries = list(real(*args))
+        entries[at] += Fraction(1, 3)
+        return entries
+
+    monkeypatch.setattr(suites, source, perturbed)
+    report = run_suite(SuiteConfig(suite="supersym", seed=0))
+    assert clean.all_pass
+    assert not any(c.passed for c in report.checks)
+    assert ([(c.name, c.paper_ref, c.detail) for c in report.checks]
+            == [(c.name, c.paper_ref, c.detail) for c in clean.checks])
 
 
 def test_seed_determinism():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from qtau.algebra_core import QPoly, h_from_times, jacobi_trudi
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
-from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_evaluator,
+from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_ints,
                           hl_series, kostka_tables, kostka_tables_json,
                           q_coeff_list,
                           supersymmetric_times, vandermonde, xy_names)
@@ -49,25 +49,29 @@ def test_monomial_eval():
 
 
 def test_hall_littlewood_eval():
+    # P_lam(x; Q) = V(lam) / (L^{|lam|} B): L = 6 and B = 4 at Q = 1/4
     a, b = F(1, 2), F(1, 3)
-    p = hall_littlewood_evaluator([a, b], F(1, 4))
-    assert p((1,)) == a + b
-    assert p((1, 1)) == a * b
-    assert (hall_littlewood_evaluator([a, b], F(0))((2,))
-            == a * a + a * b + b * b)
+    V, L, B = hall_littlewood_ints([a, b], F(1, 4))
+    assert (L, B) == (6, 4)
+    assert V((1,)) == (a + b) * L * B
+    assert V((1, 1)) == a * b * L ** 2 * B
+    V, L, B = hall_littlewood_ints([a, b], F(0))
+    assert B == 1 and V((2,)) == (a * a + a * b + b * b) * L ** 2
     # Q = 0 reduces to Schur for all |lam| <= 4
     ys = [F(2, 5), F(1, 7), F(1, 2)]
-    p = hall_littlewood_evaluator(ys, F(0))
+    V, L, B = hall_littlewood_ints(ys, F(0))
     for d in range(5):
         for lam in partitions_of(d):
-            assert p(lam) == schur_value(lam, ys)
+            assert F(V(lam), L ** d * B) == schur_value(lam, ys)
 
 
 def test_hall_littlewood_eval_at_q_minus_one():
     # v_(2)(-1) = 0 for three variables, so the symmetrization formula
-    # divides by zero here; P_(2)(x; -1) = m_2 + 2 m_11 = (x1+x2+x3)^2
+    # divides by zero here; P_(2)(x; -1) = m_2 + 2 m_11 = (x1+x2+x3)^2,
+    # which is 961/900 over L^2 B = 30^2
     xs = [F(1, 2), F(1, 3), F(1, 5)]
-    assert hall_littlewood_evaluator(xs, -1)((2,)) == F(961, 900)
+    V, L, B = hall_littlewood_ints(xs, -1)
+    assert (V((2,)), L, B) == (961, 30, 1)
 
 
 def test_kostka_tables():

@@ -16,7 +16,7 @@ from qtau.miwa import from_points, twist
 from qtau.partitions import b_lambda, contains, partitions_of, weight
 from qtau.phase_model import BoxSpec
 from qtau.qboson_model import QBosonSpec, scalar_product_q
-from qtau.symfunc import hall_littlewood_evaluator, q_coeff_list
+from qtau.symfunc import hall_littlewood_ints, q_coeff_list
 from symfunc_reference import (big_schur_matrix, det_fraction,
                                hall_littlewood_fraction, hl_symmetrization,
                                hl_via_monomials, schur_bialternant,
@@ -40,19 +40,23 @@ def points(draw):
 SETTINGS = settings(max_examples=30, deadline=None)
 
 
+def hl_value(xs, q):
+    """lam -> P_lam(x; Q), one Fraction from ``hall_littlewood_ints``."""
+    V, L, B = hall_littlewood_ints(xs, q)
+    return lambda lam: F(V(lam), L ** weight(lam) * B)
+
+
 @SETTINGS
 @given(PARTITIONS, points(), QS)
 def test_hall_littlewood_matches_monomial_table(lam, xs, q):
-    assert (hall_littlewood_evaluator(xs, q)(lam)
-            == hl_via_monomials(lam, xs, q))
+    assert hl_value(xs, q)(lam) == hl_via_monomials(lam, xs, q)
 
 
 @SETTINGS
 @given(PARTITIONS, DISTINCT_POINTS, QS)
 def test_hall_littlewood_matches_symmetrization(lam, xs, q):
     assume(v_lambda(lam, len(xs), q) != 0)
-    assert (hall_littlewood_evaluator(xs, q)(lam)
-            == hl_symmetrization(lam, xs, q))
+    assert hl_value(xs, q)(lam) == hl_symmetrization(lam, xs, q)
 
 
 SHAPES = [lam for d in range(7) for lam in partitions_of(d)]
@@ -62,15 +66,17 @@ SHAPES = [lam for d in range(7) for lam in partitions_of(d)]
 @given(st.one_of(st.just([]), points()), QS)
 def test_hall_littlewood_matches_fraction_branching(xs, q):
     # every |lam| <= 6, so shapes longer than the point set come up too;
-    # and the evaluator's stated bound: P_lam(x; Q) L^{|lam|} b^{N(N-1)/2}
-    # is an int, for L the lcm of the point denominators and Q = a/b
-    L = lcm(*(F(x).denominator for x in xs))
-    den = F(q).denominator ** (len(xs) * (len(xs) - 1) // 2)
-    p, ref = hall_littlewood_evaluator(xs, q), hall_littlewood_fraction(xs, q)
+    # and the kernel's stated bound: V(lam) = P_lam(x; Q) L^{|lam|} B is
+    # an int, for L the lcm of the point denominators, Q = a/b and
+    # B = b^{N(N-1)/2}
+    V, L, B = hall_littlewood_ints(xs, q)
+    assert L == lcm(*(F(x).denominator for x in xs))
+    assert B == F(q).denominator ** (len(xs) * (len(xs) - 1) // 2)
+    ref = hall_littlewood_fraction(xs, q)
     for lam in SHAPES:
-        value = p(lam)
-        assert value == ref(lam)
-        assert (value * L ** weight(lam) * den).denominator == 1
+        value = V(lam)
+        assert isinstance(value, int)
+        assert value == ref(lam) * L ** weight(lam) * B
 
 
 @SETTINGS
