@@ -9,7 +9,10 @@ exact:
     no trailing zeros.  The zero polynomial is the empty tuple.  It keeps
     the coefficients it is given: Python ints for the tables that live in
     Z[Q] (b_lam, [n]!, Kostka-Foulkes, c-tilde), Fractions where the
-    coefficients are rational.
+    coefficients are rational.  Zero is falsy.  Products skip zero
+    coefficients, and ``mat_mul_ring`` terms with a zero factor, as the
+    Kostka-Foulkes and c-tilde tables are sparse; every verification over
+    them (K K^-1 = I, both c-tilde identities) still runs in full.
   * ``TruncatedSeries`` -- a multivariate power series truncated at a
     fixed total degree.  Terms live in a dict mapping exponent tuples to
     nonzero coefficients; anything past the cutoff is dropped on
@@ -72,10 +75,10 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+            cs = cs[:-1]
+        object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -104,6 +107,9 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -112,16 +118,18 @@ class QPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "QPoly":
-        other = _as_qpoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(
-            (self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        a, b = self.coeffs, _as_qpoly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        return QPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly((-c for c in self.coeffs))
+        return QPoly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "QPoly":
         return self + (-_as_qpoly(other))
@@ -130,15 +138,15 @@ class QPoly:
         return _as_qpoly(other) + (-self)
 
     def __mul__(self, other) -> "QPoly":
-        other = _as_qpoly(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, _as_qpoly(other).coeffs
+        if not a or not b:
             return QPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    out[i + j] += x * y
         return QPoly(out)
 
     __rmul__ = __mul__
@@ -503,21 +511,22 @@ def power_series_div(num: Sequence, den: Sequence, order: int):
 
 
 def mat_mul_ring(a, b):
-    """Product of two matrices with ring-element entries (lists of lists)."""
+    """Product of two ``QPoly`` matrices, adding only nonzero-factor terms."""
     if not a or not b:
         return []
-    rows, mid, cols = len(a), len(b), len(b[0])
-    for row in a:
-        if len(row) != mid:
-            raise ValueError("inner dimensions do not match")
+    mid, cols = len(b), len(b[0])
+    if any(len(row) != mid for row in a):
+        raise ValueError("inner dimensions do not match")
+    zero = QPoly.zero()
     out = []
-    for i in range(rows):
+    for row in a:
+        terms = [(x, b[k]) for k, x in enumerate(row) if x]
         out_row = []
         for j in range(cols):
-            acc = None
-            for k in range(mid):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
+            acc = zero
+            for x, b_row in terms:
+                if b_row[j]:
+                    acc = acc + x * b_row[j]
             out_row.append(acc)
         out.append(out_row)
     return out

@@ -97,11 +97,18 @@ def _strips(
     ml = multiplicities(lam)
     out = []
     for mu in itertools.product(*rows):
-        mu = mu if mu[-1] else mu[:-1]
+        mu = mu[:-1] if mu and not mu[-1] else mu  # () is the one strip of ()
         psi = tuple(count for j, count in multiplicities(mu).items()
                     if count == ml.get(j, 0) + 1)
         out.append((mu, total - sum(mu), psi))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _psi(exps: Tuple[int, ...]) -> QPoly:
+    """psi = prod of (1 - Q^c) over the exponents listed by ``_strips``."""
+    return prod((QPoly([1] + [0] * (c - 1) + [-1]) for c in exps),
+                start=QPoly.one())
 
 
 @lru_cache(maxsize=None)
@@ -111,9 +118,7 @@ def _chain_sum(shape: Partition, steps: Tuple[int, ...]) -> QPoly:
     acc = QPoly.zero()
     for mu, size, psi_exps in _strips(shape):
         if size == steps[-1]:
-            psi = prod((QPoly([1] + [0] * (c - 1) + [-1]) for c in psi_exps),
-                       start=QPoly.one())
-            acc = acc + psi * _chain_sum(mu, steps[:-1])
+            acc = acc + _psi(psi_exps) * _chain_sum(mu, steps[:-1])
     return acc
 
 
@@ -127,30 +132,16 @@ def _chain_count(shape: Partition, steps: Tuple[int, ...]) -> int:
 def hl_monomial_table(d: int) -> Dict[Partition, Dict[Partition, QPoly]]:
     """P_lam = sum_mu table[lam][mu](Q) m_mu, for all |lam| = |mu| = d."""
     lams = partitions_of(d)
-    table: Dict[Partition, Dict[Partition, QPoly]] = {}
-    for lam in lams:
-        row: Dict[Partition, QPoly] = {}
-        for mu in lams:
-            c = _chain_sum(lam, mu)
-            if not c.is_zero():
-                row[mu] = c
-        table[lam] = row
-    return table
+    return {lam: {mu: c for mu in lams if (c := _chain_sum(lam, mu))}
+            for lam in lams}
 
 
 @lru_cache(maxsize=None)
 def schur_monomial_table(d: int) -> Dict[Partition, Dict[Partition, int]]:
     """s_lam = sum_mu K_{lam mu} m_mu with classical Kostka numbers."""
     lams = partitions_of(d)
-    table: Dict[Partition, Dict[Partition, int]] = {}
-    for lam in lams:
-        row: Dict[Partition, int] = {}
-        for mu in lams:
-            c = _chain_count(lam, mu)
-            if c:
-                row[mu] = c
-        table[lam] = row
-    return table
+    return {lam: {mu: c for mu in lams if (c := _chain_count(lam, mu))}
+            for lam in lams}
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +243,15 @@ def kostka_tables(d: int) -> KostkaTables:
          for i in range(n)]
     S = [[QPoly.constant(sm[order[i]].get(order[j], 0)) for j in range(n)]
          for i in range(n)]
-    # S = K R with R upper unitriangular, so back-substitute column by column.
+    # S = K R with R upper unitriangular, so back-substitute column by column
+    # (the strict lower triangle too); a term with a zero factor is skipped.
     K = [[QPoly.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             acc = S[i][j]
             for k in range(j):
-                acc = acc - K[i][k] * R[k][j]
+                if K[i][k] and R[k][j]:
+                    acc = acc - K[i][k] * R[k][j]
             K[i][j] = acc
     K_inv = [[QPoly.one() if i == j else QPoly.zero() for j in range(n)]
              for i in range(n)]
@@ -266,7 +259,8 @@ def kostka_tables(d: int) -> KostkaTables:
         for j in range(i + 1, n):
             acc = QPoly.zero()
             for k in range(i + 1, j + 1):
-                acc = acc + K[i][k] * K_inv[k][j]
+                if K[i][k] and K_inv[k][j]:
+                    acc = acc + K[i][k] * K_inv[k][j]
             K_inv[i][j] = -acc
     check = mat_mul_ring(K, K_inv)
     if any(check[i][j] != (QPoly.one() if i == j else QPoly.zero())

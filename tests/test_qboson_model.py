@@ -7,11 +7,12 @@ import pytest
 from qtau.partitions import (b_lambda, enumerate_in_box, partitions_of,
                              qfactorial)
 from qtau.phase_model import BoxSpec, scalar_product
-from qtau.qboson_model import (MODES, QBosonSpec, c_tilde_matrix,
-                               graded_components, mode_agreement_report,
-                               scalar_product_q)
+from qtau import symfunc
+from qtau.qboson_model import (MODES, QBosonSpec, _verify_c_tilde,
+                               c_tilde_matrix, graded_components,
+                               mode_agreement_report, scalar_product_q)
 from qtau.symfunc import kostka_tables, q_coeff_list
-from qtau.algebra_core import QPoly, box_minors, jacobi_trudi
+from qtau.algebra_core import QPoly, box_minors, jacobi_trudi, mat_mul_ring
 from symfunc_reference import hall_littlewood_fraction, schur_value
 
 
@@ -241,3 +242,62 @@ def test_normalization_factor_structure():
     q = F(1, 3)
     assert b_lambda((2, 2))(q) == qfactorial(2)(q)
     assert b_lambda((2, 1))(q) == qfactorial(1)(q) ** 2
+
+
+def _moved(rows, i, j):
+    """Copies of rows with entry (i, j) raised by Q or, if it is nonzero,
+    set to zero; a product that skips zero factors must notice each."""
+    for value in {rows[i][j] + QPoly.gen(), QPoly()} - {rows[i][j]}:
+        out = [list(row) for row in rows]
+        out[i][j] = value
+        yield out
+
+
+@pytest.mark.parametrize("where", ["above", "below"])
+def test_c_tilde_verification_catches_one_perturbed_entry(where):
+    tables = kostka_tables(4)
+    b = [b_lambda(lam) for lam in tables.order]
+    ct = c_tilde_matrix(4)
+    _verify_c_tilde(ct, tables.K, tables.K_inv, b)
+    n = len(ct)
+    for i in range(n):
+        for j in (range(i + 1, n) if where == "above" else range(i)):
+            for bad in _moved(ct, i, j):
+                with pytest.raises(ArithmeticError):
+                    _verify_c_tilde(bad, tables.K, tables.K_inv, b)
+
+
+def test_kostka_inverse_check_catches_one_perturbed_entry():
+    tables = kostka_tables(5)
+    n = len(tables.order)
+    identity = [[QPoly.one() if i == j else QPoly.zero() for j in range(n)]
+                for i in range(n)]
+    assert mat_mul_ring(tables.K, tables.K_inv) == identity
+    for i in range(n):
+        for j in range(i + 1, n):
+            for bad in _moved(tables.K_inv, i, j):
+                assert mat_mul_ring(tables.K, bad) != identity
+
+
+def test_cold_c_tilde_tables_skip_zero_products(monkeypatch):
+    # A cold c_tilde_matrix(0..6) makes about 3,450 QPoly products, each
+    # with two nonzero factors; multiplying every entry of the triangular
+    # K, K^-1 and their products made 9,466.
+    for table in (symfunc._strips, symfunc._psi, symfunc._chain_sum,
+                  symfunc._chain_count, symfunc.hl_monomial_table,
+                  symfunc.schur_monomial_table, symfunc.kostka_tables,
+                  c_tilde_matrix):
+        table.cache_clear()
+    made = 0
+    multiply = QPoly.__mul__
+
+    def counted(self, other):
+        nonlocal made
+        made += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counted)
+    monkeypatch.setattr(QPoly, "__rmul__", counted)
+    for d in range(7):
+        c_tilde_matrix(d)
+    assert 0 < made <= 4000

@@ -1,0 +1,116 @@
+"""Property tests: QPoly ring operations and mat_mul_ring against dense
+references that multiply every coefficient and every matrix entry, zero
+or not.
+
+Coefficients are ints or Fractions drawn from a small pool that holds
+zero and both signs, so zero coefficients, cancelling sums and
+cancelling leading terms come up often.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qtau.algebra_core import QPoly, mat_mul_ring
+
+INTS = st.sampled_from([0, 0, 1, -1, 2, -3])
+FRACTIONS = st.sampled_from([F(0), F(1, 2), F(-1, 2), F(2, 3), F(-5)])
+COEFF_LISTS = st.one_of(st.lists(INTS, max_size=6),
+                        st.lists(FRACTIONS, max_size=6),
+                        st.lists(st.one_of(INTS, FRACTIONS), max_size=6))
+CONSTANTS = st.one_of(INTS, FRACTIONS)
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def dense_add(a, b):
+    n = max(len(a), len(b))
+    return trimmed((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                   for k in range(n))
+
+
+def dense_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] * b[j]
+    return trimmed(out)
+
+
+def same(p: QPoly, coeffs) -> bool:
+    """Equal coefficients, and ints stay ints wherever the reference's do."""
+    return p.coeffs == coeffs and all(
+        type(c) is int for c, r in zip(p.coeffs, coeffs) if type(r) is int)
+
+
+@SETTINGS
+@given(COEFF_LISTS, COEFF_LISTS)
+def test_ring_operations_match_the_dense_reference(a, b):
+    p, q = QPoly(a), QPoly(b)
+    neg_b = [-c for c in b]
+    assert same(p, trimmed(a))
+    assert same(p + q, dense_add(a, b))
+    assert same(p - q, dense_add(a, neg_b))
+    assert same(-q, trimmed(neg_b))
+    assert same(p * q, dense_mul(a, b))
+    assert same(q * p, dense_mul(b, a))
+
+
+@SETTINGS
+@given(COEFF_LISTS, CONSTANTS)
+def test_constants_on_either_side(a, c):
+    p = QPoly(a)
+    assert same(p + c, dense_add(a, [c])) and same(c + p, dense_add([c], a))
+    assert same(p - c, dense_add(a, [-c]))
+    assert same(c - p, dense_add([c], [-x for x in a]))
+    assert same(p * c, dense_mul(a, [c])) and same(c * p, dense_mul([c], a))
+
+
+@SETTINGS
+@given(COEFF_LISTS, COEFF_LISTS)
+def test_cancelling_results_are_the_zero_polynomial(a, b):
+    p, q = QPoly(a), QPoly(b)
+    zero = QPoly(())
+    for r in (p - p, p + -p, -p + p, p * 0, 0 * p, p * zero,
+              (p + q) - q - p, p * q - q * p):
+        assert r == zero and r.coeffs == ()
+        assert hash(r) == hash(zero)
+        assert not r and r.is_zero()
+    assert bool(p) == bool(trimmed(a))
+    # a sum whose top coefficients cancel drops them
+    assert (p + q) - q == p
+
+
+@st.composite
+def matrix_pair(draw):
+    """(A, B) of QPoly entries with a zero row of A, a zero column of B
+    and entries drawn so that row-by-column sums often cancel."""
+    rows, mid, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    pool = [QPoly(()), QPoly((1,)), QPoly((-1,)), QPoly((0, 1)),
+            QPoly((0, -1)), QPoly((1, -1)), QPoly((F(1, 2), 0, 2))]
+    entry = st.sampled_from(pool)
+    a = [[draw(entry) for _ in range(mid)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(mid)]
+    a[draw(st.integers(0, rows - 1))] = [QPoly(())] * mid
+    zero_col = draw(st.integers(0, cols - 1))
+    for row in b:
+        row[zero_col] = QPoly(())
+    return a, b
+
+
+@SETTINGS
+@given(matrix_pair())
+def test_mat_mul_ring_matches_the_dense_triple_loop(pair):
+    a, b = pair
+    dense = [[sum((a[i][k] * b[k][j] for k in range(len(b))), QPoly(()))
+              for j in range(len(b[0]))] for i in range(len(a))]
+    product = mat_mul_ring(a, b)
+    assert product == dense
+    assert all(type(x) is QPoly for row in product for x in row)

@@ -3,7 +3,9 @@
 Every ``qtau verify`` suite but ``bethe`` is run at seeds 0, 1 and 2
 with the default config, and once more at seed 7 with two trials and
 the signed Q list -3/7, 2, -1, 1, in both report formats; ``qtau kostka
---cutoff d`` output is rebuilt for d <= 6.
+--cutoff d`` output is rebuilt for d <= 6, and run through the CLI at
+d = 7 and 8 (the desk weight cap); the c-tilde matrices are pinned for
+d <= 6.
 A change to the arithmetic that alters any byte of these reports fails
 here, so an exact-value refactor can show that it kept every report
 identical.  The bethe report prints floats, so only its check names,
@@ -17,6 +19,8 @@ from fractions import Fraction
 
 import pytest
 
+from qtau.cli import main
+from qtau.qboson_model import c_tilde_matrix
 from qtau.suites import SuiteConfig, emit_report, run_suite
 from qtau.symfunc import kostka_tables, kostka_tables_json
 
@@ -151,6 +155,23 @@ KOSTKA_DIGESTS = [
     "b5eecb72b81ed7231ca82b9d7cef3c1a82fbfbc60d70509e8b565e97bdf614d2",
 ]
 
+# ``qtau kostka --cutoff d`` for d = 7 and 8
+KOSTKA_CLI_DIGESTS = {
+    7: "af1c700acf33469445f0eb184b211bb05edc60788651326b50bd50273d00c1b2",
+    8: "743016f00a0d2487319d53d0baf27bc4014ecf9f11922e971a185bbc954ae86e",
+}
+
+# json.dumps of the rows of c_tilde_matrix(d), each entry as to_list()
+C_TILDE_DIGESTS = [
+    "fa6193df8caef09f0207842c35ed8f41d7a777c8db282a2ce907eaecf8b51582",
+    "62cb50261abde2a59f496e44858f0c8853efd6caecabd2f94ce524ab99516734",
+    "50b38bff5229a973063feb2742e33dc1d49be10b393fefd213af91ca558f9af5",
+    "3d7be722e6e19e26cdd8e31b2aa2b812ea3067728868bfc5569e1dcf4fff2b3f",
+    "5d9881841750b88346480739d11f56cb3ed44a767d19d3d682cfd7849143d88e",
+    "0db151df9df439399769ca9b350e4332ffdbe3a92edce4358471f99936e07007",
+    "07a3474388e565fcc0a973401dfcfb7562f3cf7b10268fbd236d9d6d7d26d805",
+]
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -194,3 +215,15 @@ def test_bethe_report_verdicts(seed):
 def test_kostka_json_digest(d):
     text = json.dumps(kostka_tables_json(kostka_tables(d)), indent=2) + "\n"
     assert _sha(text) == KOSTKA_DIGESTS[d]
+
+
+@pytest.mark.parametrize("d", sorted(KOSTKA_CLI_DIGESTS))
+def test_kostka_cli_digest_at_the_weight_cap(capsys, d):
+    assert main(["kostka", "--cutoff", str(d)]) == 0
+    assert _sha(capsys.readouterr().out) == KOSTKA_CLI_DIGESTS[d]
+
+
+@pytest.mark.parametrize("d", range(len(C_TILDE_DIGESTS)))
+def test_c_tilde_digest(d):
+    rows = [[p.to_list() for p in row] for row in c_tilde_matrix(d)]
+    assert _sha(json.dumps(rows)) == C_TILDE_DIGESTS[d]

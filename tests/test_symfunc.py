@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from qtau.algebra_core import QPoly, h_from_times, jacobi_trudi
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
-from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_ints,
+from qtau.symfunc import (_strips, cauchy_kernel_series, hall_littlewood_ints,
                           hl_series, kostka_tables, kostka_tables_json,
                           q_coeff_list,
                           supersymmetric_times, vandermonde, xy_names)
@@ -173,3 +173,9 @@ def test_hl_series_consistency():
     assert s.terms[(2, 0)] == 1
     assert s.terms[(1, 1)] == 1 - q
     assert q_coeff_list([F(1, 2)], 0, 2)[2] == F(1, 4)
+
+
+def test_strips_of_the_empty_shape():
+    # the empty shape has one horizontal strip, ()/(), of size 0, psi = 1
+    assert _strips(()) == (((), 0, ()),)
+    assert _strips((1,)) == (((1,), 0, ()), ((), 1, ()))
