@@ -15,8 +15,11 @@ exact:
     them (K K^-1 = I, both c-tilde identities) still runs in full.
   * ``TruncatedSeries`` -- a multivariate power series truncated at a
     fixed total degree.  Terms live in a dict mapping exponent tuples to
-    nonzero coefficients; anything past the cutoff is dropped on
-    construction, so products re-truncate automatically.
+    nonzero Fraction coefficients.  The public constructor validates what
+    it is given (arity, cutoff, Fraction coefficients, no zeros); sums,
+    products and scalings truncate at the cutoff and drop cancelled terms
+    as they go, so their results skip that validation.  Scalars are ints
+    or Fractions, never floats.
 
 The module also carries the small amount of exact linear algebra the
 rest of the package needs (determinants by fraction-free elimination on
@@ -40,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add, itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 ZERO = Fraction(0)
@@ -195,8 +199,13 @@ class TruncatedSeries:
     """Multivariate power series, truncated at a fixed total degree.
 
     ``variables`` is an ordered tuple of names; ``terms`` maps exponent
-    tuples (one slot per variable) to nonzero Fraction coefficients.
-    Any term of total degree above ``cutoff`` is discarded.
+    tuples (one slot per variable) to nonzero Fraction coefficients, none
+    of total degree above ``cutoff``.  The public constructor validates
+    what it is given: it checks the arity, drops terms past the cutoff,
+    makes every coefficient a Fraction and drops zeros.  The arithmetic
+    keeps those invariants as it goes (a sum or product is truncated at
+    the smaller cutoff, and cancelled terms are dropped), so its results
+    skip the validation.  Scalars are ints or Fractions only.
     """
 
     __slots__ = ("variables", "cutoff", "terms")
@@ -219,6 +228,16 @@ class TruncatedSeries:
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "terms", kept)
 
+    @classmethod
+    def _trusted(cls, variables: Tuple[str, ...], cutoff: int,
+                 terms: Dict[Tuple[int, ...], Fraction]) -> "TruncatedSeries":
+        """A series over terms that already hold the invariants."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "variables", variables)
+        object.__setattr__(series, "cutoff", cutoff)
+        object.__setattr__(series, "terms", terms)
+        return series
+
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
@@ -239,45 +258,72 @@ class TruncatedSeries:
         if self.variables != other.variables:
             raise ValueError("series are over different variable lists")
 
+    def _items_through(self, cutoff: int):
+        """The (exponent, coefficient) terms of total degree <= cutoff."""
+        if cutoff >= self.cutoff:
+            return self.terms.items()
+        return [(e, c) for e, c in self.terms.items() if sum(e) <= cutoff]
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check_compatible(other)
         cutoff = min(self.cutoff, other.cutoff)
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, ZERO) + coeff
-        return TruncatedSeries(self.variables, cutoff, terms)
+        terms = dict(self._items_through(cutoff))
+        for expo, coeff in other._items_through(cutoff):
+            acc = terms.get(expo)
+            if acc is None:
+                terms[expo] = coeff
+                continue
+            acc += coeff
+            if acc:
+                terms[expo] = acc
+            else:
+                del terms[expo]
+        return TruncatedSeries._trusted(self.variables, cutoff, terms)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             self.variables, self.cutoff,
             {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         self._check_compatible(other)
         cutoff = min(self.cutoff, other.cutoff)
+        # the right factor's terms by degree, so each row stops at the cutoff
+        right = sorted(((sum(e), e, c) for e, c in other.terms.items()),
+                       key=itemgetter(0))
         terms: Dict[Tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > cutoff:
-                    continue
-                expo = tuple(a + b for a, b in zip(e1, e2))
+            room = cutoff - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                expo = tuple(map(add, e1, e2))
                 acc = terms.get(expo)
                 terms[expo] = c1 * c2 if acc is None else acc + c1 * c2
-        return TruncatedSeries(self.variables, cutoff, terms)
+        return TruncatedSeries._trusted(
+            self.variables, cutoff, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "TruncatedSeries":
-        s = Fraction(scalar)
-        return TruncatedSeries(
-            self.variables, self.cutoff,
-            {e: c * s for e, c in self.terms.items()})
+        if not isinstance(scalar, (int, Fraction)):
+            raise TypeError(
+                f"a series scales by an int or a Fraction, not "
+                f"{type(scalar).__name__}")
+        terms = ({e: c * scalar for e, c in self.terms.items()}
+                 if scalar else {})
+        return TruncatedSeries._trusted(self.variables, self.cutoff, terms)
 
     def agrees_through(self, other: "TruncatedSeries", degree: int) -> bool:
         """True when the two series have identical terms of total degree <= degree."""

@@ -339,58 +339,53 @@ def xy_names(nx: int, ny: int) -> Tuple[str, ...]:
     return tuple(f"x{i+1}" for i in range(nx)) + tuple(f"y{j+1}" for j in range(ny))
 
 
-def monomial_series(mu: Partition, names: Sequence[str], cutoff: int,
-                    positions: Sequence[int] | None = None) -> TruncatedSeries:
-    """m_mu as a series in the variables at the given positions."""
-    names = tuple(names)
-    slots = tuple(positions) if positions is not None else tuple(range(len(names)))
+def _monomial_exponents(mu: Partition, nvars: int, slots: Tuple[int, ...]):
+    """Exponent tuples of the monomials of m_mu in the variables at slots."""
     if len(mu) > len(slots):
-        return TruncatedSeries.zero(names, cutoff)
+        return
     padded = tuple(mu) + (0,) * (len(slots) - len(mu))
-    terms: Dict[Tuple[int, ...], Fraction] = {}
     for perm in set(itertools.permutations(padded)):
-        expo = [0] * len(names)
+        expo = [0] * nvars
         for slot, e in zip(slots, perm):
             expo[slot] = e
-        terms[tuple(expo)] = ONE
-    return TruncatedSeries(names, cutoff, terms)
+        yield tuple(expo)
 
 
 def hl_series(lam: Partition, names: Sequence[str], cutoff: int, q,
               positions: Sequence[int] | None = None) -> TruncatedSeries:
+    """P_lam(x; Q) in the variables at the given positions, as one term
+    dict: each monomial of m_mu carries the coefficient of m_mu."""
     lam = normalize(lam)
     names = tuple(names)
     q = Fraction(q)
     if not lam:
         return TruncatedSeries.one(names, cutoff)
-    acc = TruncatedSeries.zero(names, cutoff)
+    slots = tuple(positions) if positions is not None else tuple(range(len(names)))
+    terms: Dict[Tuple[int, ...], Fraction] = {}
     for mu, coeff in hl_monomial_table(weight(lam))[lam].items():
         value = coeff(q)
         if value != 0:
-            acc = acc + monomial_series(mu, names, cutoff, positions).scale(value)
-    return acc
+            for expo in _monomial_exponents(mu, len(names), slots):
+                terms[expo] = value
+    return TruncatedSeries(names, cutoff, terms)
 
 
 def cauchy_kernel_series(nx: int, ny: int, cutoff: int, q=ZERO) -> TruncatedSeries:
-    """prod_{j,k} (1 - Q x_j y_k)/(1 - x_j y_k) through the cutoff."""
+    """prod_{j,k} (1 - Q x_j y_k)/(1 - x_j y_k) through the cutoff.
+
+    Each pair contributes the one factor 1 + (1 - Q)(u + u^2 + ...),
+    u = x_j y_k, so the kernel is nx*ny series products at every Q.
+    """
     names = xy_names(nx, ny)
-    q = Fraction(q)
+    one_minus_q = 1 - Fraction(q)
     acc = TruncatedSeries.one(names, cutoff)
     for j in range(nx):
         for k in range(ny):
-            geom: Dict[Tuple[int, ...], Fraction] = {}
+            factor: Dict[Tuple[int, ...], Fraction] = {}
             for p in range(cutoff // 2 + 1):
                 expo = [0] * (nx + ny)
                 expo[j] = p
                 expo[nx + k] = p
-                geom[tuple(expo)] = ONE
-            acc = acc * TruncatedSeries(names, cutoff, geom)
-            if q != 0:
-                expo = [0] * (nx + ny)
-                expo[j] = 1
-                expo[nx + k] = 1
-                factor = TruncatedSeries(
-                    names, cutoff,
-                    {(0,) * (nx + ny): ONE, tuple(expo): -q})
-                acc = acc * factor
+                factor[tuple(expo)] = one_minus_q if p else ONE
+            acc = acc * TruncatedSeries(names, cutoff, factor)
     return acc

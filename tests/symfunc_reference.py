@@ -29,18 +29,22 @@ those and are slower or defined on fewer inputs:
 - ``schur_value`` is not an independent route either: it is the
   library's one, ``jacobi_trudi`` over the h-list ``q_coeff_list`` at
   Q = 0, written
-  once for tests that want a single Schur or skew Schur value.
+  once for tests that want a single Schur or skew Schur value;
+- ``cauchy_kernel_two_factor`` multiplies the deformed Cauchy kernel out
+  of a geometric series 1/(1 - u) and a separate (1 - Q u) per pair
+  u = x_j y_k, twice the series products of the library's one factor
+  1 + (1 - Q)(u + u^2 + ...).
 """
 
 import itertools
 from fractions import Fraction
 from math import prod
 
-from qtau.algebra_core import (ONE, ZERO, h_from_times, jacobi_trudi,
-                               power_series_div)
+from qtau.algebra_core import (ONE, ZERO, TruncatedSeries, h_from_times,
+                               jacobi_trudi, power_series_div)
 from qtau.partitions import multiplicities, normalize, weight
 from qtau.symfunc import (_strips, as_points, hl_monomial_table,
-                          q_coeff_list, vandermonde)
+                          q_coeff_list, vandermonde, xy_names)
 
 
 def det_fraction(rows) -> Fraction:
@@ -261,3 +265,26 @@ def power_column_reference(xs, ys, m, box) -> Fraction:
     rows = [row + [x ** expo]
             for x, row in zip(as_points(xs), h_matrix(xs, ys, box))]
     return det_fraction(rows) / vandermonde(xs)
+
+
+def cauchy_kernel_two_factor(nx, ny, cutoff, q):
+    """prod_{j,k} (1 - Q x_j y_k)/(1 - x_j y_k), two series factors a pair."""
+    names = xy_names(nx, ny)
+    q = Fraction(q)
+    acc = TruncatedSeries.one(names, cutoff)
+    for j in range(nx):
+        for k in range(ny):
+            geom = {}
+            for p in range(cutoff // 2 + 1):
+                expo = [0] * (nx + ny)
+                expo[j] = p
+                expo[nx + k] = p
+                geom[tuple(expo)] = ONE
+            acc = acc * TruncatedSeries(names, cutoff, geom)
+            if q != 0:
+                expo = [0] * (nx + ny)
+                expo[j] = 1
+                expo[nx + k] = 1
+                acc = acc * TruncatedSeries(
+                    names, cutoff, {(0,) * (nx + ny): ONE, tuple(expo): -q})
+    return acc

@@ -69,6 +69,25 @@ def test_series_mismatched_variables():
         a * b
 
 
+@pytest.mark.parametrize("operation", [
+    lambda s: s + 1,
+    lambda s: s - 1,
+    lambda s: s + F(1, 2),
+    lambda s: s * 1.5,
+    lambda s: 1.5 * s,
+    lambda s: s * "2",
+    lambda s: s.scale(0.1),
+    lambda s: s.scale(1.0),
+], ids=["add-int", "sub-int", "add-fraction", "mul-float", "rmul-float",
+        "mul-str", "scale-float", "scale-integral-float"])
+def test_series_reject_non_series_operands_and_inexact_scalars(operation):
+    # + and - take a series; * and scale take an int, a Fraction or (for
+    # *) a series, so no binary float slips into an exact coefficient
+    x = TruncatedSeries(("x",), 2, {(1,): 1})
+    with pytest.raises(TypeError):
+        operation(x)
+
+
 def test_h_from_times_matches_points():
     # exp(z) = 1 + z + z^2/2 + z^3/6
     assert h_from_times([F(1), F(0), F(0)], 3) == [1, 1, F(1, 2), F(1, 6)]

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import sys
 import types
 from fractions import Fraction
 
@@ -306,3 +307,26 @@ def test_sampled_checks_fail_on_a_wrong_det(monkeypatch, route):
                             "quantity: 116965 vs 8627 at a pinned point")]
     else:
         assert changed == []
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 Fraction arithmetic builds its results "
+                           "without calling Fraction.__new__")
+def test_hl_cauchy_fraction_constructions_are_pinned():
+    # every Fraction the suite makes, arithmetic results included: series
+    # results skip the constructor's Fraction(c) per term, and the kernel
+    # makes one series product per pair
+    new = Fraction.__new__.__code__
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code is new:
+            made += 1
+
+    sys.setprofile(count)
+    try:
+        run_suite(SuiteConfig(suite="hl-cauchy", seed=0))
+    finally:
+        sys.setprofile(None)
+    assert made == 2682

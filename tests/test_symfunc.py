@@ -2,14 +2,19 @@
 
 from fractions import Fraction as F
 
-from qtau.algebra_core import QPoly, h_from_times, jacobi_trudi
+import pytest
+
+from qtau.algebra_core import QPoly, TruncatedSeries, h_from_times, jacobi_trudi
 from qtau.partitions import partitions_of
 from qtau.suites import _ssyt_count
 from qtau.symfunc import (_strips, cauchy_kernel_series, hall_littlewood_ints,
                           hl_series, kostka_tables, kostka_tables_json,
                           q_coeff_list,
                           supersymmetric_times, vandermonde, xy_names)
-from symfunc_reference import monomial_eval, schur_bialternant, schur_value
+from symfunc_reference import (cauchy_kernel_two_factor, monomial_eval,
+                               schur_bialternant, schur_value)
+
+KERNEL_QS = (0, 1, -1, 2, F(-3, 7), F(1, 4))
 
 
 def test_schur_eval():
@@ -151,7 +156,6 @@ def test_series_match_point_evaluation():
     names = xy_names(2, 2)
     cutoff = 4
     kernel = cauchy_kernel_series(2, 2, cutoff)
-    from qtau.algebra_core import TruncatedSeries
     acc = TruncatedSeries.zero(names, cutoff)
     for d in range(cutoff + 1):
         for lam in partitions_of(d):
@@ -161,6 +165,34 @@ def test_series_match_point_evaluation():
             sy = hl_series(lam, names, cutoff, 0, positions=(2, 3))
             acc = acc + sx * sy
     assert kernel.agrees_through(acc, cutoff)
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 3), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_cauchy_kernel_matches_the_two_factor_reference(nx, ny, q):
+    # one factor 1 + (1 - Q)(u + u^2 + ...) per pair is the product of
+    # 1/(1 - u) and 1 - Q u, through the cutoff; at Q = 1 it is 1
+    kernel = cauchy_kernel_series(nx, ny, 6, q)
+    assert kernel == cauchy_kernel_two_factor(nx, ny, 6, q)
+    if q == 1:
+        assert kernel == TruncatedSeries.one(xy_names(nx, ny), 6)
+
+
+def test_cauchy_kernel_makes_one_product_per_pair(monkeypatch):
+    calls = []
+    product = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for n in (1, 2, 3):
+        for cutoff in (0, 1, 4):
+            for q in KERNEL_QS:
+                calls.clear()
+                cauchy_kernel_series(n, n, cutoff, q)
+                assert len(calls) == n * n, (n, cutoff, q)
 
 
 def test_hl_series_consistency():
