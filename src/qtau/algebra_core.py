@@ -9,10 +9,9 @@ exact:
     no trailing zeros.  The zero polynomial is the empty tuple.  It keeps
     the coefficients it is given: Python ints for the tables that live in
     Z[Q] (b_lam, [n]!, Kostka-Foulkes, c-tilde), Fractions where the
-    coefficients are rational.  Zero is falsy.  Products skip zero
-    coefficients, and ``mat_mul_ring`` terms with a zero factor, as the
-    Kostka-Foulkes and c-tilde tables are sparse; every verification over
-    them (K K^-1 = I, both c-tilde identities) still runs in full.
+    coefficients are rational, and nothing else: the constructor and
+    evaluation raise ``TypeError`` on a float.  Zero is falsy.  Products
+    skip zero coefficients.
   * ``TruncatedSeries`` -- a multivariate power series truncated at a
     fixed total degree.  Terms live in a dict mapping exponent tuples to
     nonzero Fraction coefficients.  The public constructor validates what
@@ -20,6 +19,13 @@ exact:
     products and scalings truncate at the cutoff and drop cancelled terms
     as they go, so their results skip that validation.  Scalars are ints
     or Fractions, never floats.
+
+``mat_mul_ring`` multiplies matrices of ``QPoly`` entries by Kronecker
+substitution: each entry is packed into one Python int at a width proven
+from the inputs (a Fraction matrix is first cleared by the lcm of its
+denominators), so each term is one int product.  Terms with a zero factor
+are skipped; every verification over the sparse Kostka-Foulkes and
+c-tilde tables (K K^-1 = I, both c-tilde identities) still runs in full.
 
 The module also carries the small amount of exact linear algebra the
 rest of the package needs (determinants by fraction-free elimination on
@@ -72,17 +78,29 @@ class QPoly:
     """Dense univariate polynomial with int or Fraction coefficients.
 
     Coefficients are constant-term first and kept as given, so integer
-    polynomials stay in Z[Q] with no gcd normalisation.  Instances are
-    immutable and hashable so they can sit inside cached tables.
+    polynomials stay in Z[Q] with no gcd normalisation.  The public
+    constructor takes ints and Fractions only and trims trailing zeros;
+    ring results are built through ``_trusted``, as their coefficients
+    already are exact and trimmed.  Instances are immutable and hashable
+    so they can sit inside cached tables.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = tuple(coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"QPoly coefficients are ints or Fractions, "
+                                f"not {type(c).__name__}")
+        object.__setattr__(self, "coeffs", _trimmed(cs))
+
+    @classmethod
+    def _trusted(cls, coeffs: Tuple) -> "QPoly":
+        """A polynomial over exact coefficients with no trailing zero."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -91,11 +109,11 @@ class QPoly:
 
     @staticmethod
     def zero() -> "QPoly":
-        return QPoly(())
+        return QPoly._trusted(())
 
     @staticmethod
     def one() -> "QPoly":
-        return QPoly((1,))
+        return QPoly._trusted((1,))
 
     @staticmethod
     def constant(c) -> "QPoly":
@@ -104,7 +122,7 @@ class QPoly:
     @staticmethod
     def gen() -> "QPoly":
         """The polynomial Q itself."""
-        return QPoly((0, 1))
+        return QPoly._trusted((0, 1))
 
     # -- structure ---------------------------------------------------------
 
@@ -128,12 +146,12 @@ class QPoly:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return QPoly(out)
+        return QPoly._trusted(_trimmed(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return QPoly._trusted(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other) -> "QPoly":
         return self + (-_as_qpoly(other))
@@ -144,19 +162,23 @@ class QPoly:
     def __mul__(self, other) -> "QPoly":
         a, b = self.coeffs, _as_qpoly(other).coeffs
         if not a or not b:
-            return QPoly(())
+            return QPoly._trusted(())
         out = [0] * (len(a) + len(b) - 1)
         b_terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
                 for j, y in b_terms:
                     out[i + j] += x * y
-        return QPoly(out)
+        # the top coefficient a[-1] * b[-1] is nonzero: nothing to trim
+        return QPoly._trusted(tuple(out))
 
     __rmul__ = __mul__
 
     def __call__(self, q) -> Fraction:
         """Evaluate at an exact rational point (Horner)."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"QPoly evaluates at an int or a Fraction, not "
+                            f"{type(q).__name__}")
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = acc * q + c
@@ -182,11 +204,18 @@ class QPoly:
         return [format_rational(c) for c in self.coeffs]
 
 
+def _trimmed(cs: List) -> Tuple:
+    """The coefficient list without its trailing zeros, as a tuple."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 def _as_qpoly(value) -> QPoly:
     if isinstance(value, QPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return QPoly.constant(value)
+        return QPoly._trusted((value,) if value else ())
     raise TypeError(f"cannot coerce {type(value).__name__} to QPoly")
 
 
@@ -557,22 +586,87 @@ def power_series_div(num: Sequence, den: Sequence, order: int):
 
 
 def mat_mul_ring(a, b):
-    """Product of two ``QPoly`` matrices, adding only nonzero-factor terms."""
+    """Product of two matrices of ``QPoly`` entries, one int product per term.
+
+    Kronecker substitution: a polynomial sum_k c_k Q^k with int
+    coefficients is packed as the int sum_k c_k 2^(w k), so each product
+    of two entries, and each row-by-column sum, is Python int arithmetic
+    in C, and every entry of the result is unpacked from one int into
+    balanced base-2^w digits.  The width is proven from the inputs: an
+    output coefficient is a sum of at most ``mid`` polynomial products,
+    so its absolute value is at most B = mid * max|a_ik|_1 * max|b_kj|_1
+    (|p|_1 the sum of the absolute coefficients of p), and w =
+    bit_length(B) + 1 keeps every digit inside [-2^(w-1), 2^(w-1)).
+    A matrix with a Fraction coefficient is first cleared by the lcm s
+    of its denominators; the packed product then holds the numerators
+    over s_a s_b, and its coefficients come back as Fractions.  Int
+    matrices give int coefficients.  Only terms whose two factors are
+    nonzero are added.  Both operands must be rectangular, the columns
+    of ``a`` matching the rows of ``b``.
+    """
     if not a or not b:
         return []
     mid, cols = len(b), len(b[0])
-    if any(len(row) != mid for row in a):
+    if (any(len(row) != mid for row in a)
+            or any(len(row) != cols for row in b)):
         raise ValueError("inner dimensions do not match")
-    zero = QPoly.zero()
+    a, a_scale = _cleared_coeffs(a)
+    b, b_scale = _cleared_coeffs(b)
+    bound = mid * _max_norm(a) * _max_norm(b)
+    width = bound.bit_length() + 1
+    a = [[_packed(p, width) for p in row] for row in a]
+    # the nonzero entries of each row of b, as (column, packed entry)
+    b = [[(j, _packed(p, width)) for j, p in enumerate(row) if p]
+         for row in b]
+    scale = (None if a_scale is None and b_scale is None
+             else (a_scale or 1) * (b_scale or 1))
     out = []
     for row in a:
-        terms = [(x, b[k]) for k, x in enumerate(row) if x]
-        out_row = []
-        for j in range(cols):
-            acc = zero
-            for x, b_row in terms:
-                if b_row[j]:
-                    acc = acc + x * b_row[j]
-            out_row.append(acc)
-        out.append(out_row)
+        acc = [0] * cols
+        for x, b_terms in zip(row, b):
+            if x:
+                for j, y in b_terms:
+                    acc[j] += x * y
+        out.append([_unpacked(v, width, scale) for v in acc])
     return out
+
+
+def _cleared_coeffs(rows) -> Tuple[List[List[Tuple[int, ...]]], int | None]:
+    """The coefficient tuples of a matrix of QPolys, each times the lcm s
+    of every denominator in the matrix, and s; None for s when every
+    coefficient is an int (the tuples then are the entries' own)."""
+    rows = [[_as_qpoly(x).coeffs for x in row] for row in rows]
+    if all(type(c) is int for row in rows for p in row for c in p):
+        return rows, None
+    scale = lcm(*(c.denominator for row in rows for p in row for c in p))
+    return [[tuple(c.numerator * (scale // c.denominator) for c in p)
+             for p in row] for row in rows], scale
+
+
+def _max_norm(rows) -> int:
+    """The largest sum of absolute coefficients over a matrix's entries."""
+    return max((sum(map(abs, p)) for row in rows for p in row), default=0)
+
+
+def _packed(coeffs: Tuple[int, ...], width: int) -> int:
+    """sum_k coeffs[k] 2^(width k), by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << width) + c
+    return acc
+
+
+def _unpacked(value: int, width: int, scale: int | None) -> QPoly:
+    """The polynomial whose balanced base-2^width digits ``value`` holds,
+    each digit over ``scale`` when there is one."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    digits = []
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= mask + 1
+        digits.append(d)
+        value = (value - d) >> width
+    if scale is not None:
+        return QPoly._trusted(tuple([Fraction(d, scale) for d in digits]))
+    return QPoly._trusted(tuple(digits))

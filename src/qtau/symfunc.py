@@ -34,6 +34,8 @@ Kostka-Foulkes matrices are solved from the monomial tables: with
 partitions of one weight ordered decreasing-lexicographically both the
 s-to-m and P-to-m matrices are unitriangular against dominance, so the
 change of basis s = K P needs nothing beyond ring operations in Z[Q].
+Both back-substitutions accumulate one int coefficient list per entry,
+and K K^-1 = I is checked on the full matrices by ``mat_mul_ring``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .algebra_core import ONE, ZERO, QPoly, TruncatedSeries, mat_mul_ring
+from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, _trimmed,
+                           mat_mul_ring)
 from .miwa import from_points
 from .partitions import (Partition, multiplicities, normalize, partitions_of,
                          weight)
@@ -239,39 +242,43 @@ def kostka_tables(d: int) -> KostkaTables:
     n = len(order)
     hl = hl_monomial_table(d)
     sm = schur_monomial_table(d)
-    R = [[hl[order[i]].get(order[j], QPoly.zero()) for j in range(n)]
-         for i in range(n)]
-    S = [[QPoly.constant(sm[order[i]].get(order[j], 0)) for j in range(n)]
-         for i in range(n)]
+    R = [[hl[lam][mu].coeffs if mu in hl[lam] else () for mu in order]
+         for lam in order]
     # S = K R with R upper unitriangular, so back-substitute column by column
-    # (the strict lower triangle too); a term with a zero factor is skipped.
-    K = [[QPoly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = S[i][j]
-            for k in range(j):
-                if K[i][k] and R[k][j]:
-                    acc = acc - K[i][k] * R[k][j]
-            K[i][j] = acc
-    K_inv = [[QPoly.one() if i == j else QPoly.zero() for j in range(n)]
-             for i in range(n)]
+    # (the strict lower triangle too), on coefficient tuples
+    K = []
+    for lam in order:
+        row = []
+        for j, mu in enumerate(order):
+            row.append(_minus_dot(sm[lam].get(mu, 0),
+                                  [(row[k], R[k][j]) for k in range(j)]))
+        K.append(row)
+    K_inv = [[(1,) if i == j else () for j in range(n)] for i in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            acc = QPoly.zero()
-            for k in range(i + 1, j + 1):
-                if K[i][k] and K_inv[k][j]:
-                    acc = acc + K[i][k] * K_inv[k][j]
-            K_inv[i][j] = -acc
+            K_inv[i][j] = _minus_dot(0, [(K[i][k], K_inv[k][j])
+                                         for k in range(i + 1, j + 1)])
+    K = tuple(tuple(map(QPoly._trusted, row)) for row in K)
+    K_inv = tuple(tuple(map(QPoly._trusted, row)) for row in K_inv)
     check = mat_mul_ring(K, K_inv)
     if any(check[i][j] != (QPoly.one() if i == j else QPoly.zero())
            for i in range(n) for j in range(n)):
         raise ArithmeticError("Kostka inverse failed verification")
-    return KostkaTables(
-        weight=d,
-        order=order,
-        K=tuple(tuple(row) for row in K),
-        K_inv=tuple(tuple(row) for row in K_inv),
-    )
+    return KostkaTables(weight=d, order=order, K=K, K_inv=K_inv)
+
+
+def _minus_dot(start: int, pairs) -> Tuple[int, ...]:
+    """start - sum of a * b over the (a, b) coefficient tuples in pairs,
+    trimmed; a pair with a zero factor adds nothing and is skipped."""
+    acc = [start]
+    for a, b in pairs:
+        if a and b:
+            acc += [0] * (len(a) + len(b) - 1 - len(acc))
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        acc[k] -= x * y
+    return _trimmed(acc)
 
 
 def kostka_tables_json(tables: KostkaTables) -> dict:

@@ -39,6 +39,24 @@ def test_qpoly_arithmetic():
     assert QPoly([5]) == 5
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: QPoly([0.5, 1]), "float"),
+    (lambda: QPoly([1, 1.0]), "float"),
+    (lambda: QPoly(["1/2"]), "str"),
+    (lambda: QPoly.constant(0.25), "float"),
+    (lambda: QPoly([1, -1])(0.5), "float"),
+    (lambda: QPoly([1, -1])(1.0), "float"),
+    (lambda: QPoly([1, -1])("1/2"), "str"),
+], ids=["float-coefficient", "integral-float-coefficient", "str-coefficient",
+        "float-constant", "eval-at-float", "eval-at-integral-float",
+        "eval-at-str"])
+def test_qpoly_takes_only_ints_and_fractions(make, name):
+    # an exact polynomial neither stores nor evaluates at a binary float,
+    # and the error names the type it was given
+    with pytest.raises(TypeError, match=name):
+        make()
+
+
 def test_series_product_examples():
     names = ("x",)
     one = TruncatedSeries.one(names, 2)
@@ -159,3 +177,14 @@ def test_mat_mul_ring():
     prod = mat_mul_ring(a, b)
     assert prod[0][0] == 1 and prod[0][1].is_zero()
     assert prod[1][0].is_zero() and prod[1][1] == 1
+
+
+@pytest.mark.parametrize("b", [
+    [[QPoly([2])], [QPoly([3]), QPoly([1])]],
+    [[QPoly([2]), QPoly([1])], [QPoly([3])]],
+    [[QPoly([2]), QPoly([1])], [QPoly([3]), QPoly([4])], [QPoly([5])]],
+], ids=["second-row-long", "second-row-short", "three-rows"])
+def test_mat_mul_ring_rejects_a_ragged_or_mismatched_right_matrix(b):
+    a = [[QPoly.one(), QPoly.one()]]
+    with pytest.raises(ValueError, match="inner dimensions do not match"):
+        mat_mul_ring(a, b)

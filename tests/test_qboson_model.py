@@ -279,10 +279,8 @@ def test_kostka_inverse_check_catches_one_perturbed_entry():
                 assert mat_mul_ring(tables.K, bad) != identity
 
 
-def test_cold_c_tilde_tables_skip_zero_products(monkeypatch):
-    # A cold c_tilde_matrix(0..6) makes about 3,450 QPoly products, each
-    # with two nonzero factors; multiplying every entry of the triangular
-    # K, K^-1 and their products made 9,466.
+def _cold_c_tilde_products(monkeypatch) -> int:
+    """QPoly products made by c_tilde_matrix(0..6) with every table cold."""
     for table in (symfunc._strips, symfunc._psi, symfunc._chain_sum,
                   symfunc._chain_count, symfunc.hl_monomial_table,
                   symfunc.schur_monomial_table, symfunc.kostka_tables,
@@ -300,4 +298,21 @@ def test_cold_c_tilde_tables_skip_zero_products(monkeypatch):
     monkeypatch.setattr(QPoly, "__rmul__", counted)
     for d in range(7):
         c_tilde_matrix(d)
+    return made
+
+
+def test_cold_c_tilde_tables_skip_zero_products(monkeypatch):
+    # A cold c_tilde_matrix(0..6) multiplies only terms with two nonzero
+    # factors in the triangular K, K^-1 and their products; multiplying
+    # every entry made 9,466 QPoly products.
+    made = _cold_c_tilde_products(monkeypatch)
     assert 0 < made <= 4000
+
+
+def test_cold_c_tilde_tables_make_no_products_in_the_matrix_algebra(
+        monkeypatch):
+    # The Kostka-Foulkes solves run on coefficient tuples and every
+    # matrix product on packed ints, so the only QPoly products left are
+    # the psi and chain-sum tables, b_lam, the diag(b) K^-1 scaling and
+    # the inverse identity's right side (3,446 with QPoly matrix products).
+    assert _cold_c_tilde_products(monkeypatch) == 837

@@ -4,11 +4,15 @@ or not.
 
 Coefficients are ints or Fractions drawn from a small pool that holds
 zero and both signs, so zero coefficients, cancelling sums and
-cancelling leading terms come up often.
+cancelling leading terms come up often.  ``mat_mul_ring`` packs each
+polynomial into one int at a width proven from its inputs, so it is
+also tested on wide coefficients, high degrees and mixed denominators,
+and on one product that reaches the proven bound.
 """
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +118,79 @@ def test_mat_mul_ring_matches_the_dense_triple_loop(pair):
     product = mat_mul_ring(a, b)
     assert product == dense
     assert all(type(x) is QPoly for row in product for x in row)
+
+
+def dense_mat_mul(a, b):
+    """Coefficient tuples of every row-by-column sum, each term added."""
+    return [[dense_sum([dense_mul(x.coeffs, b[k][j].coeffs)
+                        for k, x in enumerate(row)])
+             for j in range(len(b[0]))] for row in a]
+
+
+def dense_sum(polys):
+    acc = ()
+    for p in polys:
+        acc = dense_add(acc, p)
+    return acc
+
+
+WIDE_INTS = st.integers(-2 ** 60, 2 ** 60)
+WIDE_FRACTIONS = st.builds(F, WIDE_INTS, st.integers(1, 10 ** 6))
+
+
+@st.composite
+def wide_matrix_pair(draw):
+    """(A, B) with coefficients up to 2^60 in size, degrees up to 40, and
+    either int or Fraction coefficients on each side.  Some entries are
+    flat (one coefficient repeated), whose products pile |.|_1-sized
+    sums onto the middle degrees.  Sometimes column 1 of A repeats
+    column 0 while row 1 of B negates row 0, so those two terms of every
+    row-by-column sum cancel (all of it when mid = 2)."""
+    rows, mid, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    cancel = draw(st.booleans())
+    mid = max(mid, 2) if cancel else mid
+
+    def matrix(nrows, ncols):
+        coeff = draw(st.sampled_from([WIDE_INTS, WIDE_FRACTIONS]))
+        entry = st.one_of(
+            st.lists(coeff, max_size=41).map(QPoly),
+            st.builds(lambda c, n: QPoly([c] * n), coeff, st.integers(0, 41)))
+        return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+
+    a, b = matrix(rows, mid), matrix(mid, cols)
+    if cancel:
+        for row in a:
+            row[1] = row[0]
+        b[1] = [-x for x in b[0]]
+    return a, b
+
+
+def assert_matches_dense(a, b):
+    product = mat_mul_ring(a, b)
+    assert [[p.coeffs for p in row] for row in product] == dense_mat_mul(a, b)
+    assert all(type(p) is QPoly for row in product for p in row)
+    # ints stay ints; a Fraction on either side makes every coefficient one
+    exact = (int if all(type(c) is int for m in (a, b) for row in m
+                        for p in row for c in p.coeffs) else F)
+    assert all(type(c) is exact for row in product for p in row
+               for c in p.coeffs)
+    return product
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_matrix_pair())
+def test_mat_mul_ring_on_wide_coefficients_and_denominators(pair):
+    assert_matches_dense(*pair)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mat_mul_ring_reaches_the_proven_width_bound(sign):
+    # Every entry of a has |.|_1 = c and every entry of b has |.|_1 = |d|,
+    # so the bound is mid * c * |d|, and entry (0, 0) is exactly
+    # sign * mid * c * |d| Q^3; the bound is odd, so a width one bit
+    # narrower misreads that coefficient with either sign.
+    c, d, mid = 2 ** 60 + 3, sign * (2 ** 60 - 5), 3
+    a = [[QPoly([0, 0, c])] * mid, [QPoly([1, -(c - 1)])] * mid]
+    b = [[QPoly([0, d]), QPoly([d // 2, d - d // 2])] for _ in range(mid)]
+    product = assert_matches_dense(a, b)
+    assert product[0][0].coeffs == (0, 0, 0, sign * mid * c * abs(d))

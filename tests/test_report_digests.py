@@ -5,7 +5,7 @@ with the default config, and once more at seed 7 with two trials and
 the signed Q list -3/7, 2, -1, 1, in both report formats; ``qtau kostka
 --cutoff d`` output is rebuilt for d <= 6, and run through the CLI at
 d = 7 and 8 (the desk weight cap); the c-tilde matrices are pinned for
-d <= 6.
+d <= 8.
 A change to the arithmetic that alters any byte of these reports fails
 here, so an exact-value refactor can show that it kept every report
 identical.  The bethe report prints floats, so only its check names,
@@ -170,6 +170,8 @@ C_TILDE_DIGESTS = [
     "5d9881841750b88346480739d11f56cb3ed44a767d19d3d682cfd7849143d88e",
     "0db151df9df439399769ca9b350e4332ffdbe3a92edce4358471f99936e07007",
     "07a3474388e565fcc0a973401dfcfb7562f3cf7b10268fbd236d9d6d7d26d805",
+    "0502d3be29bf9ba3b9a9c1f690918f145425d574af922f95f234b25e2f47f7b6",
+    "6bd1435e12da2e604fe4970357bc3923dcab5b919b1953cb274427815547fd2d",
 ]
 
 
