@@ -31,22 +31,28 @@ The module also carries the small amount of exact linear algebra the
 rest of the package needs (determinants by fraction-free elimination on
 ints, and power-series division), the coefficients h_k(t) of
 exp(sum_k t_k z^k) that the Miwa-coordinate code builds Schur values
-from, and the one Jacobi-Trudi determinant that every Schur-type value
-is built from.
+from, and the one Jacobi-Trudi matrix that every Schur-type value is
+built from: ``jacobi_trudi`` takes its determinant as a Fraction, and
+the int Giambelli check of ``phase_model`` takes ``det_int`` of the
+same rows over an int h-list.
 
 A box sum needs the Jacobi-Trudi value of every partition in the n x m
 box.  Those are the maximal minors (Pluecker coordinates) of a single
 n x (n+m) matrix of one-row generators, so ``box_minors`` reads them all
 from one division-free Laplace sweep, ``maximal_minors``, in which every
-sub-minor is computed once and shared.  Both kernels hand back ints over
-one scale, as ``det_int`` hands back an int; a Fraction is made only by
-the wrappers that return one (``det_rational``, ``jacobi_trudi``) and by
-the Fraction carriers and series above.
+sub-minor is computed once and shared.  The sweep keys sub-minors by the
+bitmask of their columns and lists each row's nonzero entries once; the
+column tuples of its result, and the partition keys ``box_minors`` puts
+on them, come from tables cached per shape.  Both kernels hand back ints
+over one scale, as ``det_int`` hands back an int; a Fraction is made
+only by the wrappers that return one (``det_rational``,
+``jacobi_trudi``) and by the Fraction carriers and series above.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from operator import add, itemgetter
@@ -475,15 +481,18 @@ def jacobi_trudi(gens: Sequence, lam: Sequence[int],
     k < 0.  With c_k = h_k of a point set this is the skew Schur value
     s_{lam/mu}, which vanishes unless mu is contained in lam.
     """
+    return det_rational(_jacobi_trudi_rows(gens, lam, mu))
+
+
+def _jacobi_trudi_rows(gens: Sequence, lam: Sequence[int],
+                       mu: Sequence[int] = ()) -> List[List]:
+    """The matrix (c_{lam_i - mu_j - i + j}) over gens, with int 0 for
+    c_k, k < 0, after padding lam and mu to the same length."""
     ell = max(len(lam), len(mu))
     lam = tuple(lam) + (0,) * (ell - len(lam))
     mu = tuple(mu) + (0,) * (ell - len(mu))
-
-    def c(k: int) -> Fraction:
-        return gens[k] if k >= 0 else ZERO
-
-    return det_rational([[c(lam[i] - mu[j] - i + j) for j in range(ell)]
-                         for i in range(ell)])
+    return [[gens[k] if (k := lam[i] - mu[j] - i + j) >= 0 else 0
+             for j in range(ell)] for i in range(ell)]
 
 
 def maximal_minors(
@@ -493,38 +502,46 @@ def maximal_minors(
     One Laplace sweep down the rows: the minors of the first k rows over
     every k-subset of columns extend, along row k, to those of the first
     k+1 rows, so each sub-minor is computed once and shared by every
-    minor that contains it.  Only +, - and * are used, and zero entries
-    and zero sub-minors are skipped.  Every maximal minor takes exactly
-    one entry from each row, so scaling row r by the lcm s_r of its
-    entries' denominators scales every minor by s = s_0 ... s_{n-1}; the
-    sweep runs on the scaled rows in Python ints.  Returns ({cols: D}, s)
-    with minor D / s for every sorted column subset, in ``combinations``
-    order; an n x K matrix with n > K has no maximal minors.
+    minor that contains it.  A sub-minor is keyed by the bitmask of its
+    columns, and entry (k, c) extends it with the cofactor sign
+    (-1)^(k + pos), pos the number of its columns left of c.  Only +, -
+    and * are used, and zero entries and zero sub-minors are skipped.
+    Every maximal minor takes exactly one entry from each row, so
+    scaling row r by the lcm s_r of its entries' denominators scales
+    every minor by s = s_0 ... s_{n-1}; the sweep runs on the scaled
+    rows in Python ints.  Returns ({cols: D}, s) with minor D / s for
+    every sorted column subset, in ``combinations`` order; an n x K
+    matrix with n > K has no maximal minors.
     """
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise ValueError("rows have different lengths")
     int_rows, scale = _cleared_rows(rows)
-    minors: Dict[Tuple[int, ...], int] = {(): 1}
+    minors: Dict[int, int] = {0: 1}
     for k, row in enumerate(int_rows):
-        grown: Dict[Tuple[int, ...], int] = {}
-        for cols, minor in minors.items():
-            # pos counts the columns of cols left of c, which fixes the
-            # cofactor sign (-1)^(k + pos) of entry (k, c)
-            pos = 0
-            for c, a in enumerate(row):
-                if pos < k and cols[pos] == c:
-                    pos += 1
+        # the nonzero entries of row k, as (column bit, entry)
+        terms = [(1 << c, a) for c, a in enumerate(row) if a]
+        grown: Dict[int, int] = {}
+        for mask, minor in minors.items():
+            for bit, a in terms:
+                if mask & bit:
                     continue
-                if a == 0:
-                    continue
-                term = a * minor if (k + pos) % 2 == 0 else -(a * minor)
-                key = cols[:pos] + (c,) + cols[pos:]
-                acc = grown.get(key)
-                grown[key] = term if acc is None else acc + term
-        minors = {cols: v for cols, v in grown.items() if v != 0}
-    return ({cols: minors.get(cols, 0)
-             for cols in combinations(range(width), len(rows))}, scale)
+                term = a * minor
+                if (k + (mask & (bit - 1)).bit_count()) & 1:
+                    term = -term
+                key = mask | bit
+                grown[key] = grown.get(key, 0) + term
+        minors = {mask: v for mask, v in grown.items() if v}
+    return ({cols: minors.get(mask, 0)
+             for mask, cols in _column_subsets(width, len(rows))}, scale)
+
+
+@lru_cache(maxsize=None)
+def _column_subsets(width: int, n: int) -> Tuple[Tuple[int, Tuple], ...]:
+    """(bitmask, columns) of every n-subset of range(width), in
+    ``combinations`` order."""
+    return tuple((sum(1 << c for c in cols), cols)
+                 for cols in combinations(range(width), n))
 
 
 def box_minors(gens: Sequence, den: int, n: int, m: int,
@@ -533,36 +550,48 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
     """({lam: D}, s) with jacobi_trudi(c, lam, mu) = D / s over the n x m box.
 
     The generators are c_k = gens[k] / den^k, with gens ints over a
-    graded denominator (``symfunc.q_coeff_ints``) or any Fractions.
-    Every such determinant is a maximal minor of one n x (n+m) matrix:
-    row r = mu_j + n-1-j and column p = lam_i + n-1-i hold c_{p-r}, zero
-    for p < r.  Row r times den^{n+m-1-r} reads gens[p-r] den^{n+m-1-p},
-    so one ``maximal_minors`` sweep gives the whole box.  Padding lam and
-    mu to n parts adds rows whose diagonal entry is c_0, so ``gens`` must
-    start with c_0 = 1; it needs c_0..c_{n+m-1}.  Keys are partitions as
-    ``partitions.enumerate_in_box`` writes them, in another order, and
+    graded denominator (``symfunc.q_coeff_ints``) or any Fractions, and
+    den nonzero.  Every such determinant is a maximal minor of one
+    n x (n+m) matrix: row r = mu_j + n-1-j and column p = lam_i + n-1-i
+    hold c_{p-r}, zero for p < r.  Row r times den^{n+m-1-r} reads
+    gens[p-r] den^{n+m-1-p}, so one ``maximal_minors`` sweep gives the
+    whole box.  Padding lam and mu to n parts adds rows whose diagonal
+    entry is c_0, so ``gens`` must start with c_0 = 1; it needs
+    c_0..c_{n+m-1}.  Keys are partitions as ``partitions.enumerate_in_box``
+    writes them, in the ``combinations`` order of their columns, and
     every value is 0 when mu has more than n nonzero parts.
     """
+    if den == 0:
+        raise ValueError("the generator denominator must be nonzero")
+    need = max(n + m, 1)
+    if len(gens) < need:
+        raise ValueError(f"box_minors needs the generators "
+                         f"c_0..c_{need - 1}, got {len(gens)}")
     if gens[0] != 1:
         raise ValueError("one-row generators must start with c_0 = 1")
     mu = tuple(p for p in mu if p)
+    keys = _box_keys(n, m)
+    if len(mu) > n:
+        return dict.fromkeys(keys, 0), 1
+    mu += (0,) * (n - len(mu))
     top = n + m - 1
-    if len(mu) <= n:
-        mu += (0,) * (n - len(mu))
-        powers = [den ** k for k in range(n + m)]
-        rows, spent = [], 0
-        for t in range(n):
-            r = mu[n - 1 - t] + t
-            rows.append([gens[p - r] * powers[top - p] if p >= r else 0
-                         for p in range(n + m)])
-            spent += max(top - r, 0)  # a row past the last column is zero
-        minors, scale = maximal_minors(rows)
-        scale *= den ** spent
-    else:
-        minors, scale = dict.fromkeys(combinations(range(n + m), n), 0), 1
-    # sorted columns P_0 < ... < P_{n-1} are lam_{n-1-k} + k
-    return ({tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k): v
-             for cols, v in minors.items()}, scale)
+    powers = [den ** k for k in range(n + m)]
+    rows, spent = [], 0
+    for t in range(n):
+        r = mu[n - 1 - t] + t
+        rows.append([gens[p - r] * powers[top - p] if p >= r else 0
+                     for p in range(n + m)])
+        spent += max(top - r, 0)  # a row past the last column is zero
+    minors, scale = maximal_minors(rows)
+    return dict(zip(keys, minors.values())), scale * den ** spent
+
+
+@lru_cache(maxsize=None)
+def _box_keys(n: int, m: int) -> Tuple[Tuple[int, ...], ...]:
+    """The partitions of the n x m box, in the ``combinations`` order of
+    their sorted columns P_0 < ... < P_{n-1}, where P_k = lam_{n-1-k} + k."""
+    return tuple(tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k)
+                 for cols in combinations(range(n + m), n))
 
 
 def power_series_div(num: Sequence, den: Sequence, order: int):

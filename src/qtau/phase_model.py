@@ -17,7 +17,10 @@ polynomials in x and hands them to one divided-difference determinant,
 ``_newton_det``, so coincident points are ordinary inputs.  Both run on
 the int h-lists of ``symfunc.q_coeff_ints``, with one scale per box
 sweep or per determinant row and column, so a pairing makes one
-Fraction, for the value it returns.
+Fraction, for the value it returns.  The Giambelli check
+(``giambelli_check``) makes none: over the same int h-list both of its
+determinants come out as D^|lam| times their values, so it compares
+two ``det_int`` results.
 
 A note on the correlation determinant: the route implemented by
 ``correlation_Am(..., mode="det")`` is the Cauchy-Binet compression of
@@ -35,8 +38,8 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, box_minors, det_int, det_rational,
-                           h_from_times, jacobi_trudi)
+from .algebra_core import (ONE, ZERO, _jacobi_trudi_rows, box_minors,
+                           det_int, h_from_times, jacobi_trudi)
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, normalize, partitions_of, weight)
 from .symfunc import PointSet, as_points, q_coeff_ints, q_coeff_list
@@ -284,23 +287,28 @@ def giambelli_check(ys: Sequence, shapes: Sequence[Partition]) -> bool:
     c_lam(y) = det(h_{lam_i - i + j}(y)); for each lam in ``shapes`` the
     check asserts that the determinant of c over the Frobenius hooks of
     lam reproduces c_lam itself, which is the Giambelli consequence of
-    the Plücker relations.  One h-list at the largest weight serves
-    every shape, and each c_mu is computed once, since the hook shapes
-    recur across lam.
+    the Plücker relations.  It runs on ints: with h_k = G_k / D^k from
+    one ``q_coeff_ints`` list at the largest weight, every term of
+    either determinant has total weight |lam| (a hook (a|b) has weight
+    a + b + 1), so both sides are D^|lam| times their rational values,
+    and C_mu = D^|mu| c_mu is ``det_int`` of the Jacobi-Trudi matrix
+    over G.  Each C_mu is computed once, since the hook shapes recur
+    across lam.
     """
     shapes = [normalize(lam) for lam in shapes]
-    hs = q_coeff_list(ys, 0, max((weight(lam) for lam in shapes), default=0))
-    values: Dict[Partition, Fraction] = {}
+    gs, _ = q_coeff_ints(ys, 0, max((weight(lam) for lam in shapes),
+                                    default=0))
+    values: Dict[Partition, int] = {}
 
-    def c(shape: Partition) -> Fraction:
+    def c(shape: Partition) -> int:
         if shape not in values:
-            values[shape] = jacobi_trudi(hs, shape)
+            values[shape] = det_int(_jacobi_trudi_rows(gs, shape))
         return values[shape]
 
     for lam in shapes:
         coords = frobenius(lam)
         rows = [[c(hook_partition(a, b)) for _, b in coords]
                 for a, _ in coords]
-        if det_rational(rows) != c(lam):
+        if det_int(rows) != c(lam):
             return False
     return True

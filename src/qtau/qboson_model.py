@@ -228,13 +228,18 @@ def c_tilde_matrix(d: int) -> Tuple[Tuple[QPoly, ...], ...]:
     K_inv = tables.K_inv
     b = [b_lambda(lam) for lam in order]
     K_inv_t = [[K_inv[k][i] for k in range(n)] for i in range(n)]
-    ct = mat_mul_ring(K_inv_t, [[b[k] * c for c in K_inv[k]]
-                                for k in range(n)])
-    _verify_c_tilde(ct, K, K_inv, b)
+    scaled = _diag_times(b, K_inv)
+    ct = mat_mul_ring(K_inv_t, scaled)
+    _verify_c_tilde(ct, K, K_inv, b, scaled)
     return tuple(tuple(row) for row in ct)
 
 
-def _verify_c_tilde(ct, K, K_inv, b) -> None:
+def _diag_times(b, rows):
+    """diag(b) times a matrix of QPolys, skipping its zero entries."""
+    return [[b_k * c if c else c for c in row] for b_k, row in zip(b, rows)]
+
+
+def _verify_c_tilde(ct, K, K_inv, b, scaled=None) -> None:
     """Raise ArithmeticError unless c~ passes both defining identities.
 
     The diagonal identity K^T c~ K = diag(b) is checked as it stands.
@@ -244,9 +249,15 @@ def _verify_c_tilde(ct, K, K_inv, b) -> None:
     grow with B.  Multiplying that form on the right by diag(B/b_s) K^T
     gives the cleared one, because kostka_tables has verified
     K K^-1 = I; conversely, multiplying the cleared form on the right by
-    (K^-1)^T and cancelling B (Z[Q] is a domain) gives it back.
+    (K^-1)^T and cancelling B (Z[Q] is a domain) gives it back.  Its
+    right side is read, transposed, from ``scaled`` = diag(b) K^-1, the
+    rows c~ = (K^-1)^T diag(b) K^-1 was built from (made here when not
+    given).  That is no circle: for c~ = (K^-1)^T W the diagonal identity
+    reads W K = diag(b), which alone forces W = diag(b) K^-1.
     """
     n = len(b)
+    if scaled is None:
+        scaled = _diag_times(b, K_inv)
     zero = QPoly.zero()
     Kt = [[K[r][i] for r in range(n)] for i in range(n)]
     ct_K = mat_mul_ring(ct, K)
@@ -258,5 +269,5 @@ def _verify_c_tilde(ct, K, K_inv, b) -> None:
                 raise ArithmeticError("c-tilde fails the diagonal identity")
     for i in range(n):
         for j in range(n):
-            if ct_K[i][j] != K_inv[j][i] * b[j]:
+            if ct_K[i][j] != scaled[j][i]:
                 raise ArithmeticError("c-tilde fails the inverse identity")

@@ -121,7 +121,9 @@ def _chain_sum(shape: Partition, steps: Tuple[int, ...]) -> QPoly:
     acc = QPoly.zero()
     for mu, size, psi_exps in _strips(shape):
         if size == steps[-1]:
-            acc = acc + _psi(psi_exps) * _chain_sum(mu, steps[:-1])
+            sub = _chain_sum(mu, steps[:-1])
+            if sub:
+                acc = acc + _psi(psi_exps) * sub
     return acc
 
 

@@ -20,6 +20,9 @@ those and are slower or defined on fewer inputs:
 - ``det_fraction`` is Gaussian elimination over Fractions, the reference
   for the library's fraction-free ``det_rational`` and the determinant
   every route here uses;
+- ``giambelli_fraction`` is the Giambelli hook-minor check on Fraction
+  values, the reference for the int ``phase_model.giambelli_check``,
+  which compares both determinants times D^|lam| instead;
 - ``det_quotient_reference`` is Q^{N(N-1)/2} det H(x,y) / det H(x,Qy)
   on the kernel matrix itself, and ``det_quotient_components_reference``
   expands det H(x, delta y) by Cauchy-Binet and divides the two series,
@@ -42,7 +45,8 @@ from math import prod
 
 from qtau.algebra_core import (ONE, ZERO, TruncatedSeries, h_from_times,
                                jacobi_trudi, power_series_div)
-from qtau.partitions import multiplicities, normalize, weight
+from qtau.partitions import (frobenius, hook_partition, multiplicities,
+                             normalize, weight)
 from qtau.symfunc import (_strips, as_points, hl_monomial_table,
                           q_coeff_list, vandermonde, xy_names)
 
@@ -103,6 +107,21 @@ def schur_value(lam, xs, mu=()) -> Fraction:
     the Jacobi-Trudi matrix reads, even when mu is not contained in lam.
     """
     return jacobi_trudi(q_coeff_list(xs, 0, weight(lam) + len(mu)), lam, mu)
+
+
+def giambelli_fraction(ys, shapes) -> bool:
+    """True when every lam in ``shapes`` has det(c_(a_i|b_j)) = c_lam,
+    with c_mu = jacobi_trudi over the h-list of ys as a Fraction and the
+    hook determinant taken by ``det_fraction``."""
+    shapes = [normalize(lam) for lam in shapes]
+    hs = q_coeff_list(ys, 0, max((weight(lam) for lam in shapes), default=0))
+    for lam in shapes:
+        coords = frobenius(lam)
+        rows = [[jacobi_trudi(hs, hook_partition(a, b)) for _, b in coords]
+                for a, _ in coords]
+        if det_fraction(rows) != jacobi_trudi(hs, lam):
+            return False
+    return True
 
 
 def v_lambda(lam, nvars: int, q) -> Fraction:

@@ -1,6 +1,7 @@
 """Exact scalars, deformation polynomials, truncated series, ring linalg."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -161,6 +162,54 @@ def test_box_minors():
     # int generators: h_k(1/2, 1/3) = [1, 5, 19, 65][k] / 6^k
     assert box_minors([1, 5, 19, 65], 6, 2, 1) == (
         {(): 216, (1,): 180, (1, 1): 36}, 216)
+
+
+def _column_order(n, m):
+    """The box partitions in the combinations order of their columns
+    lam_{n-1-k} + k, the order box_minors lists them in."""
+    return [tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k)
+            for cols in combinations(range(n + m), n)]
+
+
+def test_box_minors_key_order():
+    hs = [1, 5, 19, 65, 211, 665]
+    assert list(box_minors(hs, 6, 2, 2)[0]) == [
+        (), (1,), (2,), (1, 1), (2, 1), (2, 2)]
+    for n, m in [(0, 0), (0, 3), (1, 4), (3, 2), (2, 3), (4, 1)]:
+        for mu in ((), (1,), (2, 1), (1,) * (n + 1)):
+            table, scale = box_minors(hs, 6, n, m, mu)
+            assert list(table) == _column_order(n, m)
+    # n = 0: the one empty minor, or zero for any nonempty mu
+    assert box_minors([1], 6, 0, 0) == ({(): 1}, 1)
+    assert box_minors([1, 5, 19], 6, 0, 3, (1,)) == ({(): 0}, 1)
+    # mu longer than n: every value is 0 over scale 1
+    assert box_minors(hs, 6, 2, 2, (1, 1, 1)) == (
+        dict.fromkeys(_column_order(2, 2), 0), 1)
+
+
+def test_box_minors_rejects_a_zero_denominator():
+    # c_k = gens[k] / 0^k is undefined; the table would read 0 / 0
+    with pytest.raises(ValueError, match="denominator"):
+        box_minors([1, 5, 19, 65], 0, 2, 1)
+
+
+def test_box_minors_rejects_a_short_generator_list():
+    with pytest.raises(ValueError, match=r"c_0\.\.c_3"):
+        box_minors([1, 5, 19], 6, 2, 2)
+    with pytest.raises(ValueError, match=r"c_0\.\.c_0"):
+        box_minors([], 1, 0, 0)
+
+
+def test_maximal_minors_edge_shapes():
+    # n > width: no maximal minors; n = 0: the one empty minor
+    assert maximal_minors([[1, 2], [3, 4], [5, 6]]) == ({}, 1)
+    assert maximal_minors([[]]) == ({}, 1)
+    assert maximal_minors([]) == ({(): 1}, 1)
+    # an all-zero row makes every minor 0, listed in combinations order
+    zero_row = maximal_minors([[1, 2, 3], [0, 0, 0]])
+    assert zero_row == (dict.fromkeys(combinations(range(3), 2), 0), 1)
+    assert list(zero_row[0]) == list(combinations(range(3), 2))
+    assert maximal_minors([[0, 0, 0]]) == ({(0,): 0, (1,): 0, (2,): 0}, 1)
 
 
 def test_power_series_div():

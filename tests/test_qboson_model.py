@@ -313,6 +313,8 @@ def test_cold_c_tilde_tables_make_no_products_in_the_matrix_algebra(
         monkeypatch):
     # The Kostka-Foulkes solves run on coefficient tuples and every
     # matrix product on packed ints, so the only QPoly products left are
-    # the psi and chain-sum tables, b_lam, the diag(b) K^-1 scaling and
-    # the inverse identity's right side (3,446 with QPoly matrix products).
-    assert _cold_c_tilde_products(monkeypatch) == 837
+    # the psi and chain-sum tables, b_lam and the diag(b) K^-1 scaling,
+    # each with two nonzero factors; the inverse identity reads its right
+    # side from that scaling (3,446 with QPoly matrix products, 837 with
+    # zero factors and a second, transposed scaling).
+    assert _cold_c_tilde_products(monkeypatch) == 400

@@ -330,3 +330,42 @@ def test_hl_cauchy_fraction_constructions_are_pinned():
     finally:
         sys.setprofile(None)
     assert made == 2682
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="from 3.12 Fraction arithmetic builds its results "
+                           "without calling Fraction.__new__")
+def test_giambelli_fraction_constructions_are_pinned():
+    # both determinants of every shape are ints (D^|lam| times their
+    # values), so the check makes no Fraction: the 18 left draw the
+    # points and format them for the report; with a Fraction per
+    # determinant the suite made 733
+    new = Fraction.__new__.__code__
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code is new:
+            made += 1
+
+    sys.setprofile(count)
+    try:
+        run_suite(SuiteConfig(suite="giambelli", seed=0))
+    finally:
+        sys.setprofile(None)
+    assert made == 18
+
+
+def test_giambelli_suite_fails_on_a_wrong_kernel(monkeypatch):
+    # the Giambelli identity holds on every input the suite draws, so a
+    # check that can fail at all must fail when its determinant is wrong
+    from qtau import phase_model
+    real = phase_model.det_int
+
+    def off_by_one_on_2x2(rows):
+        value = real(rows)
+        return value + 1 if len(rows) == 2 else value
+
+    monkeypatch.setattr(phase_model, "det_int", off_by_one_on_2x2)
+    report = run_suite(SuiteConfig(suite="giambelli", seed=0))
+    assert report.checks and not any(c.passed for c in report.checks)

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from qtau.algebra_core import det_rational, h_from_times, jacobi_trudi
 from qtau.miwa import from_points, twist
 from qtau.partitions import b_lambda, contains, partitions_of, weight
-from qtau.phase_model import BoxSpec
+from qtau.phase_model import BoxSpec, giambelli_check
 from qtau.qboson_model import QBosonSpec, scalar_product_q
 from qtau.symfunc import hall_littlewood_ints, q_coeff_list
 from symfunc_reference import (big_schur_matrix, det_fraction,
-                               hall_littlewood_fraction, hl_symmetrization,
-                               hl_via_monomials, schur_bialternant,
-                               schur_in_miwa_matrix, schur_value, v_lambda)
+                               giambelli_fraction, hall_littlewood_fraction,
+                               hl_symmetrization, hl_via_monomials,
+                               schur_bialternant, schur_in_miwa_matrix,
+                               schur_value, v_lambda)
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 QS = st.one_of(st.sampled_from([F(0), F(1), F(-1), F(2)]), RATIONALS)
@@ -30,10 +31,11 @@ DISTINCT_POINTS = st.lists(RATIONALS, min_size=1, max_size=4, unique=True)
 
 
 @st.composite
-def points(draw):
-    """1-4 points from a small pool, so repeats and zeros come up often."""
+def points(draw, min_size=1):
+    """min_size-4 points from a small pool, so repeats and zeros come up
+    often."""
     pool = draw(st.lists(RATIONALS, min_size=1, max_size=4))
-    return draw(st.lists(st.sampled_from(pool + [F(0)]), min_size=1,
+    return draw(st.lists(st.sampled_from(pool + [F(0)]), min_size=min_size,
                          max_size=4))
 
 
@@ -161,3 +163,13 @@ def square_matrices(draw):
 @given(square_matrices())
 def test_det_rational_matches_fraction_elimination(rows):
     assert det_rational(rows) == det_fraction(rows)
+
+
+@SETTINGS
+@given(points(min_size=0),
+       st.lists(st.integers(0, 8).flatmap(
+           lambda d: st.sampled_from(partitions_of(d))), max_size=6))
+def test_giambelli_ints_match_fractions(ys, shapes):
+    # the int check compares D^|lam| times both sides; the reference
+    # compares the Fraction values themselves
+    assert giambelli_check(ys, shapes) == giambelli_fraction(ys, shapes)
