@@ -4,13 +4,13 @@ Scalars are plain ``fractions.Fraction`` values, and the two carriers
 below hold exact coefficients, so that every computation downstream is
 exact:
 
-  * ``QPoly`` -- a univariate polynomial in the deformation parameter,
-    stored densely as a tuple of coefficients, constant term first, with
-    no trailing zeros.  The zero polynomial is the empty tuple.  It keeps
-    the coefficients it is given: Python ints for the tables that live in
-    Z[Q] (b_lam, [n]!, Kostka-Foulkes, c-tilde), Fractions where the
-    coefficients are rational, and nothing else: the constructor and
-    evaluation raise ``TypeError`` on a float.  Zero is falsy.  Products
+  * ``QPoly`` -- a univariate polynomial in Z[Q], the deformation
+    parameter, stored densely as a tuple of Python int coefficients,
+    constant term first, with no trailing zeros.  The zero polynomial is
+    the empty tuple.  Every table it carries lives in Z[Q] (b_lam, [n]!,
+    Kostka-Foulkes, c-tilde), so the constructor and the ring operations
+    take ints only and raise ``TypeError`` on a Fraction or a float;
+    evaluation takes an int or a Fraction.  Zero is falsy.  Products
     skip zero coefficients.
   * ``TruncatedSeries`` -- a multivariate power series truncated at a
     fixed total degree.  Terms live in a dict mapping exponent tuples to
@@ -22,10 +22,9 @@ exact:
 
 ``mat_mul_ring`` multiplies matrices of ``QPoly`` entries by Kronecker
 substitution: each entry is packed into one Python int at a width proven
-from the inputs (a Fraction matrix is first cleared by the lcm of its
-denominators), so each term is one int product.  Terms with a zero factor
-are skipped; every verification over the sparse Kostka-Foulkes and
-c-tilde tables (K K^-1 = I, both c-tilde identities) still runs in full.
+from the inputs, so each term is one int product.  Terms with a zero
+factor are skipped; every verification over the sparse Kostka-Foulkes
+and c-tilde tables (K K^-1 = I, both c-tilde identities) runs in full.
 
 The module also carries the small amount of exact linear algebra the
 rest of the package needs (determinants by fraction-free elimination on
@@ -46,7 +45,7 @@ column tuples of its result, and the partition keys ``box_minors`` puts
 on them, come from tables cached per shape.  Both kernels hand back ints
 over one scale, as ``det_int`` hands back an int; a Fraction is made
 only by the wrappers that return one (``det_rational``,
-``jacobi_trudi``) and by the Fraction carriers and series above.
+``jacobi_trudi``), by ``QPoly`` evaluation and by the series above.
 """
 
 from __future__ import annotations
@@ -81,14 +80,12 @@ def format_rational(value: Fraction) -> str:
 
 
 class QPoly:
-    """Dense univariate polynomial with int or Fraction coefficients.
+    """Dense univariate polynomial with int coefficients.
 
-    Coefficients are constant-term first and kept as given, so integer
-    polynomials stay in Z[Q] with no gcd normalisation.  The public
-    constructor takes ints and Fractions only and trims trailing zeros;
-    ring results are built through ``_trusted``, as their coefficients
-    already are exact and trimmed.  Instances are immutable and hashable
-    so they can sit inside cached tables.
+    Coefficients are constant-term first.  The public constructor takes
+    ints only and trims trailing zeros; ring results come from
+    ``_trusted``, their coefficients being ints and trimmed already.
+    Instances are immutable and hashable, so they can sit in cached tables.
     """
 
     __slots__ = ("coeffs",)
@@ -96,8 +93,8 @@ class QPoly:
     def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"QPoly coefficients are ints or Fractions, "
+            if not isinstance(c, int):
+                raise TypeError(f"QPoly coefficients are ints, "
                                 f"not {type(c).__name__}")
         object.__setattr__(self, "coeffs", _trimmed(cs))
 
@@ -120,10 +117,6 @@ class QPoly:
     @staticmethod
     def one() -> "QPoly":
         return QPoly._trusted((1,))
-
-    @staticmethod
-    def constant(c) -> "QPoly":
-        return QPoly((c,))
 
     @staticmethod
     def gen() -> "QPoly":
@@ -195,8 +188,8 @@ class QPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == QPoly.constant(other)
+        if isinstance(other, int):
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -207,7 +200,7 @@ class QPoly:
 
     def to_list(self):
         """Coefficients constant-first, as plain strings (JSON friendly)."""
-        return [format_rational(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
 
 def _trimmed(cs: List) -> Tuple:
@@ -220,7 +213,7 @@ def _trimmed(cs: List) -> Tuple:
 def _as_qpoly(value) -> QPoly:
     if isinstance(value, QPoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return QPoly._trusted((value,) if value else ())
     raise TypeError(f"cannot coerce {type(value).__name__} to QPoly")
 
@@ -626,12 +619,10 @@ def mat_mul_ring(a, b):
     so its absolute value is at most B = mid * max|a_ik|_1 * max|b_kj|_1
     (|p|_1 the sum of the absolute coefficients of p), and w =
     bit_length(B) + 1 keeps every digit inside [-2^(w-1), 2^(w-1)).
-    A matrix with a Fraction coefficient is first cleared by the lcm s
-    of its denominators; the packed product then holds the numerators
-    over s_a s_b, and its coefficients come back as Fractions.  Int
-    matrices give int coefficients.  Only terms whose two factors are
-    nonzero are added.  Both operands must be rectangular, the columns
-    of ``a`` matching the rows of ``b``.
+    An entry may be a ``QPoly`` or an int; anything else raises
+    ``TypeError``.  Only terms whose two factors are nonzero are added.
+    Both operands must be rectangular, the columns of ``a`` matching the
+    rows of ``b``.
     """
     if not a or not b:
         return []
@@ -639,16 +630,14 @@ def mat_mul_ring(a, b):
     if (any(len(row) != mid for row in a)
             or any(len(row) != cols for row in b)):
         raise ValueError("inner dimensions do not match")
-    a, a_scale = _cleared_coeffs(a)
-    b, b_scale = _cleared_coeffs(b)
+    a = [[_as_qpoly(x).coeffs for x in row] for row in a]
+    b = [[_as_qpoly(x).coeffs for x in row] for row in b]
     bound = mid * _max_norm(a) * _max_norm(b)
     width = bound.bit_length() + 1
     a = [[_packed(p, width) for p in row] for row in a]
     # the nonzero entries of each row of b, as (column, packed entry)
     b = [[(j, _packed(p, width)) for j, p in enumerate(row) if p]
          for row in b]
-    scale = (None if a_scale is None and b_scale is None
-             else (a_scale or 1) * (b_scale or 1))
     out = []
     for row in a:
         acc = [0] * cols
@@ -656,20 +645,8 @@ def mat_mul_ring(a, b):
             if x:
                 for j, y in b_terms:
                     acc[j] += x * y
-        out.append([_unpacked(v, width, scale) for v in acc])
+        out.append([_unpacked(v, width) for v in acc])
     return out
-
-
-def _cleared_coeffs(rows) -> Tuple[List[List[Tuple[int, ...]]], int | None]:
-    """The coefficient tuples of a matrix of QPolys, each times the lcm s
-    of every denominator in the matrix, and s; None for s when every
-    coefficient is an int (the tuples then are the entries' own)."""
-    rows = [[_as_qpoly(x).coeffs for x in row] for row in rows]
-    if all(type(c) is int for row in rows for p in row for c in p):
-        return rows, None
-    scale = lcm(*(c.denominator for row in rows for p in row for c in p))
-    return [[tuple(c.numerator * (scale // c.denominator) for c in p)
-             for p in row] for row in rows], scale
 
 
 def _max_norm(rows) -> int:
@@ -685,9 +662,8 @@ def _packed(coeffs: Tuple[int, ...], width: int) -> int:
     return acc
 
 
-def _unpacked(value: int, width: int, scale: int | None) -> QPoly:
-    """The polynomial whose balanced base-2^width digits ``value`` holds,
-    each digit over ``scale`` when there is one."""
+def _unpacked(value: int, width: int) -> QPoly:
+    """The polynomial whose balanced base-2^width digits ``value`` holds."""
     mask, half = (1 << width) - 1, 1 << (width - 1)
     digits = []
     while value:
@@ -696,6 +672,4 @@ def _unpacked(value: int, width: int, scale: int | None) -> QPoly:
             d -= mask + 1
         digits.append(d)
         value = (value - d) >> width
-    if scale is not None:
-        return QPoly._trusted(tuple([Fraction(d, scale) for d in digits]))
     return QPoly._trusted(tuple(digits))

@@ -159,7 +159,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_bethe(args) -> int:
     check_caps(args.n, args.m)
     qn = _ints(args.qn)
-    q_used = float(_model_q(args))
+    try:
+        q_used = float(_model_q(args))
+    except OverflowError:
+        raise ValueError(f"--q {args.q} is too large for a float") from None
     if args.model == "phase":
         result = bethe_mod.solve_phase(args.n, args.m, qn)
     else:

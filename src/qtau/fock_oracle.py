@@ -119,6 +119,14 @@ class Monodromy:
     d: Tuple[SectorOperator, ...]
 
 
+def _rational(value) -> Fraction:
+    """An exact point as a Fraction; a float raises TypeError."""
+    if isinstance(value, float):
+        raise TypeError(f"the oracle takes exact points, not the float "
+                        f"{value!r}")
+    return Fraction(value)
+
+
 def _resolve(model: str, spec) -> Tuple[int, int, Fraction]:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
@@ -269,7 +277,7 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
     unit vectors; undoing the gauge and the rescaling by u makes
     A = A', B = u B', C = C'/u and D = D', each times u^-(M+1).
     """
-    u = Fraction(u)
+    u = _rational(u)
     if u == 0:
         raise ValueError("u = 0")
     n, m, q = _resolve(model, spec)
@@ -304,7 +312,7 @@ def bethe_state(model: str, spec, roots: Sequence) -> Dict[Partition, Fraction]:
     callers fixing u keep every intermediate quantity rational.
     """
     n, m, q = _resolve(model, spec)
-    ys = [Fraction(u) ** 2 for u in roots]
+    ys = [_rational(u) ** 2 for u in roots]
     if len(ys) > n:
         raise ValueError("more roots than the particle bound")
     basis = sector_basis(n, m)
@@ -324,7 +332,7 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     the gradings must then satisfy |y| = |x| - 1.
     """
     n, m, q = _resolve(model, spec)
-    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    xs, ys = [_rational(x) for x in xs], [_rational(y) for y in ys]
     expected = len(ys) + (1 if insertion is not None else 0)
     if len(xs) != expected:
         raise ValueError("grading mismatch between x, y and the insertion")
@@ -352,7 +360,7 @@ def commutation_check(model: str, spec, y1, y2) -> bool:
     denominator, so equal vectors compare equal.
     """
     n, m, q = _resolve(model, spec)
-    y1, y2 = Fraction(y1), Fraction(y2)
+    y1, y2 = _rational(y1), _rational(y2)
     blocks = _symbolic_blocks(n, m, q)
     basis = sector_basis(n, m)
     for s in range(n - 1):

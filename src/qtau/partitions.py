@@ -11,11 +11,15 @@ Box enumeration follows graded order: weight ascending, and inside a
 fixed weight decreasing lexicographic, so (2) comes before (1,1).  That
 refinement is compatible with dominance, which the Kostka code needs for
 its triangular solves.
+
+Every prod (1 - Q^c) in Z[Q] comes from the cached ``_psi``: [n]! and
+b_lam read it here, and the Hall-Littlewood strip weights in ``symfunc``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterable, List, Tuple
 
 from .algebra_core import QPoly
@@ -120,23 +124,24 @@ def multiplicities(lam: Partition) -> dict:
     return mult
 
 
+@lru_cache(maxsize=None)
+def _psi(exps: Tuple[int, ...]) -> QPoly:
+    """prod of (1 - Q^c) over the listed exponents c >= 1, in Z[Q]."""
+    return prod((QPoly([1] + [0] * (c - 1) + [-1]) for c in exps),
+                start=QPoly.one())
+
+
 def qfactorial(n: int) -> QPoly:
     """[n]! = prod_{i=1..n} (1 - Q^i) as a polynomial in Q."""
     if n < 0:
         raise ValueError("q-factorial of a negative integer")
-    acc = QPoly.one()
-    for i in range(1, n + 1):
-        factor = QPoly([1] + [0] * (i - 1) + [-1])
-        acc = acc * factor
-    return acc
+    return _psi(tuple(range(1, n + 1)))
 
 
 def b_lambda(lam: Partition) -> QPoly:
     """b_lambda(Q) = prod over distinct parts i of [mult_i(lam)]!."""
-    acc = QPoly.one()
-    for count in multiplicities(lam).values():
-        acc = acc * qfactorial(count)
-    return acc
+    return prod(map(qfactorial, multiplicities(lam).values()),
+                start=QPoly.one())
 
 
 def occupation_from_partition(lam: Partition, n: int, m: int) -> Tuple[int, ...]:

@@ -26,7 +26,8 @@ phase-model pairing, because Delta(Qy) = Q^{N(N-1)/2} Delta(y); S takes
 divided differences instead of dividing by Vandermondes, so the quotient
 is defined at coincident points and at Q = 0.  Its graded pieces are the
 int pieces of big_schur at Q = 0 divided as power series, because
-S_lam(y; 0) = s_lam(y).
+S_lam(y; 0) = s_lam(y).  Q is read exactly (``QBosonSpec`` refuses a
+float), and c-tilde and its checks stay in Z[Q], on int ``QPoly``s.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .algebra_core import (QPoly, box_minors, h_from_times, mat_mul_ring,
 from .miwa import from_points, twist
 from .partitions import b_lambda, multiplicities, weight
 from .phase_model import BoxSpec, scalar_product
-from .symfunc import (as_points, hall_littlewood_ints, kostka_tables,
+from .symfunc import (_exact, as_points, hall_littlewood_ints, kostka_tables,
                       q_coeff_ints)
 
 MODES = ("hl_sum", "det_quotient", "big_schur", "twisted_schur")
@@ -51,13 +52,13 @@ SUM_MODES = ("hl_sum", "big_schur", "twisted_schur")
 
 @dataclass(frozen=True)
 class QBosonSpec:
-    """Box data plus the deformation parameter Q (Q = 0 is the phase model)."""
+    """Box data plus the exact deformation Q (Q = 0 is the phase model)."""
 
     box: BoxSpec
     q: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        object.__setattr__(self, "q", _exact(self.q))
 
 
 def scalar_product_q(xs: Sequence, ys: Sequence, spec: QBosonSpec,
@@ -222,24 +223,18 @@ def c_tilde_matrix(d: int) -> Tuple[Tuple[QPoly, ...], ...]:
     if d < 0:
         raise ValueError("weight must be nonnegative")
     tables = kostka_tables(d)
-    order = tables.order
-    n = len(order)
-    K = tables.K
-    K_inv = tables.K_inv
-    b = [b_lambda(lam) for lam in order]
+    n, K, K_inv = len(tables.order), tables.K, tables.K_inv
+    b = [b_lambda(lam) for lam in tables.order]
     K_inv_t = [[K_inv[k][i] for k in range(n)] for i in range(n)]
-    scaled = _diag_times(b, K_inv)
+    # diag(b) K^-1, skipping its zero entries
+    scaled = [[b_k * c if c else c for c in row]
+              for b_k, row in zip(b, K_inv)]
     ct = mat_mul_ring(K_inv_t, scaled)
-    _verify_c_tilde(ct, K, K_inv, b, scaled)
+    _verify_c_tilde(ct, K, b, scaled)
     return tuple(tuple(row) for row in ct)
 
 
-def _diag_times(b, rows):
-    """diag(b) times a matrix of QPolys, skipping its zero entries."""
-    return [[b_k * c if c else c for c in row] for b_k, row in zip(b, rows)]
-
-
-def _verify_c_tilde(ct, K, K_inv, b, scaled=None) -> None:
+def _verify_c_tilde(ct, K, b, scaled) -> None:
     """Raise ArithmeticError unless c~ passes both defining identities.
 
     The diagonal identity K^T c~ K = diag(b) is checked as it stands.
@@ -251,23 +246,17 @@ def _verify_c_tilde(ct, K, K_inv, b, scaled=None) -> None:
     K K^-1 = I; conversely, multiplying the cleared form on the right by
     (K^-1)^T and cancelling B (Z[Q] is a domain) gives it back.  Its
     right side is read, transposed, from ``scaled`` = diag(b) K^-1, the
-    rows c~ = (K^-1)^T diag(b) K^-1 was built from (made here when not
-    given).  That is no circle: for c~ = (K^-1)^T W the diagonal identity
-    reads W K = diag(b), which alone forces W = diag(b) K^-1.
+    rows c~ = (K^-1)^T diag(b) K^-1 was built from.  That is no circle:
+    for c~ = (K^-1)^T W the diagonal identity reads W K = diag(b), which
+    alone forces W = diag(b) K^-1.
     """
     n = len(b)
-    if scaled is None:
-        scaled = _diag_times(b, K_inv)
-    zero = QPoly.zero()
     Kt = [[K[r][i] for r in range(n)] for i in range(n)]
     ct_K = mat_mul_ring(ct, K)
     diag = mat_mul_ring(Kt, ct_K)
     for i in range(n):
         for j in range(n):
-            expected = b[i] if i == j else zero
-            if diag[i][j] != expected:
+            if diag[i][j] != (b[i] if i == j else 0):
                 raise ArithmeticError("c-tilde fails the diagonal identity")
-    for i in range(n):
-        for j in range(n):
             if ct_K[i][j] != scaled[j][i]:
                 raise ArithmeticError("c-tilde fails the inverse identity")

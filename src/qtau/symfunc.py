@@ -10,7 +10,8 @@ the h-list at Q = 0, or ``h_from_times`` of a tuple of times) and reads
 one shape from ``jacobi_trudi`` or a whole box from
 ``algebra_core.box_minors``.  The point-set lists are ints over powers
 of one denominator (``q_coeff_ints``), which the pairing routes read;
-they read Fraction points and an int or Fraction Q as they are.
+they read Fraction points and an int or Fraction Q as they are, and
+refuse a float (``_exact``).
 
 Hall-Littlewood values and the monomial tables both come from the
 horizontal-strip branching rule
@@ -26,9 +27,10 @@ lcm L of the point denominators and Q = a/b, P_mu(x_1..x_r) is an int
 numerator over L^{|mu|} b^{r(r-1)/2} (the bound is argued at
 ``hall_littlewood_ints``), and its callers compare or sum those
 numerators without making a Fraction per value.  Kept symbolic in Q, it
-gives the P-to-monomial table; with every psi weight set to 1 it counts
-semistandard tableaux, which is how the (classical) Kostka numbers are
-produced.  The tests check these against independent routes in ``tests/``.
+gives the P-to-monomial table, each psi read from ``partitions._psi``;
+with every psi weight set to 1 it counts semistandard tableaux, which is
+how the (classical) Kostka numbers are produced.  The tests check these
+against independent routes in ``tests/``.
 
 Kostka-Foulkes matrices are solved from the monomial tables: with
 partitions of one weight ordered decreasing-lexicographically both the
@@ -50,20 +52,29 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, _trimmed,
                            mat_mul_ring)
 from .miwa import from_points
-from .partitions import (Partition, multiplicities, normalize, partitions_of,
-                         weight)
+from .partitions import (Partition, _psi, multiplicities, normalize,
+                         partitions_of, weight)
 
 PointSet = Tuple[Fraction, ...]
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; a float raises TypeError, as its binary value is
+    not the rational it was written as."""
+    if isinstance(x, float):
+        raise TypeError(f"exact routes take ints, Fractions or 'p/q' "
+                        f"strings, not the float {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def as_points(xs: Sequence) -> PointSet:
-    """The points as Fractions; a Fraction is kept as it is."""
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
+    """The points as Fractions (see ``_exact``)."""
+    return tuple(map(_exact, xs))
 
 
 def _num_den(q) -> Tuple[int, int]:
-    """Q = a/b in lowest terms; an int or a Fraction is read directly."""
-    q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+    """Q = a/b in lowest terms; an int is read directly (see ``_exact``)."""
+    q = q if isinstance(q, int) else _exact(q)
     return q.numerator, q.denominator
 
 
@@ -105,13 +116,6 @@ def _strips(
                     if count == ml.get(j, 0) + 1)
         out.append((mu, total - sum(mu), psi))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _psi(exps: Tuple[int, ...]) -> QPoly:
-    """psi = prod of (1 - Q^c) over the exponents listed by ``_strips``."""
-    return prod((QPoly([1] + [0] * (c - 1) + [-1]) for c in exps),
-                start=QPoly.one())
 
 
 @lru_cache(maxsize=None)

@@ -44,16 +44,18 @@ def test_qpoly_arithmetic():
     (lambda: QPoly([0.5, 1]), "float"),
     (lambda: QPoly([1, 1.0]), "float"),
     (lambda: QPoly(["1/2"]), "str"),
-    (lambda: QPoly.constant(0.25), "float"),
+    (lambda: QPoly([F(1, 2)]), "Fraction"),
+    (lambda: QPoly.one() + 0.25, "float"),
     (lambda: QPoly([1, -1])(0.5), "float"),
     (lambda: QPoly([1, -1])(1.0), "float"),
     (lambda: QPoly([1, -1])("1/2"), "str"),
 ], ids=["float-coefficient", "integral-float-coefficient", "str-coefficient",
-        "float-constant", "eval-at-float", "eval-at-integral-float",
-        "eval-at-str"])
+        "fraction-coefficient", "float-constant", "eval-at-float",
+        "eval-at-integral-float", "eval-at-str"])
 def test_qpoly_takes_only_ints_and_fractions(make, name):
-    # an exact polynomial neither stores nor evaluates at a binary float,
-    # and the error names the type it was given
+    # a polynomial in Z[Q] stores only ints, evaluates at ints and
+    # Fractions, never at a binary float, and the error names the type
+    # it was given
     with pytest.raises(TypeError, match=name):
         make()
 

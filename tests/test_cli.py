@@ -146,6 +146,14 @@ def test_bethe_rational_q(capsys):
         assert code == 2 and "not a finite rational" in err
 
 
+def test_bethe_q_beyond_float_range_is_usage_error(capsys):
+    # the solver runs on floats; a Q it cannot hold is a usage error
+    code, out, err = run(capsys, "bethe", "--model", "qboson", "--n", "1",
+                         "--m", "1", "--qn", "0", "--q", "1e400")
+    assert code == 2 and out == ""
+    assert "too large" in err
+
+
 def test_bethe_vanishing_pair_is_usage_error(capsys):
     # at Q = -1 these roots tend to y_0 = -y_1: no Bethe vector, exit 2
     code, out, err = run(capsys, "bethe", "--model", "qboson", "--n", "2",

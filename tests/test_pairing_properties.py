@@ -12,7 +12,8 @@ M in every mode it holds, and it leaves out det_quotient exactly where
 S(x, Qy) = 0.  Points are signed, zero and repeated, with small and large
 denominators; N runs from 0, the correlation routes take N = 1 with an
 empty y set, and Q takes 0, 1, -1, 2, -3/7 and 5/3.  Int points and an
-int Q read as the equal Fractions, and "p/q" strings are still accepted.
+int Q read as the equal Fractions, "p/q" strings are still accepted, and
+a float point or Q raises TypeError on every route, the oracle's too.
 A last test counts the Fractions each route makes: one for an input
 that is not already a Fraction and one for the value it returns, so
 that per-term and per-layer Fractions do not come back.
@@ -21,14 +22,16 @@ that per-term and per-layer Fractions do not come back.
 import sys
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtau import fock_oracle
 from qtau.algebra_core import box_minors
 from qtau.partitions import enumerate_in_box
 from qtau.phase_model import (BoxSpec, correlation_Am,
                               correlation_Am_power_column, correlation_skew,
-                              scalar_product)
+                              factorization_report, scalar_product)
 from qtau.qboson_model import (MODES, SUM_MODES, QBosonSpec,
                                graded_components, mode_agreement_report,
                                scalar_product_q)
@@ -193,6 +196,52 @@ def test_public_routes_accept_rational_strings():
     v_str, *rest_str = hall_littlewood_ints(xs, q)
     v_frac, *rest_frac = hall_littlewood_ints(fx, fq)
     assert rest_str == rest_frac and v_str((2, 1)) == v_frac((2, 1))
+
+
+_BOX = BoxSpec(2, 3)
+_XS, _YS = [F(1, 2), 0.1], [F(1, 5), F(2, 7)]
+_SPEC = QBosonSpec(_BOX, F(-3, 7))
+FLOAT_INPUTS = {
+    "scalar_product-det": lambda: scalar_product(_XS, _YS, _BOX, "det"),
+    "scalar_product-schur_sum": lambda: scalar_product(
+        _XS, _YS, _BOX, "schur_sum"),
+    "correlation_Am-det": lambda: correlation_Am(_XS, _YS[:1], 1, _BOX,
+                                                 "det"),
+    "correlation_Am-skew_sum": lambda: correlation_Am(
+        _XS, _YS[:1], 1, _BOX, "skew_sum"),
+    "correlation_Am_power_column": lambda: correlation_Am_power_column(
+        _XS, _YS[:1], 1, _BOX),
+    "correlation_skew": lambda: correlation_skew((1,), (), _XS, _YS, _BOX),
+    "factorization_report": lambda: factorization_report(
+        (1,), (1,), _XS, _YS, _BOX),
+    **{f"scalar_product_q-{mode}": (
+        lambda mode=mode: scalar_product_q(_YS, _XS, _SPEC, mode))
+       for mode in MODES},
+    "graded_components": lambda: graded_components(
+        _XS, _YS, _SPEC, "hl_sum", 2),
+    "mode_agreement_report": lambda: mode_agreement_report(_XS, _YS, _SPEC),
+    "QBosonSpec-q": lambda: QBosonSpec(_BOX, 0.1),
+    "q_coeff_ints-q": lambda: q_coeff_ints(_YS, 0.1, 3),
+    "hall_littlewood_ints-q": lambda: hall_littlewood_ints(_YS, 0.1),
+    "oracle_pairing-phase": lambda: fock_oracle.oracle_pairing(
+        "phase", _BOX, _XS, _YS),
+    "oracle_pairing-qboson": lambda: fock_oracle.oracle_pairing(
+        "qboson", _SPEC, _YS, _XS),
+    "bethe_state": lambda: fock_oracle.bethe_state("phase", _BOX, _XS),
+    "build_monodromy": lambda: fock_oracle.build_monodromy(
+        "qboson", _SPEC, 0.5),
+    "commutation_check": lambda: fock_oracle.commutation_check(
+        "phase", _BOX, F(1, 2), 0.1),
+}
+
+
+@pytest.mark.parametrize("route", FLOAT_INPUTS.values(), ids=FLOAT_INPUTS)
+def test_every_route_rejects_a_float(route):
+    # a float is read as its binary value (0.1 would be
+    # 3602879701896397/36028797018963968), which is not the rational it
+    # was written as, so an exact route refuses it
+    with pytest.raises(TypeError, match="float"):
+        route()
 
 
 def _fractions_made(route) -> int:

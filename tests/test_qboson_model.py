@@ -11,7 +11,7 @@ from qtau import symfunc
 from qtau.qboson_model import (MODES, QBosonSpec, _verify_c_tilde,
                                c_tilde_matrix, graded_components,
                                mode_agreement_report, scalar_product_q)
-from qtau.symfunc import kostka_tables, q_coeff_list
+from qtau.symfunc import hl_monomial_table, kostka_tables, q_coeff_list
 from qtau.algebra_core import QPoly, box_minors, jacobi_trudi, mat_mul_ring
 from symfunc_reference import hall_littlewood_fraction, schur_value
 
@@ -229,6 +229,27 @@ def test_z_q_tables_have_int_coefficients():
     assert all(int_coeffs(qfactorial(n)) for n in range(7))
 
 
+def test_z_q_layer_is_int_only():
+    # every table of the Z[Q] layer holds ints through weight 8, and the
+    # layer refuses a Fraction coefficient instead of carrying it
+    def ints(polys):
+        return all(type(c) is int for p in polys for c in p.coeffs)
+
+    for d in range(9):
+        tables = kostka_tables(d)
+        for matrix in (tables.K, tables.K_inv, c_tilde_matrix(d)):
+            assert ints(p for row in matrix for p in row)
+        assert ints(p for row in hl_monomial_table(d).values()
+                    for p in row.values())
+        assert ints(b_lambda(lam) for lam in partitions_of(d))
+        assert ints([qfactorial(d)])
+    half = F(1, 2)
+    for make in (lambda: QPoly([half]), lambda: QPoly.one() * half,
+                 lambda: mat_mul_ring([[QPoly.one()]], [[half]])):
+        with pytest.raises(TypeError, match="Fraction"):
+            make()
+
+
 def test_spec_validation():
     # the deformation value is coerced to an exact rational
     assert QBosonSpec(BoxSpec(1, 1), "1/3").q == F(1, 3)
@@ -258,13 +279,14 @@ def test_c_tilde_verification_catches_one_perturbed_entry(where):
     tables = kostka_tables(4)
     b = [b_lambda(lam) for lam in tables.order]
     ct = c_tilde_matrix(4)
-    _verify_c_tilde(ct, tables.K, tables.K_inv, b)
+    scaled = [[b_k * c for c in row] for b_k, row in zip(b, tables.K_inv)]
+    _verify_c_tilde(ct, tables.K, b, scaled)
     n = len(ct)
     for i in range(n):
         for j in (range(i + 1, n) if where == "above" else range(i)):
             for bad in _moved(ct, i, j):
                 with pytest.raises(ArithmeticError):
-                    _verify_c_tilde(bad, tables.K, tables.K_inv, b)
+                    _verify_c_tilde(bad, tables.K, b, scaled)
 
 
 def test_kostka_inverse_check_catches_one_perturbed_entry():
@@ -315,6 +337,7 @@ def test_cold_c_tilde_tables_make_no_products_in_the_matrix_algebra(
     # matrix product on packed ints, so the only QPoly products left are
     # the psi and chain-sum tables, b_lam and the diag(b) K^-1 scaling,
     # each with two nonzero factors; the inverse identity reads its right
-    # side from that scaling (3,446 with QPoly matrix products, 837 with
-    # zero factors and a second, transposed scaling).
-    assert _cold_c_tilde_products(monkeypatch) == 400
+    # side from that scaling, and the [n]! in b_lam come from the psi
+    # table (3,446 with QPoly matrix products, 837 with zero factors and
+    # a second, transposed scaling, 400 with [n]! built apart from psi).
+    assert _cold_c_tilde_products(monkeypatch) == 343

@@ -2,15 +2,13 @@
 references that multiply every coefficient and every matrix entry, zero
 or not.
 
-Coefficients are ints or Fractions drawn from a small pool that holds
-zero and both signs, so zero coefficients, cancelling sums and
-cancelling leading terms come up often.  ``mat_mul_ring`` packs each
-polynomial into one int at a width proven from its inputs, so it is
-also tested on wide coefficients, high degrees and mixed denominators,
-and on one product that reaches the proven bound.
+Coefficients are ints drawn from a small pool that holds zero and both
+signs, so zero coefficients, cancelling sums and cancelling leading
+terms come up often.  ``mat_mul_ring`` packs each polynomial into one
+int at a width proven from its inputs, so it is also tested on wide
+coefficients and high degrees, and on one product that reaches the
+proven bound.
 """
-
-from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +17,8 @@ from hypothesis import strategies as st
 from qtau.algebra_core import QPoly, mat_mul_ring
 
 INTS = st.sampled_from([0, 0, 1, -1, 2, -3])
-FRACTIONS = st.sampled_from([F(0), F(1, 2), F(-1, 2), F(2, 3), F(-5)])
-COEFF_LISTS = st.one_of(st.lists(INTS, max_size=6),
-                        st.lists(FRACTIONS, max_size=6),
-                        st.lists(st.one_of(INTS, FRACTIONS), max_size=6))
-CONSTANTS = st.one_of(INTS, FRACTIONS)
+COEFF_LISTS = st.lists(INTS, max_size=6)
+CONSTANTS = INTS
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -49,9 +44,8 @@ def dense_mul(a, b):
 
 
 def same(p: QPoly, coeffs) -> bool:
-    """Equal coefficients, and ints stay ints wherever the reference's do."""
-    return p.coeffs == coeffs and all(
-        type(c) is int for c, r in zip(p.coeffs, coeffs) if type(r) is int)
+    """Equal coefficients, every one an int."""
+    return p.coeffs == coeffs and all(type(c) is int for c in p.coeffs)
 
 
 @SETTINGS
@@ -98,7 +92,7 @@ def matrix_pair(draw):
     and entries drawn so that row-by-column sums often cancel."""
     rows, mid, cols = (draw(st.integers(1, 4)) for _ in range(3))
     pool = [QPoly(()), QPoly((1,)), QPoly((-1,)), QPoly((0, 1)),
-            QPoly((0, -1)), QPoly((1, -1)), QPoly((F(1, 2), 0, 2))]
+            QPoly((0, -1)), QPoly((1, -1)), QPoly((3, 0, 2))]
     entry = st.sampled_from(pool)
     a = [[draw(entry) for _ in range(mid)] for _ in range(rows)]
     b = [[draw(entry) for _ in range(cols)] for _ in range(mid)]
@@ -135,26 +129,24 @@ def dense_sum(polys):
 
 
 WIDE_INTS = st.integers(-2 ** 60, 2 ** 60)
-WIDE_FRACTIONS = st.builds(F, WIDE_INTS, st.integers(1, 10 ** 6))
 
 
 @st.composite
 def wide_matrix_pair(draw):
-    """(A, B) with coefficients up to 2^60 in size, degrees up to 40, and
-    either int or Fraction coefficients on each side.  Some entries are
-    flat (one coefficient repeated), whose products pile |.|_1-sized
-    sums onto the middle degrees.  Sometimes column 1 of A repeats
-    column 0 while row 1 of B negates row 0, so those two terms of every
-    row-by-column sum cancel (all of it when mid = 2)."""
+    """(A, B) with int coefficients up to 2^60 in size and degrees up to
+    40.  Some entries are flat (one coefficient repeated), whose products
+    pile |.|_1-sized sums onto the middle degrees.  Sometimes column 1 of
+    A repeats column 0 while row 1 of B negates row 0, so those two terms
+    of every row-by-column sum cancel (all of it when mid = 2)."""
     rows, mid, cols = (draw(st.integers(1, 3)) for _ in range(3))
     cancel = draw(st.booleans())
     mid = max(mid, 2) if cancel else mid
 
     def matrix(nrows, ncols):
-        coeff = draw(st.sampled_from([WIDE_INTS, WIDE_FRACTIONS]))
         entry = st.one_of(
-            st.lists(coeff, max_size=41).map(QPoly),
-            st.builds(lambda c, n: QPoly([c] * n), coeff, st.integers(0, 41)))
+            st.lists(WIDE_INTS, max_size=41).map(QPoly),
+            st.builds(lambda c, n: QPoly([c] * n), WIDE_INTS,
+                      st.integers(0, 41)))
         return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
 
     a, b = matrix(rows, mid), matrix(mid, cols)
@@ -169,10 +161,7 @@ def assert_matches_dense(a, b):
     product = mat_mul_ring(a, b)
     assert [[p.coeffs for p in row] for row in product] == dense_mat_mul(a, b)
     assert all(type(p) is QPoly for row in product for p in row)
-    # ints stay ints; a Fraction on either side makes every coefficient one
-    exact = (int if all(type(c) is int for m in (a, b) for row in m
-                        for p in row for c in p.coeffs) else F)
-    assert all(type(c) is exact for row in product for p in row
+    assert all(type(c) is int for row in product for p in row
                for c in p.coeffs)
     return product
 
