@@ -1,8 +1,9 @@
 """Exact arithmetic carriers used everywhere else in the package.
 
-Scalars are plain ``fractions.Fraction`` values, and the two carriers
-below hold exact coefficients, so that every computation downstream is
-exact:
+Scalars are plain ``fractions.Fraction`` values, and a caller's number
+enters through one gate, ``_exact``, which the other modules import: a
+float raises TypeError.  The two carriers below hold exact coefficients,
+so that every computation downstream is exact:
 
   * ``QPoly`` -- a univariate polynomial in Z[Q], the deformation
     parameter, stored densely as a tuple of Python int coefficients,
@@ -15,10 +16,10 @@ exact:
   * ``TruncatedSeries`` -- a multivariate power series truncated at a
     fixed total degree.  Terms live in a dict mapping exponent tuples to
     nonzero Fraction coefficients.  The public constructor validates what
-    it is given (arity, cutoff, Fraction coefficients, no zeros); sums,
-    products and scalings truncate at the cutoff and drop cancelled terms
-    as they go, so their results skip that validation.  Scalars are ints
-    or Fractions, never floats.
+    it is given (arity, cutoff, coefficients read by ``_exact``, no
+    zeros); sums, products and scalings truncate at the cutoff and drop
+    cancelled terms as they go, so their results skip that validation.
+    Scalars are ints or Fractions, never floats.
 
 ``mat_mul_ring`` multiplies matrices of ``QPoly`` entries by Kronecker
 substitution: each entry is packed into one Python int at a width proven
@@ -59,19 +60,40 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+PointSet = Tuple[Fraction, ...]
+
+
+def _exact(x) -> Fraction:
+    """x as a Fraction, the one gate for a caller's number: a float raises
+    TypeError, as its binary value is not the rational it was written as."""
+    if isinstance(x, float):
+        raise TypeError(f"exact routes take ints, Fractions or 'p/q' "
+                        f"strings, not the float {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def as_points(xs: Sequence) -> PointSet:
+    """The points as Fractions (see ``_exact``)."""
+    return tuple(map(_exact, xs))
+
+
+def _num_den(q) -> Tuple[int, int]:
+    """Q = a/b in lowest terms; an int is read directly (see ``_exact``)."""
+    q = q if isinstance(q, int) else _exact(q)
+    return q.numerator, q.denominator
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational; ValueError if it is none."""
     try:
-        return Fraction(text.strip())
+        return _exact(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not a finite rational p/q: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
     """Render an exact rational as "p/q" (or "p" when the denominator is 1)."""
-    return str(Fraction(value))
+    return str(_exact(value))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +252,7 @@ class TruncatedSeries:
     tuples (one slot per variable) to nonzero Fraction coefficients, none
     of total degree above ``cutoff``.  The public constructor validates
     what it is given: it checks the arity, drops terms past the cutoff,
-    makes every coefficient a Fraction and drops zeros.  The arithmetic
+    reads every coefficient through ``_exact`` and drops zeros.  The arithmetic
     keeps those invariants as it goes (a sum or product is truncated at
     the smaller cutoff, and cancelled terms are dropped), so its results
     skip the validation.  Scalars are ints or Fractions only.
@@ -249,7 +271,7 @@ class TruncatedSeries:
                 raise ValueError("exponent arity does not match variables")
             if sum(expo) > cutoff:
                 continue
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c != 0:
                 kept[tuple(expo)] = c
         object.__setattr__(self, "variables", vs)
@@ -396,7 +418,7 @@ def h_from_times(times: Sequence, kmax: int):
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    ts = [Fraction(t) for t in times]
+    ts = [_exact(t) for t in times]
     hs = [ONE]
     for j in range(1, kmax + 1):
         acc = ZERO
@@ -593,10 +615,10 @@ def power_series_div(num: Sequence, den: Sequence, order: int):
     Requires den[0] != 0.  Inputs are coefficient lists, constant first;
     missing trailing coefficients are treated as zero.
     """
-    if not den or Fraction(den[0]) == 0:
+    if not den or _exact(den[0]) == 0:
         raise ZeroDivisionError("series division needs a unit constant term")
-    a = [Fraction(num[k]) if k < len(num) else ZERO for k in range(order + 1)]
-    b = [Fraction(den[k]) if k < len(den) else ZERO for k in range(order + 1)]
+    a = [_exact(num[k]) if k < len(num) else ZERO for k in range(order + 1)]
+    b = [_exact(den[k]) if k < len(den) else ZERO for k in range(order + 1)]
     inv0 = 1 / b[0]
     out = []
     for k in range(order + 1):

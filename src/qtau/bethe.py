@@ -230,8 +230,15 @@ def _continuation_path(q: float, step: float) -> List[complex]:
     half of the root sets, so for q > 1 the path goes around Q = 1
     through the upper half plane, Q(s) = q s + (i/2) sin(pi s) for s in
     [0, 1], in ceil((q + 1)/step) stages, and the last stage is the
-    real q.
+    real q.  Past |q| = 2 the path is that of +-2, then real stages
+    that grow by the factor 1 + step up to q, so the plan has about
+    log(|q|/2)/step stages more than the one of +-2, not |q|/step.
     """
+    if abs(q) > 2.0:
+        edge = math.copysign(2.0, q)
+        count = math.ceil(math.log(abs(q) / 2.0) / math.log1p(step))
+        return (_continuation_path(edge, step)
+                + [edge * (1.0 + step) ** k for k in range(1, count)] + [q])
     if q <= 1.0:
         stages = max(1, math.ceil(abs(q) / step))
         return [q * t / stages for t in range(1, stages + 1)]
@@ -248,9 +255,11 @@ def solve_qboson_continued(n: int, m: int, q: float,
 
     Measured over every quantum-number set of the cells (1,3), (2,2),
     (2,3), (2,4), (3,3), (3,4) and (4,4): every set converges at Q in
-    {3/2, 2}, and steps 0.05 and 0.025 give the same roots.  Larger Q
+    {3/2, 2}, and steps 0.05 and 0.025 give the same roots.  Larger |Q|
     is not covered: at Q = 3 some sets fail or the two steps reach
-    different root sets.  At Q = -1 many sets tend to a pair
+    different root sets.  Past |Q| = 2 the stages grow geometrically,
+    which bounds the cost, not the accuracy: the plan has 309 stages at
+    Q = -10^6 and 518 at Q = 10^10.  At Q = -1 many sets tend to a pair
     y_k = -y_j = Q y_j, where B(y)B(-y)|0> = 0, so the limit is no Bethe
     vector.  When the stage at Q = -1 raises and the roots entering it
     hold a pair with |y_k + y_j| <= step, the result is

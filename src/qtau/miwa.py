@@ -3,8 +3,9 @@
 The times of a point set are t_n = (1/n) * sum_j x_j^n for n = 1..n_max,
 returned as a tuple with t_1 first.  ``twist`` applies the deformation
 T_n = (1 - Q^n) t_n used to move between the ordinary and deformed
-expansions.  A Schur value in times is ``jacobi_trudi`` over the one-row
-generators ``h_from_times(t, n)``, as for every other Schur-type value.
+expansions; a float point, time or Q is refused by ``algebra_core._exact``.
+A Schur value in times is ``jacobi_trudi`` over the one-row generators
+``h_from_times(t, n)``, as for every other Schur-type value.
 
 One rule keeps that value faithful: build the generators of point times
 at the tuple's own length, n = len(t).  ``h_from_times`` reads missing
@@ -18,14 +19,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .algebra_core import ZERO
+from .algebra_core import ZERO, _exact, as_points
 
 
 def from_points(points: Sequence, n_max: int) -> Tuple[Fraction, ...]:
     """t_n = (1/n) sum_j x_j^n for n = 1..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    xs = [Fraction(x) for x in points]
+    xs = as_points(points)
     values = []
     powers = list(xs)
     for n in range(1, n_max + 1):
@@ -36,5 +37,5 @@ def from_points(points: Sequence, n_max: int) -> Tuple[Fraction, ...]:
 
 def twist(t: Sequence, q) -> Tuple[Fraction, ...]:
     """T_n = (1 - Q^n) t_n for every given time."""
-    qv = Fraction(q)
-    return tuple((1 - qv ** n) * Fraction(v) for n, v in enumerate(t, 1))
+    qv = _exact(q)
+    return tuple((1 - qv ** n) * _exact(v) for n, v in enumerate(t, 1))

@@ -38,11 +38,11 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, _jacobi_trudi_rows, box_minors,
-                           det_int, h_from_times, jacobi_trudi)
+from .algebra_core import (ONE, ZERO, PointSet, _jacobi_trudi_rows, as_points,
+                           box_minors, det_int, h_from_times, jacobi_trudi)
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, normalize, partitions_of, weight)
-from .symfunc import PointSet, as_points, q_coeff_ints, q_coeff_list
+from .symfunc import q_coeff_ints, q_coeff_list
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,12 @@ from functools import lru_cache
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import (QPoly, box_minors, h_from_times, mat_mul_ring,
-                           power_series_div)
+from .algebra_core import (QPoly, _exact, as_points, box_minors,
+                           h_from_times, mat_mul_ring, power_series_div)
 from .miwa import from_points, twist
 from .partitions import b_lambda, multiplicities, weight
 from .phase_model import BoxSpec, scalar_product
-from .symfunc import (_exact, as_points, hall_littlewood_ints, kostka_tables,
-                      q_coeff_ints)
+from .symfunc import hall_littlewood_ints, kostka_tables, q_coeff_ints
 
 MODES = ("hl_sum", "det_quotient", "big_schur", "twisted_schur")
 SUM_MODES = ("hl_sum", "big_schur", "twisted_schur")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
-from .algebra_core import (QPoly, TruncatedSeries, box_minors,
+from .algebra_core import (QPoly, TruncatedSeries, _exact, box_minors,
                            format_rational, h_from_times)
 from .partitions import b_lambda, enumerate_in_box, partitions_of, weight
 from .phase_model import (BoxSpec, correlation_Am, correlation_Am_power_column,
@@ -78,7 +78,7 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        qs = tuple(Fraction(q) for q in self.q_values)
+        qs = tuple(map(_exact, self.q_values))
         if not qs:
             raise ValueError("need at least one Q value")
         for i, q in enumerate(qs):

@@ -9,9 +9,8 @@ builds the generator list once per point set (``q_coeff_list``, which is
 the h-list at Q = 0, or ``h_from_times`` of a tuple of times) and reads
 one shape from ``jacobi_trudi`` or a whole box from
 ``algebra_core.box_minors``.  The point-set lists are ints over powers
-of one denominator (``q_coeff_ints``), which the pairing routes read;
-they read Fraction points and an int or Fraction Q as they are, and
-refuse a float (``_exact``).
+of one denominator (``q_coeff_ints``), which the pairing routes read.
+A float point, Q or coefficient is refused by ``algebra_core._exact``.
 
 Hall-Littlewood values and the monomial tables both come from the
 horizontal-strip branching rule
@@ -49,33 +48,11 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, _trimmed,
-                           mat_mul_ring)
+from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, _exact,
+                           _num_den, _trimmed, as_points, mat_mul_ring)
 from .miwa import from_points
 from .partitions import (Partition, _psi, multiplicities, normalize,
                          partitions_of, weight)
-
-PointSet = Tuple[Fraction, ...]
-
-
-def _exact(x) -> Fraction:
-    """x as a Fraction; a float raises TypeError, as its binary value is
-    not the rational it was written as."""
-    if isinstance(x, float):
-        raise TypeError(f"exact routes take ints, Fractions or 'p/q' "
-                        f"strings, not the float {x!r}")
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def as_points(xs: Sequence) -> PointSet:
-    """The points as Fractions (see ``_exact``)."""
-    return tuple(map(_exact, xs))
-
-
-def _num_den(q) -> Tuple[int, int]:
-    """Q = a/b in lowest terms; an int is read directly (see ``_exact``)."""
-    q = q if isinstance(q, int) else _exact(q)
-    return q.numerator, q.denominator
 
 
 def vandermonde(xs: Sequence) -> Fraction:
@@ -339,7 +316,7 @@ def supersymmetric_times(alpha: Sequence, beta: Sequence,
     |lam| <= n_max.
     """
     t_alpha = from_points(alpha, n_max)
-    t_beta = from_points([-Fraction(b) for b in beta], n_max)
+    t_beta = from_points([-_exact(b) for b in beta], n_max)
     return tuple(a - b for a, b in zip(t_alpha, t_beta))
 
 
@@ -370,7 +347,7 @@ def hl_series(lam: Partition, names: Sequence[str], cutoff: int, q,
     dict: each monomial of m_mu carries the coefficient of m_mu."""
     lam = normalize(lam)
     names = tuple(names)
-    q = Fraction(q)
+    q = _exact(q)
     if not lam:
         return TruncatedSeries.one(names, cutoff)
     slots = tuple(positions) if positions is not None else tuple(range(len(names)))
@@ -390,7 +367,7 @@ def cauchy_kernel_series(nx: int, ny: int, cutoff: int, q=ZERO) -> TruncatedSeri
     u = x_j y_k, so the kernel is nx*ny series products at every Q.
     """
     names = xy_names(nx, ny)
-    one_minus_q = 1 - Fraction(q)
+    one_minus_q = 1 - _exact(q)
     acc = TruncatedSeries.one(names, cutoff)
     for j in range(nx):
         for k in range(ny):

@@ -27,10 +27,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-from qtau.algebra_core import ONE, ZERO, h_from_times
+from qtau.algebra_core import ONE, ZERO, as_points, h_from_times
 from qtau.miwa import from_points, twist
 from qtau.partitions import multiplicities, normalize, weight
-from qtau.symfunc import as_points
 
 from symfunc_reference import det_fraction, hall_littlewood_fraction
 

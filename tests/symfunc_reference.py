@@ -43,12 +43,12 @@ import itertools
 from fractions import Fraction
 from math import prod
 
-from qtau.algebra_core import (ONE, ZERO, TruncatedSeries, h_from_times,
-                               jacobi_trudi, power_series_div)
+from qtau.algebra_core import (ONE, ZERO, TruncatedSeries, as_points,
+                               h_from_times, jacobi_trudi, power_series_div)
 from qtau.partitions import (frobenius, hook_partition, multiplicities,
                              normalize, weight)
-from qtau.symfunc import (_strips, as_points, hl_monomial_table,
-                          q_coeff_list, vandermonde, xy_names)
+from qtau.symfunc import (_strips, hl_monomial_table, q_coeff_list,
+                          vandermonde, xy_names)
 
 
 def det_fraction(rows) -> Fraction:

@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from qtau.bethe import (BetheRoots, _solve, _sorted_roots, residual,
-                        solve_phase, solve_qboson, solve_qboson_continued)
+from qtau.bethe import (BetheRoots, _continuation_path, _solve,
+                        _sorted_roots, residual, solve_phase, solve_qboson,
+                        solve_qboson_continued)
 
 
 def test_single_particle_roots_of_unity():
@@ -114,6 +115,22 @@ def test_continuation_past_unit_deformation():
     # roots come in pairs r e^{i theta}, e^{i theta}/r here, which only
     # the modulus orders
     _same_roots_both_steps(3, 4, 2.0, [0, 3, 4])
+
+
+def test_continuation_plan_grows_like_log_q_past_two():
+    # up to |Q| = 2 the plan is linear in |Q|, as the bethe suite's pinned
+    # verdicts were measured; past it the plan of +-2 is followed by
+    # stages that grow by the factor 1 + step, so |Q| = 10^4 takes a few
+    # hundred stages instead of 2*10^5
+    stages = {-2: 40, -1: 20, -0.3: 6, 0: 1, 0.3: 6, 1: 20, 1.5: 50, 2: 60}
+    assert {q: len(_continuation_path(q, 0.05)) for q in stages} == stages
+    for q in (10 ** 4, -10 ** 4):
+        path = _continuation_path(q, 0.05)
+        edge = _continuation_path(math.copysign(2, q), 0.05)
+        assert len(path) < 1000 and path[:len(edge)] == edge
+        assert path[-1] == q
+        assert all(abs(a) < abs(b) for a, b in zip(path[len(edge) - 1:],
+                                                    path[len(edge):]))
 
 
 def test_root_order_on_tied_angles():

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -152,6 +155,21 @@ def test_bethe_q_beyond_float_range_is_usage_error(capsys):
                          "--m", "1", "--qn", "0", "--q", "1e400")
     assert code == 2 and out == ""
     assert "too large" in err
+
+
+def test_bethe_far_q_returns_promptly():
+    # a continuation plan linear in |Q| would run 2*10^7 Newton stages
+    # here; the command must end in seconds, with roots or a named error
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtau.cli", "bethe", "--model", "qboson",
+         "--n", "1", "--m", "1", "--qn", "0", "--q", "-1000000"],
+        env=env, capture_output=True, text=True, timeout=10)
+    if proc.returncode == 0:
+        assert len(json.loads(proc.stdout)["roots"]) == 1
+    else:
+        assert proc.returncode in (1, 2) and proc.stderr.startswith("error: ")
 
 
 def test_bethe_vanishing_pair_is_usage_error(capsys):

@@ -13,7 +13,8 @@ S(x, Qy) = 0.  Points are signed, zero and repeated, with small and large
 denominators; N runs from 0, the correlation routes take N = 1 with an
 empty y set, and Q takes 0, 1, -1, 2, -3/7 and 5/3.  Int points and an
 int Q read as the equal Fractions, "p/q" strings are still accepted, and
-a float point or Q raises TypeError on every route, the oracle's too.
+a float point or Q raises TypeError on every route, the oracle's too,
+and so does a float time, series coefficient or suite Q value.
 A last test counts the Fractions each route makes: one for an input
 that is not already a Fraction and one for the value it returns, so
 that per-term and per-layer Fractions do not come back.
@@ -27,15 +28,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtau import fock_oracle
-from qtau.algebra_core import box_minors
+from qtau.algebra_core import (TruncatedSeries, box_minors, h_from_times,
+                               power_series_div)
+from qtau.miwa import from_points, twist
 from qtau.partitions import enumerate_in_box
 from qtau.phase_model import (BoxSpec, correlation_Am,
                               correlation_Am_power_column, correlation_skew,
-                              factorization_report, scalar_product)
+                              factorization_report,
+                              matrix_integral_constant_term, scalar_product,
+                              schur_pair_sum_miwa)
 from qtau.qboson_model import (MODES, SUM_MODES, QBosonSpec,
                                graded_components, mode_agreement_report,
                                scalar_product_q)
-from qtau.symfunc import hall_littlewood_ints, q_coeff_ints, q_coeff_list
+from qtau.suites import SuiteConfig
+from qtau.symfunc import (cauchy_kernel_series, hall_littlewood_ints,
+                          hl_series, q_coeff_ints, q_coeff_list,
+                          supersymmetric_times, xy_names)
 
 from pairing_reference import (correlation_Am_det_fraction,
                                correlation_skew_fraction,
@@ -232,6 +240,25 @@ FLOAT_INPUTS = {
         "qboson", _SPEC, 0.5),
     "commutation_check": lambda: fock_oracle.commutation_check(
         "phase", _BOX, F(1, 2), 0.1),
+    # the times and series routes
+    "TruncatedSeries-coefficient": lambda: TruncatedSeries(
+        ("x",), 2, {(1,): 0.1}),
+    "h_from_times": lambda: h_from_times([0.1], 2),
+    "power_series_div": lambda: power_series_div([0.1], [1], 2),
+    "from_points": lambda: from_points(_XS, 2),
+    "twist-t": lambda: twist([F(1, 2), 0.1], F(1, 3)),
+    "twist-q": lambda: twist([F(1, 2)], 0.1),
+    "supersymmetric_times-alpha": lambda: supersymmetric_times(
+        _XS, [F(1, 3)], 2),
+    "supersymmetric_times-beta": lambda: supersymmetric_times(
+        [F(1, 3)], _XS, 2),
+    "hl_series-q": lambda: hl_series((1,), xy_names(1, 1), 2, 0.1),
+    "cauchy_kernel_series-q": lambda: cauchy_kernel_series(1, 1, 2, 0.1),
+    "schur_pair_sum_miwa": lambda: schur_pair_sum_miwa(
+        1, [0.1], [F(1, 2)], 2),
+    "matrix_integral_constant_term": lambda: matrix_integral_constant_term(
+        1, [F(1, 2)], [0.1], 2, "minus"),
+    "SuiteConfig-q_values": lambda: SuiteConfig("kostka", q_values=(0.1,)),
 }
 
 
@@ -276,8 +303,10 @@ def test_box_sums_make_one_fraction_per_value():
     # makes the three Q*y, its two determinants and their quotient; and
     # graded_components makes one per piece.  mode_agreement_report makes
     # one per sum-mode value and one per piece in its window, and its
-    # twisted_schur y-list still goes through Fraction times.  One
-    # Fraction per term would add at least 20 to any count.
+    # twisted_schur y-list still goes through Fraction times; its
+    # det_quotient series division reads the Fraction Q^d c_d as they
+    # are, through the exact-input gate.  One Fraction per term would
+    # add at least 20 to any count.
     box = BoxSpec(3, 3)
     xs, ys = [F(1, 2), F(-1, 3), F(2, 5)], [F(1, 5), F(2, 7), F(0)]
     spec = QBosonSpec(box, F(-3, 7))
@@ -297,7 +326,7 @@ def test_box_sums_make_one_fraction_per_value():
             lambda: scalar_product_q(xs, ys, spec, "det_quotient"), 6),
         "hl_sum pieces": (
             lambda: graded_components(xs, ys, spec, "hl_sum", 9), 10),
-        "mode report": (lambda: mode_agreement_report(xs, ys, spec), 208),
+        "mode report": (lambda: mode_agreement_report(xs, ys, spec), 187),
     }
     assert {name: _fractions_made(route)
             for name, (route, _) in counts.items()} == {
