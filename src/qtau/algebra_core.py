@@ -492,9 +492,10 @@ def jacobi_trudi(gens: Sequence, lam: Sequence[int],
                  mu: Sequence[int] = ()) -> Fraction:
     """det(c_{lam_i - mu_j - i + j}) over the one-row generators c_0, c_1, ...
 
-    ``gens`` lists c_0..c_K with K >= lam_1 + l(lam) - 1; c_k is zero for
-    k < 0.  With c_k = h_k of a point set this is the skew Schur value
-    s_{lam/mu}, which vanishes unless mu is contained in lam.
+    ``gens`` lists c_0..c_K with K >= max(lam) + l(lam) - 1; c_k is zero
+    for k < 0.  lam may be any composition, zero parts included.  With
+    c_k = h_k of a point set and lam a partition this is the skew Schur
+    value s_{lam/mu}, which vanishes unless mu is contained in lam.
     """
     return det_rational(_jacobi_trudi_rows(gens, lam, mu))
 

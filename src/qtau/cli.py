@@ -7,7 +7,8 @@ comma-separated lists, so exact values survive the shell; outputs print
 rationals the same way.
 
 Exit codes: 0 on success / all checks passing, 1 when a computed
-comparison or suite check fails, 2 on usage errors.
+comparison or suite check fails, 2 on usage errors and when bethe
+finds no root set.
 """
 
 from __future__ import annotations
@@ -163,10 +164,12 @@ def _cmd_bethe(args) -> int:
         q_used = float(_model_q(args))
     except OverflowError:
         raise ValueError(f"--q {args.q} is too large for a float") from None
-    if args.model == "phase":
-        result = bethe_mod.solve_phase(args.n, args.m, qn)
-    else:
-        result = bethe_mod.solve_qboson_continued(args.n, args.m, q_used, qn)
+    try:
+        result = (bethe_mod.solve_phase(args.n, args.m, qn)
+                  if args.model == "phase" else
+                  bethe_mod.solve_qboson_continued(args.n, args.m, q_used, qn))
+    except ArithmeticError as exc:  # no root set: not a failed comparison
+        raise ValueError(str(exc)) from None
     if result.vanishing_pair is not None:
         k, j = result.vanishing_pair
         raise ValueError(f"no Bethe vector: roots {k} and {j} tend to "

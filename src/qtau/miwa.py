@@ -17,21 +17,24 @@ raises inside ``jacobi_trudi`` instead.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Tuple
 
-from .algebra_core import ZERO, _exact, as_points
+from .algebra_core import _exact, as_points
 
 
 def from_points(points: Sequence, n_max: int) -> Tuple[Fraction, ...]:
-    """t_n = (1/n) sum_j x_j^n for n = 1..n_max."""
+    """t_n = (1/n) sum_j x_j^n = sum_j X_j^n / (n L^n) for n = 1..n_max,
+    on ints X_j = L x_j, L the lcm of the point denominators."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     xs = as_points(points)
-    values = []
-    powers = list(xs)
+    den = lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (den // x.denominator) for x in xs]
+    values, powers = [], ints
     for n in range(1, n_max + 1):
-        values.append(Fraction(sum(powers), n) if xs else ZERO)
-        powers = [p * x for p, x in zip(powers, xs)]
+        values.append(Fraction(sum(powers), n * den ** n))
+        powers = [p * x for p, x in zip(powers, ints)]
     return tuple(values)
 
 

@@ -85,9 +85,9 @@ def hook_partition(arm: int, leg: int) -> Partition:
 
 def partitions_of(d: int, max_part: int | None = None,
                   max_len: int | None = None) -> List[Partition]:
-    """Partitions of weight d, decreasing lexicographic order."""
-    if d < 0:
-        raise ValueError("weight must be nonnegative")
+    """Partitions of weight d, decreasing lex order; None is no bound."""
+    if d < 0 or any(b is not None and b < 0 for b in (max_part, max_len)):
+        raise ValueError("weight and bounds must be nonnegative")
     cap = d if max_part is None else min(max_part, d)
     rows = d if max_len is None else max_len
 

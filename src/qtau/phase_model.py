@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra_core import (ONE, ZERO, PointSet, _jacobi_trudi_rows, as_points,
+from .algebra_core import (ZERO, PointSet, _jacobi_trudi_rows, as_points,
                            box_minors, det_int, h_from_times, jacobi_trudi)
 from .partitions import (Partition, contains, enumerate_in_box, frobenius,
                          hook_partition, normalize, partitions_of, weight)
@@ -228,11 +229,9 @@ def schur_pair_sum_miwa(n: int, t: Sequence, tprime: Sequence,
     """sum over lam with l(lam) <= n, |lam| <= cutoff of s_lam(t) s_lam(t')."""
     hs = h_from_times(t, cutoff)
     hs_prime = h_from_times(tprime, cutoff)
-    acc = ONE  # empty partition
-    for d in range(1, cutoff + 1):
-        for lam in partitions_of(d, max_len=n):
-            acc += jacobi_trudi(hs, lam) * jacobi_trudi(hs_prime, lam)
-    return acc
+    return sum((jacobi_trudi(hs, lam) * jacobi_trudi(hs_prime, lam)
+                for d in range(cutoff + 1)
+                for lam in partitions_of(d, max_len=n)), ZERO)
 
 
 def matrix_integral_constant_term(n: int, t: Sequence, tprime: Sequence,
@@ -240,40 +239,27 @@ def matrix_integral_constant_term(n: int, t: Sequence, tprime: Sequence,
                                   sign_convention: str = "plus") -> Fraction:
     """Constant term of (1/n!) prod_l e^{xi(t,z_l) +- xi(t',1/z_l)} Delta(z)Delta(1/z).
 
-    Supported for n in {1, 2}.  The z-window needed to capture every
-    partition with |lam| <= cutoff is a1 (+ a2) <= cutoff, because the
-    contributing exponents pair off degree-by-degree; within that window
-    the extraction is exact, so under the matching sign convention the
-    value equals ``schur_pair_sum_miwa(n, t, tprime, cutoff)`` on the
-    nose.  Both conventions stay available so the harness can record
-    which one that is.
+    Expanding both Vandermondes over permutations, the n! relabellings
+    of z cancel the 1/n!: for every n >= 0 this is the sum over a in N^n
+    with |a| <= cutoff of prod_l h_{a_l}(t) det(h_{a_i - i + j}(+-t')),
+    ``jacobi_trudi`` read on the composition a.  Both factors have
+    degree |a|, so under the matching sign convention the value equals
+    ``schur_pair_sum_miwa(n, t, tprime, cutoff)`` on the nose.  Both
+    conventions stay available so the harness can record which one that is.
     """
-    if n not in (1, 2):
-        raise ValueError("constant-term route implemented for n = 1, 2 only")
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    if n < 0 or cutoff < 0:
+        raise ValueError("n and cutoff must be nonnegative")
     if sign_convention not in ("plus", "minus"):
         raise ValueError(f"unknown sign convention {sign_convention!r}")
-    hs = h_from_times(t, cutoff + 1)
-    tp = list(tprime)
-    if sign_convention == "minus":
-        tp = [-v for v in tp]
-    hp = h_from_times(tp, cutoff + 1)
-
-    def hhat(k: int) -> Fraction:
-        return hp[k] if 0 <= k < len(hp) else ZERO
-
-    if n == 1:
-        return sum((hs[a] * hhat(a) for a in range(cutoff + 1)), ZERO)
-    # n = 2: Delta(z)Delta(1/z) = 2 - z1/z2 - z2/z1.
-    acc = ZERO
-    for a1 in range(cutoff + 1):
-        for a2 in range(cutoff + 1 - a1):
-            cross = (2 * hhat(a1) * hhat(a2)
-                     - hhat(a1 + 1) * hhat(a2 - 1)
-                     - hhat(a1 - 1) * hhat(a2 + 1))
-            acc += hs[a1] * hs[a2] * cross
-    return acc / 2
+    hs = h_from_times(t, cutoff)
+    tp = [-v for v in tprime] if sign_convention == "minus" else tprime
+    hp = h_from_times(tp, cutoff + n)
+    total = ZERO
+    for cuts in combinations(range(cutoff + n), n):
+        # a_i = cuts_i - cuts_{i-1} - 1 runs over N^n with |a| <= cutoff
+        comp = [q - p - 1 for p, q in zip((-1,) + cuts, cuts)]
+        total += prod(hs[a] for a in comp) * jacobi_trudi(hp, comp)
+    return total
 
 
 # ---------------------------------------------------------------------------

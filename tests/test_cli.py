@@ -180,6 +180,15 @@ def test_bethe_vanishing_pair_is_usage_error(capsys):
     assert "roots 0 and 1" in err
 
 
+def test_bethe_without_root_set_is_usage_error(capsys):
+    # Newton stops with residual 1.3e-10 here, above its target: no root
+    # set is an unanswerable query (exit 2), not a failed comparison
+    code, out, err = run(capsys, "bethe", "--model", "qboson", "--n", "2",
+                         "--m", "2", "--qn", "0,1", "--q", "10000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_phase_model_rejects_nonzero_q(capsys):
     size = ("--n", "1", "--m", "2")
     for argv in (("bethe", "--model", "phase", *size, "--qn", "0"),

@@ -59,6 +59,16 @@ def test_enumerate_in_box():
 def test_partition_counts():
     assert len(partitions_of(6)) == 11
     assert partitions_of(0) == [()]
+    assert partitions_of(3, max_len=0) == []
+    assert partitions_of(0, max_part=0, max_len=0) == [()]
+
+
+@pytest.mark.parametrize("bounds", [dict(max_len=-1), dict(max_part=-1)])
+def test_partitions_of_refuses_negative_bounds(bounds):
+    # a negative bound used to mean "no bound" and list every partition
+    for d in (0, 3):
+        with pytest.raises(ValueError):
+            partitions_of(d, **bounds)
     assert weight((3, 2, 1)) == 6
     assert normalize([0, 3, 1, 0, 2]) == (3, 2, 1)
 

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtau.miwa import from_points
 from qtau.partitions import partitions_of
@@ -136,6 +138,31 @@ def test_matrix_integral():
         assert matrix_integral_constant_term(
             n, t, tp, 4, sign_convention="minus") != target
     assert matrix_integral_constant_term(1, [], [], 3) == 1
+
+
+TIMES = st.lists(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3),
+                                  F(3, 7), F(-5, 4)]), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), TIMES, TIMES, st.integers(0, 6))
+def test_matrix_integral_is_row_bounded_schur_sum(n, t, tp, cutoff):
+    # one constant-term formula for every n, under both conventions; the
+    # minus convention is the plus one at -t'
+    assert (matrix_integral_constant_term(n, t, tp, cutoff)
+            == schur_pair_sum_miwa(n, t, tp, cutoff))
+    assert (matrix_integral_constant_term(n, t, tp, cutoff, "minus")
+            == schur_pair_sum_miwa(n, t, [-v for v in tp], cutoff))
+
+
+@pytest.mark.parametrize("route", [schur_pair_sum_miwa,
+                                   matrix_integral_constant_term])
+def test_tau_routes_refuse_negative_n(route):
+    t, tp = [F(1, 2), F(-1, 3)], [F(1, 5)]
+    with pytest.raises(ValueError):
+        route(-1, t, tp, 3)
+    with pytest.raises(ValueError):
+        route(1, t, tp, -1)
 
 
 def test_schur_pair_sum_definition():
