@@ -46,6 +46,13 @@ transit (raise, then lower).  The site tables therefore act on a basis
 with particle bound N+1; the prefix analysis of auxiliary paths shows
 one extra sector is exactly enough, so every returned vector and block
 lies in the bound-N basis.
+
+Everything but the N+2 raise values is independent of Q and built once
+per (N, M).  The bases are graded by particle number, so the bound-N
+basis is a prefix of the bound-(N+1) one and each sector's partitions
+are converted to occupations once.  A state is coded as one int with
+its occupancies as digits in base N+3, so a site's raise or lower is an
+addition to the code and one dict lookup.
 """
 
 from __future__ import annotations
@@ -55,10 +62,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra_core import ONE, ZERO
-from .partitions import Partition, enumerate_in_box, occupation_from_partition
+from .partitions import (Partition, _check_site, enumerate_in_box,
+                         occupation_from_partition)
 from .phase_model import BoxSpec
 from .qboson_model import QBosonSpec
 
@@ -88,15 +96,16 @@ class SectorBasis:
 
 @lru_cache(maxsize=None)
 def sector_basis(n: int, m: int) -> SectorBasis:
+    """The bound-n basis on sites 0..m, built as the bound-(n-1) basis,
+    which is its prefix, followed by sector n, so each sector's
+    partitions pass through occupation_from_partition once."""
     if n < 0 or m < 0:
         raise ValueError("basis parameters must be nonnegative")
-    states: List[Occupation] = []
-    offsets = [0]
-    for s in range(n + 1):
-        for lam in enumerate_in_box(s, m):
-            states.append(occupation_from_partition(lam, s, m))
-        offsets.append(len(states))
-    return SectorBasis(states=tuple(states), offsets=tuple(offsets))
+    prefix = sector_basis(n - 1, m) if n else SectorBasis((), (0,))
+    states = prefix.states + tuple(occupation_from_partition(lam, n, m)
+                                   for lam in enumerate_in_box(n, m))
+    return SectorBasis(states=states,
+                       offsets=prefix.offsets + (len(states),))
 
 
 @dataclass(frozen=True)
@@ -151,22 +160,27 @@ def _site_layout(n: int, m: int):
     """Per-site (raise targets, occupancies, lower targets) on the
     bound-(n+1) basis: everything in the site tables but their values.
 
+    Each state is coded as the int sum_k occ_k (n+3)^k.  No occupancy
+    exceeds n+2 even after a raise, so the raise and lower targets at
+    site k are the states coded code +- (n+3)^k, one dict lookup each.
     A raise target is _FORBIDDEN where it leaves the extended basis, and
     a lower target is None where the site is empty.  None of it depends
     on Q, so it is built once per (n, m).
     """
-    ext = sector_basis(n + 1, m)
-    index = {occ: i for i, occ in enumerate(ext.states)}
+    base = n + 3
+    columns = tuple(zip(*sector_basis(n + 1, m).states))
+    codes = [0] * len(columns[0])
+    for site, occupancies in enumerate(columns):
+        step = base ** site
+        codes = [code + k * step for code, k in zip(codes, occupancies)]
+    index = {code: i for i, code in enumerate(codes)}
     layout = []
-    for site in range(m + 1):
-        raises, occupancies, lowers = [], [], []
-        for occ in ext.states:
-            k = occ[site]
-            head, tail = occ[:site], occ[site + 1:]
-            raises.append(index.get(head + (k + 1,) + tail, _FORBIDDEN))
-            occupancies.append(k)
-            lowers.append(index[head + (k - 1,) + tail] if k else None)
-        layout.append((tuple(raises), tuple(occupancies), tuple(lowers)))
+    for site, occupancies in enumerate(columns):
+        step = base ** site
+        raises = tuple(index.get(code + step, _FORBIDDEN) for code in codes)
+        lowers = tuple(index[code - step] if k else None
+                       for code, k in zip(codes, occupancies))
+        layout.append((raises, occupancies, lowers))
     return tuple(layout)
 
 
@@ -333,6 +347,8 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     """
     n, m, q = _resolve(model, spec)
     xs, ys = [_rational(x) for x in xs], [_rational(y) for y in ys]
+    if insertion is not None:
+        _check_site(insertion)
     expected = len(ys) + (1 if insertion is not None else 0)
     if len(xs) != expected:
         raise ValueError("grading mismatch between x, y and the insertion")

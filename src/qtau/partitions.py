@@ -19,6 +19,7 @@ b_lam read it here, and the Hall-Littlewood strip weights in ``symfunc``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import prod
 from typing import Iterable, List, Tuple
 
@@ -108,12 +109,19 @@ def partitions_of(d: int, max_part: int | None = None,
 def enumerate_in_box(n: int, m: int) -> Tuple[Partition, ...]:
     """All partitions inside the n x m box, graded order (see module doc).
 
-    Built once per (n, m); the tuple is shared by every caller.
+    The box's partitions are the multisets of n parts from 0..m with the
+    zeros dropped.  Sorting them decreasing-lex and then, stably, by
+    weight gives the graded order: two partitions of one weight are
+    never a proper prefix of each other, so tuple order is lex order
+    there.  Built once per (n, m); the tuple is shared by every caller.
     """
     if n < 0 or m < 0:
         raise ValueError("box dimensions must be nonnegative")
-    return tuple(lam for d in range(n * m + 1)
-                 for lam in partitions_of(d, max_part=m, max_len=n))
+    box = [tuple(p for p in reversed(parts) if p)
+           for parts in combinations_with_replacement(range(m + 1), n)]
+    box.sort(reverse=True)
+    box.sort(key=sum)
+    return tuple(box)
 
 
 def multiplicities(lam: Partition) -> dict:
@@ -142,6 +150,13 @@ def b_lambda(lam: Partition) -> QPoly:
     """b_lambda(Q) = prod over distinct parts i of [mult_i(lam)]!."""
     return prod(map(qfactorial, multiplicities(lam).values()),
                 start=QPoly.one())
+
+
+def _check_site(m) -> None:
+    """Refuse a lattice site index that is not an int with one TypeError;
+    a bool is refused too, so neither 1.0 nor True passes for site 1."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise TypeError(f"a lattice site is an int, not {m!r}")
 
 
 def occupation_from_partition(lam: Partition, n: int, m: int) -> Tuple[int, ...]:

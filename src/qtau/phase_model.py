@@ -41,8 +41,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebra_core import (ZERO, PointSet, _jacobi_trudi_rows, as_points,
                            box_minors, det_int, h_from_times, jacobi_trudi)
-from .partitions import (Partition, contains, enumerate_in_box, frobenius,
-                         hook_partition, normalize, partitions_of, weight)
+from .partitions import (Partition, _check_site, contains,
+                         enumerate_in_box, frobenius, hook_partition,
+                         normalize, partitions_of, weight)
 from .symfunc import q_coeff_ints, q_coeff_list
 
 
@@ -135,6 +136,7 @@ def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
     """
     xs = as_points(xs)
     ys = as_points(ys)
+    _check_site(m)
     n, mm = box.n, box.m
     if len(xs) != n or len(ys) != n - 1:
         raise ValueError("need N bra points and N-1 ket points")
@@ -167,6 +169,7 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     """
     xs = as_points(xs)
     ys = as_points(ys)
+    _check_site(m)
     n, mm = box.n, box.m
     if len(xs) != n or len(ys) != n - 1:
         raise ValueError("need N bra points and N-1 ket points")

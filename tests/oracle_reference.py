@@ -4,16 +4,18 @@
 through its transfer.  The code here is the same brute force with every
 coefficient a ``Fraction``: per-site raise and lower tables, the
 half-step scale * (base + table(vec)), the transfer through sites 0..M,
-and the B and C strings.  Only the occupation basis, the reading of a
-model and spec, and the graded block containers are imported from the
-oracle, so an arithmetic slip on the int side cannot repeat here.
+and the B and C strings.  The site layout is rebuilt here by slicing
+occupation tuples, where the oracle adds to int codes.  Only the
+occupation basis, the reading of a model and spec, the graded block
+containers and the out-of-basis sentinel are imported from the oracle,
+so an arithmetic or indexing slip on the int side cannot repeat here.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from qtau.fock_oracle import (Monodromy, SectorOperator, _resolve,
-                              sector_basis)
+from qtau.fock_oracle import (_FORBIDDEN, Monodromy, SectorOperator,
+                              _resolve, sector_basis)
 from qtau.partitions import enumerate_in_box
 
 ONE, ZERO = Fraction(1), Fraction(0)
@@ -25,23 +27,37 @@ def _raise_coeff(q, site, occ):
 
 
 @lru_cache(maxsize=None)
-def site_tables(n, m, q):
-    """Per-site (raise, lower) tables on the bound-(n+1) basis, with
-    Fraction coefficients; None marks a move out of the basis."""
+def site_layout(n, m):
+    """Per-site (raise targets, occupancies, lower targets) on the
+    bound-(n+1) basis, found by slicing each occupation tuple: the
+    layout the oracle reads from int codes, with its sentinel for a
+    raise out of the basis and None for a lower of an empty site."""
     ext = sector_basis(n + 1, m)
     index = {occ: i for i, occ in enumerate(ext.states)}
-    sites = []
+    layout = []
     for site in range(m + 1):
-        rmap, lmap = [], []
+        raises, occupancies, lowers = [], [], []
         for occ in ext.states:
             k = occ[site]
             raised = occ[:site] + (k + 1,) + occ[site + 1:]
             lowered = occ[:site] + (k - 1,) + occ[site + 1:]
-            rmap.append((index[raised], _raise_coeff(q, site, k))
-                        if raised in index else None)
-            lmap.append((index[lowered], ONE) if k else None)
-        sites.append((tuple(rmap), tuple(lmap)))
-    return tuple(sites)
+            raises.append(index.get(raised, _FORBIDDEN))
+            occupancies.append(k)
+            lowers.append(index[lowered] if k else None)
+        layout.append((tuple(raises), tuple(occupancies), tuple(lowers)))
+    return tuple(layout)
+
+
+@lru_cache(maxsize=None)
+def site_tables(n, m, q):
+    """Per-site (raise, lower) tables on the bound-(n+1) basis, with
+    Fraction coefficients; None marks a move out of the basis."""
+    return tuple(
+        (tuple(None if dst == _FORBIDDEN else (dst, _raise_coeff(q, site, k))
+               for dst, k in zip(raises, occupancies)),
+         tuple(None if dst is None else (dst, ONE) for dst in lowers))
+        for site, (raises, occupancies, lowers)
+        in enumerate(site_layout(n, m)))
 
 
 def _half_step(table, vec, base, scale):

@@ -10,11 +10,20 @@ go through the gate too.  Calls with two arguments build a value from
 ints the code made itself.  Three modules are exempt: ``fock_oracle``
 keeps a check of its own, because the oracle imports nothing from the
 formula side; ``bethe`` is numerical by design; and ``cli`` reads its
-strings with ``parse_rational``.
+strings with ``parse_rational``.  A lattice site is not a rational but
+an int, and every route that takes one refuses any other type, a bool
+included, through ``partitions._check_site``.
 """
 
 import ast
+from fractions import Fraction as F
 from pathlib import Path
+
+import pytest
+
+from qtau.fock_oracle import oracle_pairing
+from qtau.phase_model import (BoxSpec, correlation_Am,
+                              correlation_Am_power_column)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qtau"
 GATE = ("algebra_core", "_exact")
@@ -94,3 +103,23 @@ def test_the_gate_is_defined_once_and_imported_from_algebra_core():
                 imported_from.add(node.module)
     assert defined == ["algebra_core"]
     assert imported_from == {"algebra_core"}
+
+
+XS, YS = [F(1, 2), F(1, 3)], [F(1, 5)]
+
+
+@pytest.mark.parametrize("site", [1.0, True, F(1), "1"],
+                         ids=["float", "bool", "Fraction", "str"])
+@pytest.mark.parametrize("route", [
+    lambda m: correlation_Am(XS, YS, m, BoxSpec(2, 2), "skew_sum"),
+    lambda m: correlation_Am(XS, YS, m, BoxSpec(2, 2), "det"),
+    lambda m: correlation_Am_power_column(XS + [F(1, 7)], YS + [F(1, 6)], m,
+                                          BoxSpec(3, 2)),
+    lambda m: oracle_pairing("phase", BoxSpec(2, 2), XS, YS, insertion=m),
+], ids=["skew_sum", "det", "power_column", "oracle"])
+def test_a_site_that_is_not_an_int_is_refused(route, site):
+    # a site of another type must not pass for the int it equals (1.0 or
+    # True for 1), so every route refuses it with the same TypeError
+    with pytest.raises(TypeError, match="lattice site is an int, not"):
+        route(site)
+    assert isinstance(route(1), F)
