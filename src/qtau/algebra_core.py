@@ -83,6 +83,13 @@ def _num_den(q) -> Tuple[int, int]:
     return q.numerator, q.denominator
 
 
+def _over_lcm(values: Sequence) -> Tuple[List[int], int]:
+    """(X, L): exact values x_i = X_i / L as ints over the lcm L of their
+    denominators; ints and Fractions are read as they are."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational; ValueError if it is none."""
     try:
@@ -441,9 +448,9 @@ def _cleared_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
         return rows, 1
     scale, out = 1, []
     for row in rows:
-        den = lcm(*(x.denominator for x in row))
+        ints, den = _over_lcm(row)
         scale *= den
-        out.append([x.numerator * (den // x.denominator) for x in row])
+        out.append(ints)
     return out, scale
 
 

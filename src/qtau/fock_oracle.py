@@ -30,7 +30,7 @@ for site: the site tables depend on Q alone, and the pairing is
 defined at every Q, Q = 1 and Q = -1 included.
 
 The arithmetic is exact and still brute force, but it runs on Python
-ints.  For Q = a/b every site table holds int numerators over one table
+ints.  For Q = a/b every site element is an int numerator over one table
 denominator b^(N+2), enough for the raise elements 1 - Q^{k+1} with
 k <= N+1 on the extended basis.  A vector is a dict of int numerators
 over one positive denominator: each site step multiplies by ints and
@@ -47,12 +47,14 @@ with particle bound N+1; the prefix analysis of auxiliary paths shows
 one extra sector is exactly enough, so every returned vector and block
 lies in the bound-N basis.
 
-Everything but the N+2 raise values is independent of Q and built once
-per (N, M).  The bases are graded by particle number, so the bound-N
-basis is a prefix of the bound-(N+1) one and each sector's partitions
-are converted to occupations once.  A state is coded as one int with
-its occupancies as digits in base N+3, so a site's raise or lower is an
-addition to the code and one dict lookup.
+Everything but the N+2 raise numerators is independent of Q and built
+once per (N, M).  The bases are graded by particle number, so the
+bound-N basis is a prefix of the bound-(N+1) one and each sector's
+partitions are converted to occupations once.  A state is coded as one
+int with its occupancies as digits in base N+3, so a site's raise or
+lower is an addition to the code and one dict lookup.  A site step reads
+a state's target from this layout and its element from the numerator at
+its occupancy, so a new Q adds N+2 ints and no per-state table.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -186,46 +187,38 @@ def _site_layout(n: int, m: int):
 
 @lru_cache(maxsize=None)
 def _symbolic_blocks(n: int, m: int, q: Fraction):
-    """Per-site (raise, lower) tables on the bound-(n+1) basis, and their
-    shared denominator den = b**(n+2) for Q = a/b.
+    """The shared ``_site_layout(n, m)``, the n+2 raise numerators of a
+    deformed site, and their denominator den = b**(n+2) for Q = a/b.
 
-    Each table maps a state index to (target index, int coeff), or to
-    None where the site is empty; the matrix element is coeff / den.
-    Lowering is 1 and site 0 is bare (see the module doc), so those
-    entries are den.  Raising occupancy k at a deformed site is the
-    combined (1-Q)^{1/2} b+ element 1 - Q^{k+1}, whose numerator is
-    den - a^{k+1} b^{n+1-k}; k <= n+1 on the extended basis.  These n+2
-    numerators are the monodromy's only Q-dependent data, and the phase
-    model reads them at Q = 0; the targets come from ``_site_layout``.
+    Raising occupancy k at a deformed site is the combined (1-Q)^{1/2} b+
+    element 1 - Q^{k+1}, with numerator den - a^{k+1} b^{n+1-k}; k <= n+1
+    on the extended basis.  Lowering is 1 and site 0 is bare (see the
+    module doc), so those elements are den / den.  The numerators are the
+    monodromy's only Q-dependent data; the phase model reads them at Q = 0.
     Index layouts agree between the bound-n and bound-(n+1) bases
     because sectors enumerate identically.
     """
     a, b = q.numerator, q.denominator
     den = b ** (n + 2)
-    deformed = [den - a ** (k + 1) * b ** (n + 1 - k) for k in range(n + 2)]
-    sites = []
-    for site, (raises, occupancies, lowers) in enumerate(_site_layout(n, m)):
-        coeffs = (map(deformed.__getitem__, occupancies) if site
-                  else repeat(den))
-        sites.append((tuple(zip(raises, coeffs)),
-                      tuple(None if dst is None else (dst, den)
-                            for dst in lowers)))
-    return tuple(sites), den
+    deformed = tuple(den - a ** (k + 1) * b ** (n + 1 - k)
+                     for k in range(n + 2))
+    return _site_layout(n, m), deformed, den
 
 
-def _half_step(table, den: int, vec: Vector, base: Vector,
-               scale: int) -> Vector:
-    """scale * (den * base + table(vec)) on int numerators."""
+def _half_step(targets, occupancies, coeffs, den: int, vec: Vector,
+               base: Vector, scale: int) -> Vector:
+    """scale * (den * base + table(vec)) on int numerators; the table
+    sends state i to targets[i] with element coeffs[occupancies[i]] / den."""
     if not scale:
         return {}
     out = {i: den * value for i, value in base.items()}
     for i, value in vec.items():
-        entry = table[i]
-        if entry is None:
+        dst = targets[i]
+        if dst is None:
             continue
-        dst, coeff = entry
         if dst == _FORBIDDEN:
             raise AssertionError("operator escaped the extended basis")
+        coeff = coeffs[occupancies[i]]
         if coeff:
             term = value * coeff
             out[dst] = out[dst] + term if dst in out else term
@@ -234,21 +227,24 @@ def _half_step(table, den: int, vec: Vector, base: Vector,
 
 def _transfer(blocks, alpha: Fraction, beta: Fraction, w1: Vector,
               w2: Vector) -> Tuple[Vector, Vector, int]:
-    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn.
+    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn;
+    R_k reads the deformed numerators for k >= 1, R_0 and L_k read den.
 
     w1 and w2 are int numerators over one denominator, and so are the
     two returned vectors; the third value is the factor by which that
     denominator grew: d * den per site, with alpha, beta written over
     their common denominator d.
     """
-    sites, den = blocks
+    layout, deformed, den = blocks
+    bare = (den,) * len(deformed)
     d = lcm(alpha.denominator, beta.denominator)
     ka = alpha.numerator * (d // alpha.denominator)
     kb = beta.numerator * (d // beta.denominator)
-    for raises, lowers in sites:
-        w1, w2 = (_half_step(raises, den, w2, w1, ka),
-                  _half_step(lowers, den, w1, w2, kb))
-    return w1, w2, (d * den) ** len(sites)
+    for site, (raises, occupancies, lowers) in enumerate(layout):
+        w1, w2 = (_half_step(raises, occupancies, deformed if site else bare,
+                             den, w2, w1, ka),
+                  _half_step(lowers, occupancies, bare, den, w1, w2, kb))
+    return w1, w2, (d * den) ** len(layout)
 
 
 def _reduced(vec: Vector, den: int, basis: SectorBasis,
@@ -360,10 +356,11 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     if insertion is not None:
         if not 0 <= insertion <= m:
             raise ValueError("insertion site out of range")
+        layout, deformed, den = blocks
         # the site's raise on the vacuum, which is index 0 in both bases
-        dst, coeff = blocks[0][insertion][0][0]
-        vec, den = _reduced({dst: coeff} if coeff else {}, blocks[1],
-                            basis, 1)
+        coeff = deformed[0] if insertion else den
+        vec, den = _reduced({layout[insertion][0][0]: coeff} if coeff
+                            else {}, den, basis, 1)
     vec, den = _b_string(blocks, basis, vec, den, expected - len(ys), ys)
     vec, den = _c_string(blocks, basis, vec, den, expected, xs)
     return Fraction(vec.get(0, 0), den)

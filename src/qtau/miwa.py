@@ -17,10 +17,9 @@ raises inside ``jacobi_trudi`` instead.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence, Tuple
 
-from .algebra_core import _exact, as_points
+from .algebra_core import _exact, _over_lcm, as_points
 
 
 def from_points(points: Sequence, n_max: int) -> Tuple[Fraction, ...]:
@@ -28,9 +27,7 @@ def from_points(points: Sequence, n_max: int) -> Tuple[Fraction, ...]:
     on ints X_j = L x_j, L the lcm of the point denominators."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    xs = as_points(points)
-    den = lcm(*(x.denominator for x in xs))
-    ints = [x.numerator * (den // x.denominator) for x in xs]
+    ints, den = _over_lcm(as_points(points))
     values, powers = [], ints
     for n in range(1, n_max + 1):
         values.append(Fraction(sum(powers), n * den ** n))

@@ -176,8 +176,8 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     if (mm + n - 1) % 2:
         raise ValueError("column exponent (M+N-1-2m)/2 must be an integer")
     expo = (mm + n - 1 - 2 * m) // 2
-    if expo < 0:
-        raise ValueError("site index m too large for the power column")
+    if m < 0 or expo < 0:
+        raise ValueError("site index m out of range for the power column")
     det = _newton_det(xs, [_column([y.numerator ** k for k in range(mm + n)],
                                    y.denominator) for y in ys]
                       + [_column([1], 1, expo)])

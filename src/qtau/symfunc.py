@@ -45,11 +45,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, _exact,
-                           _num_den, _trimmed, as_points, mat_mul_ring)
+                           _num_den, _over_lcm, _trimmed, as_points,
+                           mat_mul_ring)
 from .miwa import from_points
 from .partitions import (Partition, _psi, multiplicities, normalize,
                          partitions_of, weight)
@@ -160,11 +161,9 @@ def hall_littlewood_ints(xs: Sequence, q
     lives, so a sum over a box of partitions reuses every value the
     recursion meets.
     """
-    xs = as_points(xs)
+    ints, scale = _over_lcm(as_points(xs))
     a, b = _num_den(q)
-    n = len(xs)
-    scale = lcm(*(x.denominator for x in xs))
-    ints = [x.numerator * (scale // x.denominator) for x in xs]
+    n = len(ints)
     # c = m_j(mu) <= l(mu) < n, and so is r - 1 - sum c
     one_minus = [b ** c - a ** c for c in range(n)]
     b_pow = [b ** k for k in range(n)]
@@ -284,12 +283,10 @@ def q_coeff_ints(ys: Sequence, q, mmax: int) -> Tuple[List[int], int]:
     With y_j = Y_j / L, L the lcm of the point denominators, Q = a/b and
     z = L b w, each factor is (1 - a Y_j w)/(1 - b Y_j w), so D = L b.
     """
-    ys = as_points(ys)
+    ints, den = _over_lcm(as_points(ys))
     a, b = _num_den(q)
-    den = lcm(*(y.denominator for y in ys))
     gs = [1] + [0] * mmax
-    for y in ys:
-        y = y.numerator * (den // y.denominator)
+    for y in ints:
         ay, by = a * y, b * y
         if ay:
             for k in range(mmax, 0, -1):

@@ -169,7 +169,8 @@ def test_bethe_far_q_returns_promptly():
     if proc.returncode == 0:
         assert len(json.loads(proc.stdout)["roots"]) == 1
     else:
-        assert proc.returncode in (1, 2) and proc.stderr.startswith("error: ")
+        # a solver failure is a usage error; exit 1 is a failed comparison
+        assert proc.returncode == 2 and proc.stderr.startswith("error: ")
 
 
 def test_bethe_vanishing_pair_is_usage_error(capsys):

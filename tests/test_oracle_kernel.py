@@ -86,18 +86,28 @@ def test_commutation_check_matches_reference(data, model):
 
 def test_site_tables_are_ints_over_one_denominator():
     for n, m in ((1, 0), (2, 2), (3, 3)):
+        layout = oracle._site_layout(n, m)
         for q in (F(0), F(1), F(-1), F(2), F(-7, 5), F(1, 4)):
-            sites, den = oracle._symbolic_blocks(n, m, q)
+            shared, deformed, den = oracle._symbolic_blocks(n, m, q)
+            assert shared is layout
             assert type(den) is int and den == q.denominator ** (n + 2)
-            for table in (t for site in sites for t in site):
-                for entry in table:
-                    if entry is not None:
-                        assert type(entry[1]) is int
-            # each coefficient over den is the reference's matrix element
+            assert len(deformed) == n + 2
+            assert all(type(c) is int for c in deformed)
+            # each element over den is the reference's matrix element
             ref = reference.site_tables(n, m, q)
-            for site, ref_site in zip(sites, ref):
-                for table, ref_table in zip(site, ref_site):
-                    for entry, ref_entry in zip(table, ref_table):
-                        if ref_entry is not None:
-                            assert entry[0] == ref_entry[0]
-                            assert F(entry[1], den) == ref_entry[1]
+            assert len(layout) == len(ref) == m + 1
+            bare = (den,) * (n + 2)
+            for site, (layout_site, ref_site) in enumerate(zip(layout, ref)):
+                raises, occupancies, lowers = layout_site
+                ref_raise, ref_lower = ref_site
+                for targets, coeffs, missing, ref_table in (
+                        (raises, deformed if site else bare, oracle._FORBIDDEN,
+                         ref_raise),
+                        (lowers, bare, None, ref_lower)):
+                    assert len(targets) == len(occupancies) == len(ref_table)
+                    for dst, k, ref_entry in zip(targets, occupancies,
+                                                 ref_table):
+                        if ref_entry is None:
+                            assert dst == missing
+                        else:
+                            assert (dst, F(coeffs[k], den)) == ref_entry

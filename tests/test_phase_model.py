@@ -91,9 +91,11 @@ def test_correlation_site_zero_is_skewless_sum():
 def test_power_column_variant():
     box = BoxSpec(2, 3)
     xs, ys = [F(2), F(3)], [F(5)]
-    # the exponent (M+N-1-2m)/2 goes negative past m=(M+N-1)/2
-    with pytest.raises(ValueError):
-        correlation_Am_power_column(xs, ys, 3, box)
+    # the exponent (M+N-1-2m)/2 goes negative past m=(M+N-1)/2, and a
+    # site is never negative
+    for site in (3, -1):
+        with pytest.raises(ValueError):
+            correlation_Am_power_column(xs, ys, site, box)
     # at a pinned point the variant is a different quantity (kept as a
     # measured exhibit, not an equivalent route)
     assert (correlation_Am_power_column(xs, ys, 0, box)
