@@ -39,14 +39,14 @@ same rows over an int h-list.
 A box sum needs the Jacobi-Trudi value of every partition in the n x m
 box.  Those are the maximal minors (Pluecker coordinates) of a single
 n x (n+m) matrix of one-row generators, so ``box_minors`` reads them all
-from one division-free Laplace sweep, ``maximal_minors``, in which every
+from one division-free Laplace sweep of that matrix, in which every
 sub-minor is computed once and shared.  The sweep keys sub-minors by the
-bitmask of their columns and lists each row's nonzero entries once; the
-column tuples of its result, and the partition keys ``box_minors`` puts
-on them, come from tables cached per shape.  Both kernels hand back ints
-over one scale, as ``det_int`` hands back an int; a Fraction is made
-only by the wrappers that return one (``det_rational``,
-``jacobi_trudi``), by ``QPoly`` evaluation and by the series above.
+bitmask of their columns and lists each row's nonzero entries once; one
+table cached per box shape maps each full column mask straight to its
+partition.  ``box_minors`` hands back ints over one scale, as
+``det_int`` hands back an int; a Fraction is made only by the wrappers
+that return one (``det_rational``, ``jacobi_trudi``), by ``QPoly``
+evaluation and by the series above.
 """
 
 from __future__ import annotations
@@ -85,8 +85,14 @@ def _num_den(q) -> Tuple[int, int]:
 
 def _over_lcm(values: Sequence) -> Tuple[List[int], int]:
     """(X, L): exact values x_i = X_i / L as ints over the lcm L of their
-    denominators; ints and Fractions are read as they are."""
-    den = lcm(*(x.denominator for x in values))
+    denominators; ints and Fractions are read as they are, and any other
+    value, a float included, raises TypeError."""
+    try:
+        den = lcm(*(x.denominator for x in values))
+    except AttributeError:  # a float has no denominator
+        bad = next(x for x in values if not isinstance(x, (int, Fraction)))
+        raise TypeError(f"exact values are ints or Fractions, not the "
+                        f"{type(bad).__name__} {bad!r}") from None
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
@@ -518,30 +524,60 @@ def _jacobi_trudi_rows(gens: Sequence, lam: Sequence[int],
              for j in range(ell)] for i in range(ell)]
 
 
-def maximal_minors(
-        rows: Sequence[Sequence]) -> Tuple[Dict[Tuple[int, ...], int], int]:
-    """Every maximal minor of an n x K matrix, as ints over one scale.
+def box_minors(gens: Sequence, den: int, n: int, m: int,
+               mu: Sequence[int] = ()
+               ) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """({lam: D}, s) with jacobi_trudi(c, lam, mu) = D / s over the n x m box.
 
-    One Laplace sweep down the rows: the minors of the first k rows over
-    every k-subset of columns extend, along row k, to those of the first
-    k+1 rows, so each sub-minor is computed once and shared by every
-    minor that contains it.  A sub-minor is keyed by the bitmask of its
-    columns, and entry (k, c) extends it with the cofactor sign
-    (-1)^(k + pos), pos the number of its columns left of c.  Only +, -
-    and * are used, and zero entries and zero sub-minors are skipped.
-    Every maximal minor takes exactly one entry from each row, so
-    scaling row r by the lcm s_r of its entries' denominators scales
-    every minor by s = s_0 ... s_{n-1}; the sweep runs on the scaled
-    rows in Python ints.  Returns ({cols: D}, s) with minor D / s for
-    every sorted column subset, in ``combinations`` order; an n x K
-    matrix with n > K has no maximal minors.
+    The generators are c_k = gens[k] / den^k, with gens ints over a
+    graded denominator (``symfunc.q_coeff_ints``) or any Fractions, and
+    den nonzero.  Every such determinant is a maximal minor of one
+    n x (n+m) matrix: row r = mu_j + n-1-j and column p = lam_i + n-1-i
+    hold c_{p-r}, zero for p < r.  Row r times den^{n+m-1-r} reads
+    gens[p-r] den^{n+m-1-p}, and Fraction rows are then cleared of their
+    denominators (``_cleared_rows``; int rows pass as they are).  Every
+    maximal minor takes exactly one entry from each row, so all of them
+    share the product s of those row scales.  Padding lam and mu to n
+    parts adds rows whose diagonal entry is c_0, so ``gens`` must start
+    with c_0 = 1; it needs c_0..c_{n+m-1}, and mu has no negative part.
+
+    One Laplace sweep down the rows gives the whole box: the minors of
+    the first k rows over every k-subset of columns extend, along row k,
+    to those of the first k+1 rows, so each sub-minor is computed once
+    and shared by every minor that contains it.  A sub-minor is keyed by
+    the bitmask of its columns, and entry (k, c) extends it with the
+    cofactor sign (-1)^(k + pos), pos the number of its columns left of
+    c.  Only +, - and * are used, and zero entries and zero sub-minors
+    are skipped.  Keys are partitions as ``partitions.enumerate_in_box``
+    writes them, in the ``combinations`` order of their columns, and
+    every value is 0 when mu has more than n nonzero parts.
     """
-    width = len(rows[0]) if rows else 0
-    if any(len(row) != width for row in rows):
-        raise ValueError("rows have different lengths")
-    int_rows, scale = _cleared_rows(rows)
+    if den == 0:
+        raise ValueError("the generator denominator must be nonzero")
+    need = max(n + m, 1)
+    if len(gens) < need:
+        raise ValueError(f"box_minors needs the generators "
+                         f"c_0..c_{need - 1}, got {len(gens)}")
+    if gens[0] != 1:
+        raise ValueError("one-row generators must start with c_0 = 1")
+    if any(p < 0 for p in mu):
+        raise ValueError(f"mu has a negative part: {tuple(mu)}")
+    mu = tuple(p for p in mu if p)
+    index = _box_index(n, m)
+    if len(mu) > n:
+        return {lam: 0 for _, lam in index}, 1
+    mu += (0,) * (n - len(mu))
+    top = n + m - 1
+    powers = [den ** k for k in range(n + m)]
+    rows, spent = [], 0
+    for t in range(n):
+        r = mu[n - 1 - t] + t
+        rows.append([gens[p - r] * powers[top - p] if p >= r else 0
+                     for p in range(n + m)])
+        spent += max(top - r, 0)  # a row past the last column is zero
+    rows, scale = _cleared_rows(rows)
     minors: Dict[int, int] = {0: 1}
-    for k, row in enumerate(int_rows):
+    for k, row in enumerate(rows):
         # the nonzero entries of row k, as (column bit, entry)
         terms = [(1 << c, a) for c, a in enumerate(row) if a]
         grown: Dict[int, int] = {}
@@ -555,65 +591,18 @@ def maximal_minors(
                 key = mask | bit
                 grown[key] = grown.get(key, 0) + term
         minors = {mask: v for mask, v in grown.items() if v}
-    return ({cols: minors.get(mask, 0)
-             for mask, cols in _column_subsets(width, len(rows))}, scale)
+    return ({lam: minors.get(mask, 0) for mask, lam in index},
+            scale * den ** spent)
 
 
 @lru_cache(maxsize=None)
-def _column_subsets(width: int, n: int) -> Tuple[Tuple[int, Tuple], ...]:
-    """(bitmask, columns) of every n-subset of range(width), in
-    ``combinations`` order."""
-    return tuple((sum(1 << c for c in cols), cols)
-                 for cols in combinations(range(width), n))
-
-
-def box_minors(gens: Sequence, den: int, n: int, m: int,
-               mu: Sequence[int] = ()
-               ) -> Tuple[Dict[Tuple[int, ...], int], int]:
-    """({lam: D}, s) with jacobi_trudi(c, lam, mu) = D / s over the n x m box.
-
-    The generators are c_k = gens[k] / den^k, with gens ints over a
-    graded denominator (``symfunc.q_coeff_ints``) or any Fractions, and
-    den nonzero.  Every such determinant is a maximal minor of one
-    n x (n+m) matrix: row r = mu_j + n-1-j and column p = lam_i + n-1-i
-    hold c_{p-r}, zero for p < r.  Row r times den^{n+m-1-r} reads
-    gens[p-r] den^{n+m-1-p}, so one ``maximal_minors`` sweep gives the
-    whole box.  Padding lam and mu to n parts adds rows whose diagonal
-    entry is c_0, so ``gens`` must start with c_0 = 1; it needs
-    c_0..c_{n+m-1}.  Keys are partitions as ``partitions.enumerate_in_box``
-    writes them, in the ``combinations`` order of their columns, and
-    every value is 0 when mu has more than n nonzero parts.
-    """
-    if den == 0:
-        raise ValueError("the generator denominator must be nonzero")
-    need = max(n + m, 1)
-    if len(gens) < need:
-        raise ValueError(f"box_minors needs the generators "
-                         f"c_0..c_{need - 1}, got {len(gens)}")
-    if gens[0] != 1:
-        raise ValueError("one-row generators must start with c_0 = 1")
-    mu = tuple(p for p in mu if p)
-    keys = _box_keys(n, m)
-    if len(mu) > n:
-        return dict.fromkeys(keys, 0), 1
-    mu += (0,) * (n - len(mu))
-    top = n + m - 1
-    powers = [den ** k for k in range(n + m)]
-    rows, spent = [], 0
-    for t in range(n):
-        r = mu[n - 1 - t] + t
-        rows.append([gens[p - r] * powers[top - p] if p >= r else 0
-                     for p in range(n + m)])
-        spent += max(top - r, 0)  # a row past the last column is zero
-    minors, scale = maximal_minors(rows)
-    return dict(zip(keys, minors.values())), scale * den ** spent
-
-
-@lru_cache(maxsize=None)
-def _box_keys(n: int, m: int) -> Tuple[Tuple[int, ...], ...]:
-    """The partitions of the n x m box, in the ``combinations`` order of
-    their sorted columns P_0 < ... < P_{n-1}, where P_k = lam_{n-1-k} + k."""
-    return tuple(tuple(cols[k] - k for k in reversed(range(n)) if cols[k] > k)
+def _box_index(n: int, m: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """(column bitmask, partition) for each partition of the n x m box, in
+    the ``combinations`` order of its sorted columns P_0 < ... < P_{n-1},
+    where P_k = lam_{n-1-k} + k."""
+    return tuple((sum(1 << c for c in cols),
+                  tuple(cols[k] - k for k in reversed(range(n))
+                        if cols[k] > k))
                  for cols in combinations(range(n + m), n))
 
 

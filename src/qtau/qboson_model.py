@@ -154,8 +154,11 @@ def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,
     sums are the fixed-|lam| subsums.  The pieces c_d of S(x, delta y)
     are the Schur subsums, those of S(x, delta Q y) are Q^d c_d, and
     c_0 = 1, so the quotient divides as a power series at every Q.
-    ``sweeps`` is the box-table memo of ``_graded_ints``.
+    ``sweeps`` is the box-table memo of ``_graded_ints``.  A negative
+    degree raises ValueError in every mode.
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     if sweeps is None:
         sweeps = {}
     if mode == "det_quotient":

@@ -7,8 +7,8 @@ import pytest
 
 from qtau.algebra_core import (QPoly, TruncatedSeries, box_minors,
                                det_rational, format_rational, h_from_times,
-                               jacobi_trudi, mat_mul_ring, maximal_minors,
-                               parse_rational, power_series_div)
+                               jacobi_trudi, mat_mul_ring, parse_rational,
+                               power_series_div)
 from qtau.miwa import from_points
 from qtau.symfunc import q_coeff_list
 
@@ -136,19 +136,6 @@ def test_jacobi_trudi():
     assert jacobi_trudi(hs, (1,), (1, 1)) == 0
 
 
-def test_maximal_minors():
-    rows = [[F(1), F(2), F(0)], [F(3), F(4), F(1)]]
-    assert maximal_minors(rows) == ({(0, 1): -2, (0, 2): 1, (1, 2): 2}, 1)
-    square = [[F(1), F(2), F(0)], [F(3), F(4), F(1)], [F(0), F(1), F(2)]]
-    assert maximal_minors(square) == ({(0, 1, 2): det_rational(square)}, 1)
-    # each row is cleared by the lcm of its denominators: 2 * 3
-    halves = [[F(1, 2), F(1)], [F(1, 3), F(2, 3)]]
-    assert maximal_minors(halves) == ({(0, 1): 0}, 6)
-    assert maximal_minors([[F(1, 2), F(3)], [1, 5]]) == ({(0, 1): -1}, 2)
-    assert maximal_minors([]) == ({(): 1}, 1)
-    assert maximal_minors([[F(1)], [F(2)]]) == ({}, 1)
-
-
 def test_box_minors():
     a, b = F(1, 2), F(1, 3)
     hs = [F(1), a + b, a * a + a * b + b * b,
@@ -202,16 +189,12 @@ def test_box_minors_rejects_a_short_generator_list():
         box_minors([], 1, 0, 0)
 
 
-def test_maximal_minors_edge_shapes():
-    # n > width: no maximal minors; n = 0: the one empty minor
-    assert maximal_minors([[1, 2], [3, 4], [5, 6]]) == ({}, 1)
-    assert maximal_minors([[]]) == ({}, 1)
-    assert maximal_minors([]) == ({(): 1}, 1)
-    # an all-zero row makes every minor 0, listed in combinations order
-    zero_row = maximal_minors([[1, 2, 3], [0, 0, 0]])
-    assert zero_row == (dict.fromkeys(combinations(range(3), 2), 0), 1)
-    assert list(zero_row[0]) == list(combinations(range(3), 2))
-    assert maximal_minors([[0, 0, 0]]) == ({(0,): 0, (1,): 0, (2,): 0}, 1)
+def test_box_minors_rejects_a_negative_part_in_mu():
+    # row mu_j + n-1-j would start left of column 0 and read past c_{n+m-1}
+    with pytest.raises(ValueError, match="negative part"):
+        box_minors([1, 2, 3], 1, 1, 2, (-1,))
+    with pytest.raises(ValueError, match="negative part"):
+        box_minors([1, 2, 3, 4], 1, 2, 2, (1, -1))
 
 
 def test_power_series_div():

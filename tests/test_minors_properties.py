@@ -1,11 +1,14 @@
-"""Property tests: the one-sweep minor kernel and the divided-difference
+"""Property tests: the one-sweep box kernel and the divided-difference
 determinants against references.
 
-``maximal_minors`` and ``box_minors`` replace one Gaussian elimination
-per partition; each is compared here with ``det_rational``
-on signed, zero and repeated inputs, and the sweep, which runs on rows
-cleared of denominators, on rows that mix ints with Fractions of large
-denominators.  The determinant quotient and the
+``box_minors`` replaces one Gaussian elimination per partition with one
+Laplace sweep over the whole box; each of its values is compared here
+with the single ``jacobi_trudi`` determinant on signed, zero and
+repeated points.  The generators come both as ints over a graded
+denominator and as Fractions, which the sweep first clears of
+denominators, and mu ranges over the empty shape, a row, a column
+longer than the box and a row wider than it, whose matrix row lies
+past the last column.  The determinant quotient and the
 power-column determinant take divided differences instead of dividing
 by Vandermondes.  Where the Vandermonde references of
 ``symfunc_reference`` are defined they must agree; at coincident points
@@ -15,13 +18,11 @@ repeated point, since det C / Delta(x) is a polynomial in each point.
 """
 
 from fractions import Fraction as F
-from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtau.algebra_core import (box_minors, det_rational, jacobi_trudi,
-                               maximal_minors)
+from qtau.algebra_core import box_minors, jacobi_trudi
 from qtau.partitions import enumerate_in_box
 from qtau.phase_model import BoxSpec, correlation_Am_power_column
 from qtau.qboson_model import (QBosonSpec, graded_components,
@@ -44,36 +45,6 @@ def points(draw, size):
                          max_size=size))
 
 
-# the sweep clears each row's denominators: rows mix plain ints with
-# Fractions whose denominators reach 10**6
-ENTRIES = st.one_of(st.just(F(0)), RATIONALS, st.integers(-9, 9),
-                    st.fractions(min_value=-5, max_value=5,
-                                 max_denominator=10 ** 6))
-
-
-@st.composite
-def matrices(draw):
-    """n x K with n <= 4, K <= 8, rows drawn from a pool with a zero row."""
-    n, width = draw(st.integers(0, 4)), draw(st.integers(0, 8))
-    row = st.lists(ENTRIES, min_size=width, max_size=width)
-    pool = draw(st.lists(row, min_size=1, max_size=3)) + [[F(0)] * width]
-    return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-
-
-@SETTINGS
-@given(matrices())
-def test_maximal_minors_match_elimination(rows):
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    minors, scale = maximal_minors(rows)
-    subsets = list(combinations(range(width), n))
-    assert list(minors) == subsets
-    for cols in subsets:
-        assert type(minors[cols]) is int
-        assert F(minors[cols], scale) == det_rational([[row[c] for c in cols]
-                                                       for row in rows])
-
-
 @SETTINGS
 @given(st.data(), st.integers(0, 4), st.integers(0, 5),
        st.sampled_from(["h", "q"]))
@@ -84,12 +55,18 @@ def test_box_minors_match_single_values(data, n, m, kind):
         q = data.draw(st.one_of(st.sampled_from([F(0), F(1), F(-1)]),
                                 RATIONALS))
     gens = q_coeff_list(pts, q, n + m)
-    for mu in ((), (m,), (1,) * (n + 1)):
-        table, scale = box_minors(*q_coeff_ints(pts, q, n + m), n, m, mu)
-        box = enumerate_in_box(n, m)
-        assert sorted(table) == sorted(box)
-        for lam in box:
-            assert F(table[lam], scale) == jacobi_trudi(gens, lam, mu)
+    box = enumerate_in_box(n, m)
+    # ints over a graded denominator, and Fractions over den 1 (the
+    # twisted_schur y-list reaches box_minors as Fractions)
+    for args in (q_coeff_ints(pts, q, n + m), (gens, 1)):
+        for mu in ((), (m,), (1,) * (n + 1), (n + m + 1,)):
+            table, scale = box_minors(*args, n, m, mu)
+            assert sorted(table) == sorted(box)
+            for lam in box:
+                assert type(table[lam]) is int
+                assert F(table[lam], scale) == jacobi_trudi(gens, lam, mu)
+        # mu wider than the box: its row lies past the last column
+        assert not any(table.values())
 
 
 def _distinct(pts):

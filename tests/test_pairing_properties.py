@@ -14,7 +14,8 @@ denominators; N runs from 0, the correlation routes take N = 1 with an
 empty y set, and Q takes 0, 1, -1, 2, -3/7 and 5/3.  Int points and an
 int Q read as the equal Fractions, "p/q" strings are still accepted, and
 a float point or Q raises TypeError on every route, the oracle's too,
-and so does a float time, series coefficient or suite Q value.
+and so does a float time, series coefficient, suite Q value, or
+determinant entry, generator or generator denominator.
 A last test counts the Fractions each route makes: one for an input
 that is not already a Fraction and one for the value it returns, so
 that per-term and per-layer Fractions do not come back.
@@ -28,8 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtau import fock_oracle
-from qtau.algebra_core import (TruncatedSeries, box_minors, h_from_times,
-                               power_series_div)
+from qtau.algebra_core import (TruncatedSeries, box_minors, det_rational,
+                               h_from_times, jacobi_trudi, power_series_div)
 from qtau.miwa import from_points, twist
 from qtau.partitions import enumerate_in_box
 from qtau.phase_model import (BoxSpec, correlation_Am,
@@ -259,6 +260,11 @@ FLOAT_INPUTS = {
     "matrix_integral_constant_term": lambda: matrix_integral_constant_term(
         1, [F(1, 2)], [0.1], 2, "minus"),
     "SuiteConfig-q_values": lambda: SuiteConfig("kostka", q_values=(0.1,)),
+    # the determinant kernels
+    "jacobi_trudi": lambda: jacobi_trudi([1, 0.5], (1,)),
+    "det_rational": lambda: det_rational([[0.5]]),
+    "box_minors-gens": lambda: box_minors([1, 0.5, 0.25], 1, 1, 2),
+    "box_minors-den": lambda: box_minors([1, 3, 9], 2.0, 1, 2),
 }
 
 

@@ -123,6 +123,16 @@ def test_graded_components_checks_point_counts():
             graded_components(xs, ys, spec, mode, 2)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_graded_components_refuses_a_negative_degree(mode):
+    # no mode has a piece of degree -1: each refuses, as h_from_times and
+    # partitions_of refuse a negative bound
+    spec = QBosonSpec(BoxSpec(2, 2), F(1, 3))
+    xs, ys = [F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        graded_components(xs, ys, spec, mode, -1)
+
+
 def test_mode_report_at_q_minus_one():
     # v_lam(-1) = 0 for several lam in this box, which the branching-rule
     # evaluator never divides by
