@@ -2,7 +2,9 @@
 
 Scalars are plain ``fractions.Fraction`` values, and a caller's number
 enters through one gate, ``_exact``, which the other modules import: a
-float raises TypeError.  The two carriers below hold exact coefficients,
+float raises TypeError.  A caller's shape enters through ``_parts``,
+which reads its parts as ints and refuses any other type or a negative
+part.  The two carriers below hold exact coefficients,
 so that every computation downstream is exact:
 
   * ``QPoly`` -- a univariate polynomial in Z[Q], the deformation
@@ -43,10 +45,14 @@ from one division-free Laplace sweep of that matrix, in which every
 sub-minor is computed once and shared.  The sweep keys sub-minors by the
 bitmask of their columns and lists each row's nonzero entries once; one
 table cached per box shape maps each full column mask straight to its
-partition.  ``box_minors`` hands back ints over one scale, as
-``det_int`` hands back an int; a Fraction is made only by the wrappers
-that return one (``det_rational``, ``jacobi_trudi``), by ``QPoly``
-evaluation and by the series above.
+partition.  The matrix rows come from ``_column``, the one helper
+that clears a graded generator list c_k = G_k / D^k to one scale; it
+also makes the determinant rows and columns of ``phase_model``.  A box
+whose every value is zero (mu longer than n, or wider than m) is
+settled before the sweep.  ``box_minors`` hands back ints over one
+scale, as ``det_int`` hands back an int; a Fraction is made only by the
+wrappers that return one (``det_rational``, ``jacobi_trudi``), by
+``QPoly`` evaluation and by the series above.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from operator import add, itemgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -70,6 +76,20 @@ def _exact(x) -> Fraction:
         raise TypeError(f"exact routes take ints, Fractions or 'p/q' "
                         f"strings, not the float {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _parts(parts: Iterable) -> Tuple[int, ...]:
+    """The parts of a shape as a tuple of ints, the one gate for a caller's
+    partition: a part that is not an int raises TypeError (a bool too, so
+    neither 1.5 nor True passes for a part), and a negative part raises
+    ValueError."""
+    ps = tuple(parts)
+    for p in ps:
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise TypeError(f"a partition part is an int, not {p!r}")
+        if p < 0:
+            raise ValueError(f"negative part in partition {ps}")
+    return ps
 
 
 def as_points(xs: Sequence) -> PointSet:
@@ -460,6 +480,15 @@ def _cleared_rows(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
     return out, scale
 
 
+def _column(gs: Sequence, den, shift: int = 0) -> Tuple[List, int]:
+    """sum_k gs[k] (x/den)^k times x^shift, as (coefficients, scale)."""
+    col, scale = [0] * shift + list(gs), 1
+    for p in range(len(col) - 2, shift - 1, -1):
+        scale *= den
+        col[p] *= scale
+    return col, scale
+
+
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square int matrix, by fraction-free elimination.
 
@@ -516,10 +545,12 @@ def jacobi_trudi(gens: Sequence, lam: Sequence[int],
 def _jacobi_trudi_rows(gens: Sequence, lam: Sequence[int],
                        mu: Sequence[int] = ()) -> List[List]:
     """The matrix (c_{lam_i - mu_j - i + j}) over gens, with int 0 for
-    c_k, k < 0, after padding lam and mu to the same length."""
+    c_k, k < 0, after padding lam and mu to the same length; mu is read
+    by ``_parts``, so it has int parts, none negative."""
+    mu = _parts(mu)
     ell = max(len(lam), len(mu))
     lam = tuple(lam) + (0,) * (ell - len(lam))
-    mu = tuple(mu) + (0,) * (ell - len(mu))
+    mu += (0,) * (ell - len(mu))
     return [[gens[k] if (k := lam[i] - mu[j] - i + j) >= 0 else 0
              for j in range(ell)] for i in range(ell)]
 
@@ -531,15 +562,17 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
 
     The generators are c_k = gens[k] / den^k, with gens ints over a
     graded denominator (``symfunc.q_coeff_ints``) or any Fractions, and
-    den nonzero.  Every such determinant is a maximal minor of one
-    n x (n+m) matrix: row r = mu_j + n-1-j and column p = lam_i + n-1-i
-    hold c_{p-r}, zero for p < r.  Row r times den^{n+m-1-r} reads
-    gens[p-r] den^{n+m-1-p}, and Fraction rows are then cleared of their
-    denominators (``_cleared_rows``; int rows pass as they are).  Every
-    maximal minor takes exactly one entry from each row, so all of them
-    share the product s of those row scales.  Padding lam and mu to n
-    parts adds rows whose diagonal entry is c_0, so ``gens`` must start
-    with c_0 = 1; it needs c_0..c_{n+m-1}, and mu has no negative part.
+    den a nonzero int or Fraction.  Every such determinant is a maximal
+    minor of one n x (n+m) matrix: row r = mu_j + n-1-j and column
+    p = lam_i + n-1-i hold c_{p-r}, zero for p < r.  Row r is
+    ``_column(gens[:n+m-r], den, r)``, Fraction rows are then cleared by
+    ``_cleared_rows``, and every maximal minor takes one entry from each
+    row, so all share the product s of the row scales.  Padding lam and
+    mu to n parts adds rows whose diagonal entry is c_0, so ``gens`` must
+    start with c_0 = 1; it needs c_0..c_{n+m-1}, and mu is read by
+    ``_parts``.  When mu has more than n nonzero parts, or mu_1 > m puts
+    a row past the last column, every value is 0 over the scale 1, and
+    no sweep runs.
 
     One Laplace sweep down the rows gives the whole box: the minors of
     the first k rows over every k-subset of columns extend, along row k,
@@ -549,9 +582,11 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
     cofactor sign (-1)^(k + pos), pos the number of its columns left of
     c.  Only +, - and * are used, and zero entries and zero sub-minors
     are skipped.  Keys are partitions as ``partitions.enumerate_in_box``
-    writes them, in the ``combinations`` order of their columns, and
-    every value is 0 when mu has more than n nonzero parts.
+    writes them, in the ``combinations`` order of their columns.
     """
+    if not isinstance(den, (int, Fraction)):
+        raise TypeError(f"the generator denominator is an int or a "
+                        f"Fraction, not the {type(den).__name__} {den!r}")
     if den == 0:
         raise ValueError("the generator denominator must be nonzero")
     need = max(n + m, 1)
@@ -560,22 +595,14 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
                          f"c_0..c_{need - 1}, got {len(gens)}")
     if gens[0] != 1:
         raise ValueError("one-row generators must start with c_0 = 1")
-    if any(p < 0 for p in mu):
-        raise ValueError(f"mu has a negative part: {tuple(mu)}")
-    mu = tuple(p for p in mu if p)
-    index = _box_index(n, m)
-    if len(mu) > n:
-        return {lam: 0 for _, lam in index}, 1
+    mu = tuple(p for p in _parts(mu) if p)
     mu += (0,) * (n - len(mu))
-    top = n + m - 1
-    powers = [den ** k for k in range(n + m)]
-    rows, spent = [], 0
-    for t in range(n):
-        r = mu[n - 1 - t] + t
-        rows.append([gens[p - r] * powers[top - p] if p >= r else 0
-                     for p in range(n + m)])
-        spent += max(top - r, 0)  # a row past the last column is zero
-    rows, scale = _cleared_rows(rows)
+    starts = [mu[n - 1 - t] + t for t in range(n)]
+    index = _box_index(n, m)
+    if len(mu) > n or any(r >= n + m for r in starts):
+        return {lam: 0 for _, lam in index}, 1
+    columns = [_column(gens[:n + m - r], den, r) for r in starts]
+    rows, scale = _cleared_rows([row for row, _ in columns])
     minors: Dict[int, int] = {0: 1}
     for k, row in enumerate(rows):
         # the nonzero entries of row k, as (column bit, entry)
@@ -592,7 +619,7 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
                 grown[key] = grown.get(key, 0) + term
         minors = {mask: v for mask, v in grown.items() if v}
     return ({lam: minors.get(mask, 0) for mask, lam in index},
-            scale * den ** spent)
+            scale * prod(s for _, s in columns))
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,10 @@
 A partition is a plain tuple of weakly decreasing positive ints; the
 empty partition is ``()``.  Tuples give structural equality and
 hashability for free, which the cached symmetric-function tables rely
-on.  ``normalize`` turns any reasonable iterable (possibly with trailing
-zeros, possibly unsorted-by-accident input from the CLI) into the
-canonical form, rejecting negatives.
+on.  ``normalize`` turns any iterable of int parts (possibly with
+trailing zeros, possibly unsorted) into the canonical form; its parts
+pass the one shape gate, ``algebra_core._parts``, which refuses a part
+that is not an int (a float or a bool) and a negative part.
 
 Box enumeration follows graded order: weight ascending, and inside a
 fixed weight decreasing lexicographic, so (2) comes before (1,1).  That
@@ -23,18 +24,15 @@ from itertools import combinations_with_replacement
 from math import prod
 from typing import Iterable, List, Tuple
 
-from .algebra_core import QPoly
+from .algebra_core import QPoly, _parts
 
 Partition = Tuple[int, ...]
 
 
 def normalize(parts: Iterable[int]) -> Partition:
-    """Canonical partition tuple: sorted decreasing, zero parts dropped."""
-    ps = [int(p) for p in parts]
-    if any(p < 0 for p in ps):
-        raise ValueError(f"negative part in partition {ps}")
-    ps = sorted((p for p in ps if p > 0), reverse=True)
-    return tuple(ps)
+    """Canonical partition tuple: sorted decreasing, zero parts dropped;
+    the parts are read by ``algebra_core._parts``."""
+    return tuple(sorted((p for p in _parts(parts) if p), reverse=True))
 
 
 def weight(lam: Partition) -> int:

@@ -17,10 +17,11 @@ polynomials in x and hands them to one divided-difference determinant,
 ``_newton_det``, so coincident points are ordinary inputs.  Both run on
 the int h-lists of ``symfunc.q_coeff_ints``, with one scale per box
 sweep or per determinant row and column, so a pairing makes one
-Fraction, for the value it returns.  The Giambelli check
-(``giambelli_check``) makes none: over the same int h-list both of its
-determinants come out as D^|lam| times their values, so it compares
-two ``det_int`` results.
+Fraction, for the value it returns.  Every such row and column, and
+every row of the box sweep, is cleared by ``algebra_core._column``.
+The Giambelli check (``giambelli_check``) makes none: over the same int
+h-list both of its determinants come out as D^|lam| times their values,
+so it compares two ``det_int`` results.
 
 A note on the correlation determinant: the route implemented by
 ``correlation_Am(..., mode="det")`` is the Cauchy-Binet compression of
@@ -39,8 +40,9 @@ from itertools import combinations
 from math import prod
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra_core import (ZERO, PointSet, _jacobi_trudi_rows, as_points,
-                           box_minors, det_int, h_from_times, jacobi_trudi)
+from .algebra_core import (ZERO, PointSet, _column, _jacobi_trudi_rows,
+                           as_points, box_minors, det_int, h_from_times,
+                           jacobi_trudi)
 from .partitions import (Partition, _check_site, contains,
                          enumerate_in_box, frobenius, hook_partition,
                          normalize, partitions_of, weight)
@@ -60,14 +62,6 @@ class BoxSpec:
 
     def partitions(self) -> List[Partition]:
         return list(enumerate_in_box(self.n, self.m))
-
-
-def _column(gs: Sequence[int], den: int,
-            shift: int = 0) -> Tuple[List[int], int]:
-    """sum_k gs[k] (x/den)^k times x^shift, as (int coefficients, scale)."""
-    top = len(gs) - 1
-    return ([0] * shift + [g * den ** (top - k) for k, g in enumerate(gs)],
-            den ** top)
 
 
 def _newton_det(xs: PointSet,

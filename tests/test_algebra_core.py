@@ -197,6 +197,15 @@ def test_box_minors_rejects_a_negative_part_in_mu():
         box_minors([1, 2, 3, 4], 1, 2, 2, (1, -1))
 
 
+def test_jacobi_trudi_rejects_a_negative_part_in_mu():
+    # det(c_{lam_i - mu_j - i + j}) at a negative mu_j is no skew Schur
+    # value: these read c_2 = 3 and 2 before mu went through the gate
+    with pytest.raises(ValueError, match="negative part"):
+        jacobi_trudi([1, 2, 3], (1,), (-1,))
+    with pytest.raises(ValueError, match="negative part"):
+        jacobi_trudi([1, 2, 3, 4], (1, 1), (0, -1))
+
+
 def test_power_series_div():
     # 1 / (1 - z) = 1 + z + z^2 + ...
     quot = power_series_div([F(1)], [F(1), F(-1)], 4)

@@ -12,7 +12,10 @@ keeps a check of its own, because the oracle imports nothing from the
 formula side; ``bethe`` is numerical by design; and ``cli`` reads its
 strings with ``parse_rational``.  A lattice site is not a rational but
 an int, and every route that takes one refuses any other type, a bool
-included, through ``partitions._check_site``.
+included, through ``partitions._check_site``.  So is a part of a
+partition: ``normalize`` and the mu of ``box_minors`` and
+``jacobi_trudi`` read a shape through ``algebra_core._parts``, which
+refuses a part that is not an int.
 """
 
 import ast
@@ -21,9 +24,11 @@ from pathlib import Path
 
 import pytest
 
+from qtau.algebra_core import box_minors, jacobi_trudi
 from qtau.fock_oracle import oracle_pairing
+from qtau.partitions import normalize
 from qtau.phase_model import (BoxSpec, correlation_Am,
-                              correlation_Am_power_column)
+                              correlation_Am_power_column, correlation_skew)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qtau"
 GATE = ("algebra_core", "_exact")
@@ -123,3 +128,23 @@ def test_a_site_that_is_not_an_int_is_refused(route, site):
     with pytest.raises(TypeError, match="lattice site is an int, not"):
         route(site)
     assert isinstance(route(1), F)
+
+
+@pytest.mark.parametrize("part", [1.5, 2.0, True],
+                         ids=["float", "whole-float", "bool"])
+@pytest.mark.parametrize("route", [
+    lambda p: normalize([p, 1]),
+    lambda p: correlation_skew((p,), (), XS, [F(1, 5), F(1, 7)],
+                               BoxSpec(2, 2)),
+    lambda p: correlation_skew((), (p,), XS, [F(1, 5), F(1, 7)],
+                               BoxSpec(2, 2)),
+    lambda p: box_minors([1, 3, 9], 1, 1, 2, (p,)),
+    lambda p: jacobi_trudi([1, 2, 3], (2,), (p,)),
+], ids=["normalize", "skew-lam1", "skew-lam2", "box_minors", "jacobi_trudi"])
+def test_a_shape_part_that_is_not_an_int_is_refused(route, part):
+    # normalize([1.5, 2.9]) used to read (2, 1), so a skew pairing at
+    # shape (1.5,) returned the value of shape (1,); every shape a caller
+    # gives passes one gate, which refuses any part that is not an int
+    with pytest.raises(TypeError, match="partition part is an int, not"):
+        route(part)
+    route(1)

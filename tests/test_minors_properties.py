@@ -6,9 +6,10 @@ Laplace sweep over the whole box; each of its values is compared here
 with the single ``jacobi_trudi`` determinant on signed, zero and
 repeated points.  The generators come both as ints over a graded
 denominator and as Fractions, which the sweep first clears of
-denominators, and mu ranges over the empty shape, a row, a column
-longer than the box and a row wider than it, whose matrix row lies
-past the last column.  The determinant quotient and the
+denominators, and mu ranges over the empty shape, a row as wide as
+the box, a column longer than it, and the rows m+1 and n+m+1 wider
+than it, whose matrix rows lie past the last column; the scale is an
+int in every case.  The determinant quotient and the
 power-column determinant take divided differences instead of dividing
 by Vandermondes.  Where the Vandermonde references of
 ``symfunc_reference`` are defined they must agree; at coincident points
@@ -59,14 +60,16 @@ def test_box_minors_match_single_values(data, n, m, kind):
     # ints over a graded denominator, and Fractions over den 1 (the
     # twisted_schur y-list reaches box_minors as Fractions)
     for args in (q_coeff_ints(pts, q, n + m), (gens, 1)):
-        for mu in ((), (m,), (1,) * (n + 1), (n + m + 1,)):
+        for mu in ((), (m,), (m + 1,), (1,) * (n + 1), (n + m + 1,)):
             table, scale = box_minors(*args, n, m, mu)
             assert sorted(table) == sorted(box)
+            assert type(scale) is int
             for lam in box:
                 assert type(table[lam]) is int
                 assert F(table[lam], scale) == jacobi_trudi(gens, lam, mu)
-        # mu wider than the box: its row lies past the last column
-        assert not any(table.values())
+            if mu and mu[0] > m:
+                # mu wider than the box, so no lam in it contains mu
+                assert not any(table.values())
 
 
 def _distinct(pts):

@@ -265,6 +265,9 @@ FLOAT_INPUTS = {
     "det_rational": lambda: det_rational([[0.5]]),
     "box_minors-gens": lambda: box_minors([1, 0.5, 0.25], 1, 1, 2),
     "box_minors-den": lambda: box_minors([1, 3, 9], 2.0, 1, 2),
+    # n = 0 has no row to clear, so den must be refused on its own
+    "box_minors-den-empty": lambda: box_minors([1], 2.0, 0, 0),
+    "box_minors-den-n0": lambda: box_minors([1, 3, 9], 2.0, 0, 3),
 }
 
 
