@@ -570,9 +570,11 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
     row, so all share the product s of the row scales.  Padding lam and
     mu to n parts adds rows whose diagonal entry is c_0, so ``gens`` must
     start with c_0 = 1; it needs c_0..c_{n+m-1}, and mu is read by
-    ``_parts``.  When mu has more than n nonzero parts, or mu_1 > m puts
-    a row past the last column, every value is 0 over the scale 1, and
-    no sweep runs.
+    ``_parts`` and must be weakly decreasing (ValueError otherwise: a
+    zero part before a nonzero one would be dropped, and the sweep would
+    read another shape).  When mu has more than n nonzero parts, or
+    mu_1 > m puts a row past the last column, every value is 0 over the
+    scale 1, and no sweep runs.
 
     One Laplace sweep down the rows gives the whole box: the minors of
     the first k rows over every k-subset of columns extend, along row k,
@@ -595,7 +597,10 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
                          f"c_0..c_{need - 1}, got {len(gens)}")
     if gens[0] != 1:
         raise ValueError("one-row generators must start with c_0 = 1")
-    mu = tuple(p for p in _parts(mu) if p)
+    mu = _parts(mu)
+    if any(a < b for a, b in zip(mu, mu[1:])):
+        raise ValueError(f"mu must be weakly decreasing, got {mu}")
+    mu = tuple(p for p in mu if p)
     mu += (0,) * (n - len(mu))
     starts = [mu[n - 1 - t] + t for t in range(n)]
     index = _box_index(n, m)

@@ -14,7 +14,11 @@ with the two-body scattering ratio,
 At Q = 0 the ratio degenerates to (-y_j)/y_i and the system collapses
 to the phase-model form y_i^{N+M} = (-1)^{N-1} prod_{j != i} y_j, which
 is why Newton continuation in Q starts from the phase solution, and why
-one residual, the ratio form's, serves both models.  At Q = -1 a root
+one residual, the ratio form's, serves both models.  The continuation
+is a predictor-corrector (Allgower-Georg, Numerical Continuation
+Methods, 1990): each stage starts from the secant extrapolation of the
+last two converged stages, and Newton corrects it to the same residual
+target as a stage started from the previous roots.  At Q = -1 a root
 set can tend to a pair y_k = -y_j, which gives no Bethe vector; such a
 set is reported, not raised.  Each Newton step solves its N x N complex
 linear system by Gaussian elimination on plain lists, which at desk
@@ -129,7 +133,7 @@ def solve_phase(n: int, m: int,
     return BetheRoots(roots=_sorted_roots(roots), residual=res)
 
 
-def _cleared_system(ys: Sequence[complex], m: int, q: float):
+def _cleared_system(ys: Sequence[complex], m: int, q: complex):
     """F and its Jacobian for F_i = y_i^{M+1} P_i - R_i.
 
     P_i = prod_{j != i} (y_i - Q y_j) and R_i = prod_{j != i}
@@ -141,25 +145,30 @@ def _cleared_system(ys: Sequence[complex], m: int, q: float):
     J: List[List[complex]] = []
     for i in range(n):
         yi = ys[i]
+        qyi = q * yi
+        down = [yi - q * yj for yj in ys]
+        up = [qyi - yj for yj in ys]
         P = complex(1.0)
         R = complex(1.0)
         for j in range(n):
             if j != i:
-                P *= yi - q * ys[j]
-                R *= q * yi - ys[j]
-        F.append(yi ** (m + 1) * P - R)
+                P *= down[j]
+                R *= up[j]
+        ym = yi ** m
+        ym1 = yi ** (m + 1)
+        F.append(ym1 * P - R)
         dP = complex(0.0)
         dR = complex(0.0)
         for j in range(n):
             if j != i:
-                dP += P / (yi - q * ys[j])
-                dR += R * q / (q * yi - ys[j])
+                dP += P / down[j]
+                dR += R * q / up[j]
         row = [complex(0.0)] * n
-        row[i] = (m + 1) * yi ** m * P + yi ** (m + 1) * dP - dR
+        row[i] = (m + 1) * ym * P + ym1 * dP - dR
+        scale = -q * ym1 * P
         for k in range(n):
             if k != i:
-                row[k] = (-(q) * yi ** (m + 1) * P / (yi - q * ys[k])
-                          + R / (q * yi - ys[k]))
+                row[k] = scale / down[k] + R / up[k]
         J.append(row)
     return F, J
 
@@ -171,7 +180,10 @@ def _solve(a: Sequence[Sequence[complex]],
     b = list(b)
     n = len(b)
     for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
+        p, big = k, abs(a[k][k])
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > big:
+                p, big = r, abs(a[r][k])
         if a[p][k] == 0:
             raise ArithmeticError("singular Jacobian")
         a[k], a[p] = a[p], a[k]
@@ -190,20 +202,14 @@ def _solve(a: Sequence[Sequence[complex]],
     return x
 
 
-def solve_qboson(n: int, m: int, q: complex,
-                 initial: BetheRoots) -> BetheRoots:
-    """Newton refinement of the deformed equations from a given start.
+def _newton(ys: List[complex], m: int,
+            q: complex) -> Tuple[List[complex], float]:
+    """Roots and residual by Newton's method from ys, in the order of ys.
 
-    The equations are defined at every Q, negative, Q >= 1 and complex
-    included.  Intended use is continuation: feed the phase-model
-    solution at Q = 0, then move Q towards its target in small steps,
-    passing each solution as the next start (solve_qboson_continued
-    wraps exactly that loop).  A start that Newton cannot carry to the
-    residual target raises ArithmeticError.
+    Steps stop once no root moves by 1e-13; a result above
+    TARGET_RESIDUAL, a pole, a singular Jacobian or a divergent iterate
+    raises ArithmeticError.
     """
-    ys = [complex(z) for z in initial.roots]
-    if len(ys) != n:
-        raise ValueError("initial guess has the wrong number of roots")
     for _ in range(MAX_NEWTON_STEPS):
         try:
             F, J = _cleared_system(ys, m, q)
@@ -219,6 +225,23 @@ def solve_qboson(n: int, m: int, q: complex,
     if not res < TARGET_RESIDUAL:
         raise ArithmeticError(
             f"Newton iteration did not converge: residual {res}")
+    return ys, res
+
+
+def solve_qboson(n: int, m: int, q: complex,
+                 initial: BetheRoots) -> BetheRoots:
+    """Newton refinement of the deformed equations from a given start.
+
+    The equations are defined at every Q, negative, Q >= 1 and complex
+    included.  Intended use is continuation from the phase-model
+    solution at Q = 0, which solve_qboson_continued runs on the same
+    Newton loop with predicted starts.  A start that Newton cannot
+    carry to the residual target raises ArithmeticError.
+    """
+    ys = [complex(z) for z in initial.roots]
+    if len(ys) != n:
+        raise ValueError("initial guess has the wrong number of roots")
+    ys, res = _newton(ys, m, q)
     return BetheRoots(roots=_sorted_roots(ys), residual=res)
 
 
@@ -253,30 +276,47 @@ def solve_qboson_continued(n: int, m: int, q: float,
                            step: float = 0.05) -> BetheRoots:
     """Homotopy in Q from the phase solution along _continuation_path.
 
+    Each stage starts from the secant through the last two converged
+    stages, y + t (y - y') with t the ratio of their Q steps; the first
+    starts from the phase roots.  Every stage keeps the stopping rule
+    and residual target of solve_qboson.  Roots are carried in path
+    order and sorted once at the end, since sorting between stages
+    would pair the wrong roots in the secant when two angles cross.
+
     Measured over every quantum-number set of the cells (1,3), (2,2),
-    (2,3), (2,4), (3,3), (3,4) and (4,4): every set converges at Q in
-    {3/2, 2}, and steps 0.05 and 0.025 give the same roots.  Larger |Q|
-    is not covered: at Q = 3 some sets fail or the two steps reach
-    different root sets.  Past |Q| = 2 the stages grow geometrically,
-    which bounds the cost, not the accuracy: the plan has 309 stages at
-    Q = -10^6 and 518 at Q = 10^10.  At Q = -1 many sets tend to a pair
-    y_k = -y_j = Q y_j, where B(y)B(-y)|0> = 0, so the limit is no Bethe
-    vector.  When the stage at Q = -1 raises and the roots entering it
-    hold a pair with |y_k + y_j| <= step, the result is
-    BetheRoots((), inf, (k, j)); any other failure raises.  Over those
-    cells, 177 of the 268 sets are reported, 82 converge and 9 raise,
-    the same sets at either step.
+    (2,3), (2,4), (3,3), (3,4) and (4,4), 268 sets: every set converges
+    at Q in {1/2, 1, 3/2, 2, 3}, and steps 0.05 and 0.025 give the same
+    roots at Q in {1/2, 1, 3/2, 2}.  At Q = 3, six sets of (2,3) end at
+    a near-double root, whose two steps differ by about 1e-6.  At
+    Q in {-3/2, -2}, past the vanishing pairs, 41 sets raise at step
+    0.05 and 17 more at step 0.025 only.  Past |Q| = 2 the stages grow
+    geometrically, which bounds the cost, not the accuracy: the plan has
+    309 stages at Q = -10^6 and 518 at Q = 10^10.  At Q = -1 many sets
+    tend to a pair y_k = -y_j = Q y_j, where B(y)B(-y)|0> = 0, so the
+    limit is no Bethe vector.  When the stage at Q = -1 raises and the
+    sorted roots of the stage before hold a pair with |y_k + y_j| <=
+    step, the result is BetheRoots((), inf, (k, j)); any other failure
+    raises.  Over those cells, 177 of the 268 sets are reported, 82
+    converge and 9 raise, the same sets at either step.
     """
-    state = solve_phase(n, m, quantum_numbers)
+    ys = list(solve_phase(n, m, quantum_numbers).roots)
+    # Q and roots of the last two converged stages, the phase roots at 0
+    q0 = q1 = 0.0
+    y0 = ys
     for qs in _continuation_path(q, step):
+        start = ys
+        if q1 != q0:
+            t = (qs - q1) / (q1 - q0)
+            start = [y + t * (y - z) for y, z in zip(ys, y0)]
         try:
-            state = solve_qboson(n, m, qs, state)
+            found, res = _newton(start, m, qs)
         except ArithmeticError:
+            roots = _sorted_roots(ys)
             pair = next((p for p in combinations(range(n), 2)
-                         if abs(state.roots[p[0]] + state.roots[p[1]])
-                         <= step), None)
+                         if abs(roots[p[0]] + roots[p[1]]) <= step), None)
             if qs != -1 or pair is None:
                 raise
             return BetheRoots(roots=(), residual=math.inf,
                               vanishing_pair=pair)
-    return state
+        q0, y0, q1, ys = q1, ys, qs, found
+    return BetheRoots(roots=_sorted_roots(ys), residual=res)

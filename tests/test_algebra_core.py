@@ -197,6 +197,20 @@ def test_box_minors_rejects_a_negative_part_in_mu():
         box_minors([1, 2, 3, 4], 1, 2, 2, (1, -1))
 
 
+def test_box_minors_rejects_a_mu_that_is_not_weakly_decreasing():
+    # dropping the zero part of (0, 1) would read mu = (1,): the table
+    # was s_{lam/(1)}, while jacobi_trudi at mu = (0, 1) is 0 for every lam
+    hs = [1, 5, 19, 65, 211]
+    assert all(jacobi_trudi(hs, lam, (0, 1)) == 0
+               for lam in _column_order(2, 2))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        box_minors(hs, 6, 2, 2, (0, 1))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        box_minors(hs, 6, 2, 2, (1, 2))
+    # trailing zero parts are a partition still
+    assert box_minors(hs, 6, 2, 2, (1, 0)) == box_minors(hs, 6, 2, 2, (1,))
+
+
 def test_jacobi_trudi_rejects_a_negative_part_in_mu():
     # det(c_{lam_i - mu_j - i + j}) at a negative mu_j is no skew Schur
     # value: these read c_2 = 3 and 2 before mu went through the gate
