@@ -18,7 +18,8 @@ one residual, the ratio form's, serves both models.  The continuation
 is a predictor-corrector (Allgower-Georg, Numerical Continuation
 Methods, 1990): each stage starts from the secant extrapolation of the
 last two converged stages, and Newton corrects it to the same residual
-target as a stage started from the previous roots.  At Q = -1 a root
+target as a stage started from the previous roots.  Near the vanishing
+pairs below, a stage starts from the previous roots.  At Q = -1 a root
 set can tend to a pair y_k = -y_j, which gives no Bethe vector; such a
 set is reported, not raised.  Each Newton step solves its N x N complex
 linear system by Gaussian elimination on plain lists, which at desk
@@ -271,6 +272,13 @@ def _continuation_path(q: float, step: float) -> List[complex]:
     return path + [q]
 
 
+def _vanishing_pair(ys: Sequence[complex],
+                    step: float) -> Optional[Tuple[int, int]]:
+    """The first pair (k, j), k < j, of ys with |y_k + y_j| <= step."""
+    return next(((k, j) for k, j in combinations(range(len(ys)), 2)
+                 if abs(ys[k] + ys[j]) <= step), None)
+
+
 def solve_qboson_continued(n: int, m: int, q: float,
                            quantum_numbers: Sequence[int],
                            step: float = 0.05) -> BetheRoots:
@@ -278,18 +286,23 @@ def solve_qboson_continued(n: int, m: int, q: float,
 
     Each stage starts from the secant through the last two converged
     stages, y + t (y - y') with t the ratio of their Q steps; the first
-    starts from the phase roots.  Every stage keeps the stopping rule
-    and residual target of solve_qboson.  Roots are carried in path
-    order and sorted once at the end, since sorting between stages
-    would pair the wrong roots in the secant when two angles cross.
+    starts from the phase roots.  The stage at Q = -1, and a stage whose
+    previous roots hold a pair with |y_k + y_j| <= step, start from the
+    previous roots instead: there the roots may tend to a vanishing
+    pair, and a secant start can land on the roots of another set.
+    Every stage keeps the stopping rule and residual target of
+    solve_qboson.  Roots are carried in path order and sorted once at
+    the end, since sorting between stages would pair the wrong roots in
+    the secant when two angles cross.
 
     Measured over every quantum-number set of the cells (1,3), (2,2),
     (2,3), (2,4), (3,3), (3,4) and (4,4), 268 sets: every set converges
     at Q in {1/2, 1, 3/2, 2, 3}, and steps 0.05 and 0.025 give the same
     roots at Q in {1/2, 1, 3/2, 2}.  At Q = 3, six sets of (2,3) end at
     a near-double root, whose two steps differ by about 1e-6.  At
-    Q in {-3/2, -2}, past the vanishing pairs, 41 sets raise at step
-    0.05 and 17 more at step 0.025 only.  Past |Q| = 2 the stages grow
+    Q in {-3/2, -2}, past the vanishing pairs, 48 sets raise at step
+    0.05 and 17 more at step 0.025 only; where both steps converge they
+    give the same roots.  Past |Q| = 2 the stages grow
     geometrically, which bounds the cost, not the accuracy: the plan has
     309 stages at Q = -10^6 and 518 at Q = 10^10.  At Q = -1 many sets
     tend to a pair y_k = -y_j = Q y_j, where B(y)B(-y)|0> = 0, so the
@@ -305,15 +318,13 @@ def solve_qboson_continued(n: int, m: int, q: float,
     y0 = ys
     for qs in _continuation_path(q, step):
         start = ys
-        if q1 != q0:
+        if q1 != q0 and qs != -1 and _vanishing_pair(ys, step) is None:
             t = (qs - q1) / (q1 - q0)
             start = [y + t * (y - z) for y, z in zip(ys, y0)]
         try:
             found, res = _newton(start, m, qs)
         except ArithmeticError:
-            roots = _sorted_roots(ys)
-            pair = next((p for p in combinations(range(n), 2)
-                         if abs(roots[p[0]] + roots[p[1]]) <= step), None)
+            pair = _vanishing_pair(_sorted_roots(ys), step)
             if qs != -1 or pair is None:
                 raise
             return BetheRoots(roots=(), residual=math.inf,

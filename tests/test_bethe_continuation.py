@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from qtau import bethe
+from test_bethe import _outcome
 
 CELLS = ((1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4))
 
@@ -37,19 +38,29 @@ def test_secant_predictor_saves_newton_steps(monkeypatch, args, kwargs,
 
 def test_q_minus_one_counts_on_seven_cells():
     # the counts the solve_qboson_continued docstring and the README state
-    kinds = []
-    for n, m in CELLS:
-        for qn in itertools.combinations(range(n + m + 1), n):
-            try:
-                br = bethe.solve_qboson_continued(n, m, -1.0, list(qn))
-            except ArithmeticError:
-                kinds.append("raised")
-                continue
-            kinds.append("converged" if br.vanishing_pair is None
-                         else "reported")
+    def kind(n, m, qn):
+        try:
+            return _outcome(n, m, -1.0, qn, 0.05)[0]
+        except ArithmeticError:
+            return "raised"
+
+    kinds = [kind(n, m, qn) for n, m in CELLS
+             for qn in itertools.combinations(range(n + m + 1), n)]
     assert len(kinds) == 268
     assert (kinds.count("reported"), kinds.count("converged"),
             kinds.count("raised")) == (177, 82, 9)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.025])
+def test_no_prediction_into_the_vanishing_pair(step):
+    # a secant start into the Q = -1 stage lands these (4,6) sets on the
+    # roots of another set at step 0.05, (0,1,5,6) on the 7th roots of -1
+    sets = ((0, 1, 5, 6), (0, 1, 6, 7), (0, 4, 5, 10), (0, 5, 6, 10),
+            (1, 2, 6, 7), (1, 2, 7, 8), (2, 3, 7, 8), (2, 3, 8, 9),
+            (3, 4, 8, 9), (3, 4, 9, 10), (4, 5, 9, 10))
+    for qn in sets:
+        assert _outcome(4, 6, -1.0, qn, step)[0] == "reported"
+    assert _outcome(4, 6, -1.0, (0, 1, 5, 6), step) == ("reported", (0, 2))
 
 
 def test_cyclic_runs_of_four_converge_at_q_one():
