@@ -32,7 +32,7 @@ defined at every Q, Q = 1 and Q = -1 included.
 The arithmetic is exact and still brute force, but it runs on Python
 ints.  For Q = a/b every site element is an int numerator over one table
 denominator b^(N+2), enough for the raise elements 1 - Q^{k+1} with
-k <= N+1 on the extended basis.  A vector is a dict of int numerators
+k <= N+1 on the bound-(N+1) basis.  A vector is a dict of int numerators
 over one positive denominator: each site step multiplies by ints and
 the denominator grows by the table denominator times that of the step's
 two scalars.  At the end of each string step the kept component is
@@ -42,19 +42,29 @@ code shares no arithmetic helper with the formula side.
 
 One truncation subtlety is load-bearing.  A number-preserving block
 applied to a top-sector state may pass through one extra particle in
-transit (raise, then lower).  The site tables therefore act on a basis
-with particle bound N+1; the prefix analysis of auxiliary paths shows
-one extra sector is exactly enough, so every returned vector and block
-lies in the bound-N basis.
+transit (raise, then lower): the D block on sector N raises into sector
+N+1 at one site and lowers back at a later one.  ``build_monodromy``
+therefore reads its site tables on the basis with particle bound N+1;
+the prefix analysis of auxiliary paths shows one extra sector is
+exactly enough, so every block it returns lies in the bound-N basis.
+The strings need no extra sector.  Each site maps (w1, w2) to
+(w1 + R w2, L w1 + w2) up to the diagonal, so in the transfer of (0, v),
+v in sector s, the upper component lies in sector s+1 and the lower one
+in sector s at every site, and B(y) returns the upper one.  C(x) on
+(v, 0) keeps the upper component in s and the lower in s-1 the same
+way.  A B string ends at sector <= N, the pairing's grading, so the B
+and C strings walk the bound-N basis only, and a raise that would leave
+it trips the guard instead of being dropped.
 
 Everything but the N+2 raise numerators is independent of Q and built
-once per (N, M).  The bases are graded by particle number, so the
-bound-N basis is a prefix of the bound-(N+1) one and each sector's
-partitions are converted to occupations once.  A state is coded as one
-int with its occupancies as digits in base N+3, so a site's raise or
-lower is an addition to the code and one dict lookup.  A site step reads
-a state's target from this layout and its element from the numerator at
-its occupancy, so a new Q adds N+2 ints and no per-state table.
+once per particle bound and M.  The bases are graded by particle
+number, so the bound-N basis is a prefix of the bound-(N+1) one and
+each sector's partitions are converted to occupations once.  A state is
+coded as one int with its occupancies as digits in base bound+2, so a
+site's raise or lower is an addition to the code and one dict lookup.
+A site step reads a state's target from this layout and a deformed
+raise its element from the numerator at its occupancy, so a new Q adds
+N+2 ints and no per-state table.
 """
 
 from __future__ import annotations
@@ -151,25 +161,26 @@ def _resolve(model: str, spec) -> Tuple[int, int, Fraction]:
     raise TypeError("spec must be a BoxSpec or QBosonSpec")
 
 
-# sentinel for a raise that would leave even the extended basis; the
-# auxiliary-path analysis says it can never receive a nonzero vector
+# sentinel for a raise that would leave the layout's basis; the sector
+# argument of the module doc says it can never receive a nonzero vector
 _FORBIDDEN = -1
 
 
 @lru_cache(maxsize=None)
-def _site_layout(n: int, m: int):
+def _site_layout(bound: int, m: int):
     """Per-site (raise targets, occupancies, lower targets) on the
-    bound-(n+1) basis: everything in the site tables but their values.
+    bound-`bound` basis: everything in the site tables but their values.
 
-    Each state is coded as the int sum_k occ_k (n+3)^k.  No occupancy
-    exceeds n+2 even after a raise, so the raise and lower targets at
-    site k are the states coded code +- (n+3)^k, one dict lookup each.
-    A raise target is _FORBIDDEN where it leaves the extended basis, and
-    a lower target is None where the site is empty.  None of it depends
-    on Q, so it is built once per (n, m).
+    The strings read bound N, and only ``build_monodromy`` reads N+1.
+    Each state is coded as the int sum_k occ_k (bound+2)^k.  No occupancy
+    exceeds bound+1 even after a raise, so the raise and lower targets at
+    site k are the states coded code +- (bound+2)^k, one dict lookup each.
+    A raise target is _FORBIDDEN where it leaves the basis, and a lower
+    target is None where the site is empty.  None of it depends on Q, so
+    it is built once per (bound, m).
     """
-    base = n + 3
-    columns = tuple(zip(*sector_basis(n + 1, m).states))
+    base = bound + 2
+    columns = tuple(zip(*sector_basis(bound, m).states))
     codes = [0] * len(columns[0])
     for site, occupancies in enumerate(columns):
         step = base ** site
@@ -186,64 +197,83 @@ def _site_layout(n: int, m: int):
 
 
 @lru_cache(maxsize=None)
-def _symbolic_blocks(n: int, m: int, q: Fraction):
-    """The shared ``_site_layout(n, m)``, the n+2 raise numerators of a
-    deformed site, and their denominator den = b**(n+2) for Q = a/b.
+def _symbolic_blocks(n: int, q: Fraction) -> Tuple[Tuple[int, ...], int]:
+    """The n+2 raise numerators of a deformed site and their denominator
+    den = b**(n+2) for Q = a/b.
 
     Raising occupancy k at a deformed site is the combined (1-Q)^{1/2} b+
     element 1 - Q^{k+1}, with numerator den - a^{k+1} b^{n+1-k}; k <= n+1
-    on the extended basis.  Lowering is 1 and site 0 is bare (see the
+    on the bound-(n+1) basis.  Lowering is 1 and site 0 is bare (see the
     module doc), so those elements are den / den.  The numerators are the
     monodromy's only Q-dependent data; the phase model reads them at Q = 0.
-    Index layouts agree between the bound-n and bound-(n+1) bases
-    because sectors enumerate identically.
+    They serve both bounds, because a state's occupancy, not its index,
+    picks its numerator.
     """
     a, b = q.numerator, q.denominator
     den = b ** (n + 2)
-    deformed = tuple(den - a ** (k + 1) * b ** (n + 1 - k)
-                     for k in range(n + 2))
-    return _site_layout(n, m), deformed, den
+    return tuple(den - a ** (k + 1) * b ** (n + 1 - k)
+                 for k in range(n + 2)), den
 
 
 def _half_step(targets, occupancies, coeffs, den: int, vec: Vector,
                base: Vector, scale: int) -> Vector:
-    """scale * (den * base + table(vec)) on int numerators; the table
-    sends state i to targets[i] with element coeffs[occupancies[i]] / den."""
+    """scale * (den * base + table(vec)) on int numerators.
+
+    The table sends state i to targets[i] with element
+    coeffs[occupancies[i]] / den, or with den / den when coeffs is None:
+    the bare tables, every lowering and site 0's raise, read no
+    coefficient.  The scale rides on the products, sden = scale * den for
+    base and bare terms and value * coeff * scale for a deformed one, so
+    no pass rescales the result.  The inputs hold no zero and a zero
+    numerator adds no term, so an entry drops only where an addition
+    cancels, and the result holds no zero either.
+    """
     if not scale:
         return {}
-    out = {i: den * value for i, value in base.items()}
+    sden = scale * den
+    out = {i: sden * value for i, value in base.items()}
     for i, value in vec.items():
         dst = targets[i]
         if dst is None:
             continue
         if dst == _FORBIDDEN:
-            raise AssertionError("operator escaped the extended basis")
-        coeff = coeffs[occupancies[i]]
-        if coeff:
-            term = value * coeff
-            out[dst] = out[dst] + term if dst in out else term
-    return {i: value * scale for i, value in out.items() if value}
+            raise AssertionError("operator escaped the layout's basis")
+        if coeffs is None:
+            term = value * sden
+        else:
+            coeff = coeffs[occupancies[i]]
+            if not coeff:
+                continue
+            term = value * coeff * scale
+        if dst in out:
+            term += out[dst]
+            if not term:
+                del out[dst]
+                continue
+        out[dst] = term
+    return out
 
 
-def _transfer(blocks, alpha: Fraction, beta: Fraction, w1: Vector,
+def _transfer(tables, alpha: Fraction, beta: Fraction, w1: Vector,
               w2: Vector) -> Tuple[Vector, Vector, int]:
-    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn;
-    R_k reads the deformed numerators for k >= 1, R_0 and L_k read den.
+    """Apply diag(alpha, beta) [[1, R_k], [L_k, 1]] for k = 0..M in turn,
+    from tables = (layout, deformed numerators, den); R_k reads the
+    deformed numerators for k >= 1, and R_0 and every L_k are bare.
 
     w1 and w2 are int numerators over one denominator, and so are the
     two returned vectors; the third value is the factor by which that
     denominator grew: d * den per site, with alpha, beta written over
-    their common denominator d.
+    their common denominator d.  A raise out of the layout's basis
+    raises AssertionError.
     """
-    layout, deformed, den = blocks
-    bare = (den,) * len(deformed)
+    layout, deformed, den = tables
     d = lcm(alpha.denominator, beta.denominator)
     ka = alpha.numerator * (d // alpha.denominator)
     kb = beta.numerator * (d // beta.denominator)
     for site, (raises, occupancies, lowers) in enumerate(layout):
-        w1, w2 = (_half_step(raises, occupancies, deformed if site else bare,
+        w1, w2 = (_half_step(raises, occupancies, deformed if site else None,
                              den, w2, w1, ka),
-                  _half_step(lowers, occupancies, bare, den, w1, w2, kb))
+                  _half_step(lowers, occupancies, None, den, w1, w2, kb))
     return w1, w2, (d * den) ** len(layout)
 
 
@@ -258,24 +288,24 @@ def _reduced(vec: Vector, den: int, basis: SectorBasis,
     return {i: value // g for i, value in vec.items()}, den // g
 
 
-def _b_string(blocks, basis: SectorBasis, vec: Vector, den: int,
+def _b_string(tables, basis: SectorBasis, vec: Vector, den: int,
               sector: int, ys: Sequence[Fraction]) -> Tuple[Vector, int]:
     """B(y) applied for each y in turn to vec / den in `sector`; each
     B(y) v is the first component of the transfer of (0, v) at (1, y)."""
     for y in ys:
         sector += 1
-        w1, _, grown = _transfer(blocks, ONE, y, {}, vec)
+        w1, _, grown = _transfer(tables, ONE, y, {}, vec)
         vec, den = _reduced(w1, den * grown, basis, sector)
     return vec, den
 
 
-def _c_string(blocks, basis: SectorBasis, vec: Vector, den: int,
+def _c_string(tables, basis: SectorBasis, vec: Vector, den: int,
               sector: int, xs: Sequence[Fraction]) -> Tuple[Vector, int]:
     """C(x) applied for each x in turn to vec / den in `sector`; each
     C(x) v is the second component of the transfer of (v, 0) at (x, 1)."""
     for x in xs:
         sector -= 1
-        _, w2, grown = _transfer(blocks, x, ONE, vec, {})
+        _, w2, grown = _transfer(tables, x, ONE, vec, {})
         vec, den = _reduced(w2, den * grown, basis, sector)
     return vec, den
 
@@ -291,7 +321,8 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
     if u == 0:
         raise ValueError("u = 0")
     n, m, q = _resolve(model, spec)
-    blocks = _symbolic_blocks(n, m, q)
+    # the D block on sector N passes through sector N+1
+    tables = (_site_layout(n + 1, m), *_symbolic_blocks(n, q))
     ext = sector_basis(n + 1, m)
     x, scale = u * u, ONE / u ** (m + 1)
 
@@ -301,7 +332,7 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
             columns = []
             for j in ext.sector_indices(s):
                 unit = ({j: 1}, {}) if start == 0 else ({}, {j: 1})
-                out = _transfer(blocks, ONE, x, *unit)
+                out = _transfer(tables, ONE, x, *unit)
                 columns.append(_reduced(out[read], out[2], ext, s + shift))
             matrix = tuple(tuple(Fraction(col.get(i, 0), den) * factor
                                  for col, den in columns)
@@ -326,7 +357,8 @@ def bethe_state(model: str, spec, roots: Sequence) -> Dict[Partition, Fraction]:
     if len(ys) > n:
         raise ValueError("more roots than the particle bound")
     basis = sector_basis(n, m)
-    vec, den = _b_string(_symbolic_blocks(n, m, q), basis, {0: 1}, 1, 0, ys)
+    tables = (_site_layout(n, m), *_symbolic_blocks(n, q))
+    vec, den = _b_string(tables, basis, {0: 1}, 1, 0, ys)
     lo = basis.offsets[len(ys)]
     return {lam: Fraction(vec.get(lo + i, 0), den)
             for i, lam in enumerate(enumerate_in_box(len(ys), m))}
@@ -351,18 +383,18 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     if expected > n:
         raise ValueError("pairing exceeds the basis particle bound")
     basis = sector_basis(n, m)
-    blocks = _symbolic_blocks(n, m, q)
+    tables = (_site_layout(n, m), *_symbolic_blocks(n, q))
     vec, den = {0: 1}, 1
     if insertion is not None:
         if not 0 <= insertion <= m:
             raise ValueError("insertion site out of range")
-        layout, deformed, den = blocks
-        # the site's raise on the vacuum, which is index 0 in both bases
+        layout, deformed, den = tables
+        # the site's raise on the vacuum, which is index 0
         coeff = deformed[0] if insertion else den
         vec, den = _reduced({layout[insertion][0][0]: coeff} if coeff
                             else {}, den, basis, 1)
-    vec, den = _b_string(blocks, basis, vec, den, expected - len(ys), ys)
-    vec, den = _c_string(blocks, basis, vec, den, expected, xs)
+    vec, den = _b_string(tables, basis, vec, den, expected - len(ys), ys)
+    vec, den = _c_string(tables, basis, vec, den, expected, xs)
     return Fraction(vec.get(0, 0), den)
 
 
@@ -374,11 +406,11 @@ def commutation_check(model: str, spec, y1, y2) -> bool:
     """
     n, m, q = _resolve(model, spec)
     y1, y2 = _rational(y1), _rational(y2)
-    blocks = _symbolic_blocks(n, m, q)
+    tables = (_site_layout(n, m), *_symbolic_blocks(n, q))
     basis = sector_basis(n, m)
     for s in range(n - 1):
         for j in basis.sector_indices(s):
-            if (_b_string(blocks, basis, {j: 1}, 1, s, (y2, y1))
-                    != _b_string(blocks, basis, {j: 1}, 1, s, (y1, y2))):
+            if (_b_string(tables, basis, {j: 1}, 1, s, (y2, y1))
+                    != _b_string(tables, basis, {j: 1}, 1, s, (y1, y2))):
                 return False
     return True

@@ -38,9 +38,8 @@ from functools import lru_cache
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra_core import (QPoly, _exact, as_points, box_minors,
-                           h_from_times, mat_mul_ring, power_series_div)
-from .miwa import from_points, twist
+from .algebra_core import (QPoly, _exact, _over_lcm, as_points, box_minors,
+                           mat_mul_ring, power_series_div)
 from .partitions import b_lambda, multiplicities, weight
 from .phase_model import BoxSpec, scalar_product
 from .symfunc import hall_littlewood_ints, kostka_tables, q_coeff_ints
@@ -95,9 +94,12 @@ def _graded_ints(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
     for Q = a/b, so its degree-d subsum S_d is over b^{N(N+1)/2} B_x B_y
     (L_x L_y)^d, and P[d] = S_d (L_x L_y)^{degree-d}.  The Schur-type
     modes read s_lam(x) and the y-side values, over scale_x scale_y,
-    from one ``box_minors`` sweep of c_0..c_{N+M-1} each; the twisted
-    list is int-valued Fractions over the big_schur denominator (an
-    ``int()`` would truncate silently if this mode's identity failed).
+    from one ``box_minors`` sweep of c_0..c_{N+M-1} each.  The twisted
+    list is h_j of the times T_k = (1 - Q^k) t_k(y) over the big_schur
+    denominator D = L b: P_k = (b^k - a^k) sum_j Y_j^k is k T_k D^k, so
+    Newton's identity reads j H_j = sum_{k <= j} P_k H_{j-k} for
+    H_j = h_j D^j.  H_j stays a Fraction where j does not divide the sum,
+    so a failing identity shows instead of being truncated.
     ``sweeps`` maps a generator list to its box table, so a caller that
     shares it across modes sweeps each distinct list once.
     """
@@ -128,8 +130,16 @@ def _graded_ints(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
     kmax = box.m + box.n
     gy, dy = q_coeff_ints(ys, q, kmax)
     if mode == "twisted_schur":
-        gy = [c * dy ** k for k, c in enumerate(
-            h_from_times(twist(from_points(ys, kmax), q), kmax))]
+        ints, _ = _over_lcm(ys)
+        a, b = q.numerator, q.denominator
+        ps, powers = [], ints
+        for k in range(1, kmax + 1):
+            ps.append((b ** k - a ** k) * sum(powers))
+            powers = [p * y for p, y in zip(powers, ints)]
+        gy = [1]
+        for j in range(1, kmax + 1):
+            total = sum(ps[k] * gy[j - 1 - k] for k in range(j))
+            gy.append(total // j if total % j == 0 else Fraction(total, j))
     tables = []
     for gens, den in ((gy, dy), q_coeff_ints(xs, 0, kmax)):
         key = (tuple(gens), den)

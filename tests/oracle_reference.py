@@ -27,17 +27,17 @@ def _raise_coeff(q, site, occ):
 
 
 @lru_cache(maxsize=None)
-def site_layout(n, m):
+def site_layout(bound, m):
     """Per-site (raise targets, occupancies, lower targets) on the
-    bound-(n+1) basis, found by slicing each occupation tuple: the
+    bound-`bound` basis, found by slicing each occupation tuple: the
     layout the oracle reads from int codes, with its sentinel for a
     raise out of the basis and None for a lower of an empty site."""
-    ext = sector_basis(n + 1, m)
-    index = {occ: i for i, occ in enumerate(ext.states)}
+    basis = sector_basis(bound, m)
+    index = {occ: i for i, occ in enumerate(basis.states)}
     layout = []
     for site in range(m + 1):
         raises, occupancies, lowers = [], [], []
-        for occ in ext.states:
+        for occ in basis.states:
             k = occ[site]
             raised = occ[:site] + (k + 1,) + occ[site + 1:]
             lowered = occ[:site] + (k - 1,) + occ[site + 1:]
@@ -49,15 +49,17 @@ def site_layout(n, m):
 
 
 @lru_cache(maxsize=None)
-def site_tables(n, m, q):
-    """Per-site (raise, lower) tables on the bound-(n+1) basis, with
-    Fraction coefficients; None marks a move out of the basis."""
+def site_tables(bound, m, q):
+    """Per-site (raise, lower) tables on the bound-`bound` basis, with
+    Fraction coefficients; None marks a move out of the basis.  The
+    reference oracle below reads bound N+1 everywhere, so the oracle's
+    bound-N strings are checked against tables that truncate nothing."""
     return tuple(
         (tuple(None if dst == _FORBIDDEN else (dst, _raise_coeff(q, site, k))
                for dst, k in zip(raises, occupancies)),
          tuple(None if dst is None else (dst, ONE) for dst in lowers))
         for site, (raises, occupancies, lowers)
-        in enumerate(site_layout(n, m)))
+        in enumerate(site_layout(bound, m)))
 
 
 def _half_step(table, vec, base, scale):
@@ -95,7 +97,7 @@ def c_string(sites, vec, xs):
 
 def oracle_pairing(model, spec, xs, ys, insertion=None):
     n, m, q = _resolve(model, spec)
-    sites = site_tables(n, m, q)
+    sites = site_tables(n + 1, m, q)
     vec = {0: ONE}
     if insertion is not None:
         occ = tuple(1 if i == insertion else 0 for i in range(m + 1))
@@ -108,7 +110,7 @@ def oracle_pairing(model, spec, xs, ys, insertion=None):
 def bethe_state(model, spec, roots):
     n, m, q = _resolve(model, spec)
     ys = [Fraction(u) ** 2 for u in roots]
-    vec = b_string(site_tables(n, m, q), {0: ONE}, ys)
+    vec = b_string(site_tables(n + 1, m, q), {0: ONE}, ys)
     lo = sector_basis(n, m).offsets[len(ys)]
     return {lam: vec.get(lo + i, ZERO)
             for i, lam in enumerate(enumerate_in_box(len(ys), m))}
@@ -117,7 +119,7 @@ def bethe_state(model, spec, roots):
 def build_monodromy(model, spec, u):
     u = Fraction(u)
     n, m, q = _resolve(model, spec)
-    sites = site_tables(n, m, q)
+    sites = site_tables(n + 1, m, q)
     ext = sector_basis(n + 1, m)
     x, scale = u * u, ONE / u ** (m + 1)
 
@@ -140,7 +142,7 @@ def build_monodromy(model, spec, u):
 
 def commutation_check(model, spec, y1, y2):
     n, m, q = _resolve(model, spec)
-    sites = site_tables(n, m, q)
+    sites = site_tables(n + 1, m, q)
     basis = sector_basis(n, m)
     return all(b_string(sites, {j: ONE}, (y2, y1))
                == b_string(sites, {j: ONE}, (y1, y2))

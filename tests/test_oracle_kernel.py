@@ -86,28 +86,31 @@ def test_commutation_check_matches_reference(data, model):
 
 def test_site_tables_are_ints_over_one_denominator():
     for n, m in ((1, 0), (2, 2), (3, 3)):
-        layout = oracle._site_layout(n, m)
         for q in (F(0), F(1), F(-1), F(2), F(-7, 5), F(1, 4)):
-            shared, deformed, den = oracle._symbolic_blocks(n, m, q)
-            assert shared is layout
+            deformed, den = oracle._symbolic_blocks(n, q)
             assert type(den) is int and den == q.denominator ** (n + 2)
             assert len(deformed) == n + 2
             assert all(type(c) is int for c in deformed)
-            # each element over den is the reference's matrix element
-            ref = reference.site_tables(n, m, q)
-            assert len(layout) == len(ref) == m + 1
+            # the strings read bound n and build_monodromy bound n+1; on
+            # either, each element over den is the reference's element
             bare = (den,) * (n + 2)
-            for site, (layout_site, ref_site) in enumerate(zip(layout, ref)):
-                raises, occupancies, lowers = layout_site
-                ref_raise, ref_lower = ref_site
-                for targets, coeffs, missing, ref_table in (
-                        (raises, deformed if site else bare, oracle._FORBIDDEN,
-                         ref_raise),
-                        (lowers, bare, None, ref_lower)):
-                    assert len(targets) == len(occupancies) == len(ref_table)
-                    for dst, k, ref_entry in zip(targets, occupancies,
-                                                 ref_table):
-                        if ref_entry is None:
-                            assert dst == missing
-                        else:
-                            assert (dst, F(coeffs[k], den)) == ref_entry
+            for bound in (n, n + 1):
+                layout = oracle._site_layout(bound, m)
+                ref = reference.site_tables(bound, m, q)
+                assert len(layout) == len(ref) == m + 1
+                for site, (layout_site, ref_site) in enumerate(zip(layout,
+                                                                   ref)):
+                    raises, occupancies, lowers = layout_site
+                    ref_raise, ref_lower = ref_site
+                    for targets, coeffs, missing, ref_table in (
+                            (raises, deformed if site else bare,
+                             oracle._FORBIDDEN, ref_raise),
+                            (lowers, bare, None, ref_lower)):
+                        assert (len(targets) == len(occupancies)
+                                == len(ref_table))
+                        for dst, k, ref_entry in zip(targets, occupancies,
+                                                     ref_table):
+                            if ref_entry is None:
+                                assert dst == missing
+                            else:
+                                assert (dst, F(coeffs[k], den)) == ref_entry

@@ -6,12 +6,20 @@ finds its targets by adding to int codes.  Each must give the same
 tuples in the same order as the direct construction: one
 ``partitions_of`` call per weight, ``occupation_from_partition`` of
 every partition of every sector, and the tuple-slicing layout of
-``oracle_reference``.
+``oracle_reference``.  The strings read the bound-N basis and only
+``build_monodromy`` reads bound N+1; a string that would leave its
+basis raises instead of dropping the escaped part.
 """
+
+from fractions import Fraction as F
+
+import pytest
 
 from qtau import fock_oracle as oracle
 from qtau.partitions import (enumerate_in_box, occupation_from_partition,
                              partitions_of)
+from qtau.phase_model import BoxSpec
+from qtau.qboson_model import QBosonSpec
 
 import oracle_reference as reference
 
@@ -41,7 +49,49 @@ def test_sector_basis_converts_every_partition_of_every_sector():
 
 
 def test_site_layout_matches_the_slicing_rebuild():
-    # the layout lives on the bound-(N+1) extension of each desk cell
+    # the strings read the bound-N layout of each desk cell and
+    # build_monodromy the bound-(N+1) one
     for n, m in DESK:
-        assert oracle._site_layout(n, m) == reference.site_layout(n, m)
+        for bound in (n, n + 1):
+            assert (oracle._site_layout(bound, m)
+                    == reference.site_layout(bound, m))
 
+
+def _bounds_read(monkeypatch, call):
+    """The particle bounds of every basis and layout that `call` reads."""
+    bounds = set()
+    for name in ("sector_basis", "_site_layout"):
+        def recording(bound, m, _inner=getattr(oracle, name)):
+            bounds.add(bound)
+            return _inner(bound, m)
+        monkeypatch.setattr(oracle, name, recording)
+    call()
+    monkeypatch.undo()
+    return bounds
+
+
+def test_strings_read_no_bound_n_plus_one_basis(monkeypatch):
+    xs, ys = [F(1, 2), F(-2, 3), F(0)], [F(3, 5), F(3, 5), F(-4)]
+    for q in (F(0), F(1), F(-1), F(2, 7)):
+        spec = QBosonSpec(BoxSpec(3, 2), q)
+        for call in (
+                lambda: oracle.oracle_pairing("qboson", spec, xs, ys),
+                lambda: oracle.oracle_pairing("qboson", spec, xs, ys[:2],
+                                              insertion=1),
+                lambda: oracle.bethe_state("qboson", spec, ys),
+                lambda: oracle.commutation_check("qboson", spec, *ys[1:])):
+            assert max(_bounds_read(monkeypatch, call)) == 3
+    # the D block on sector N is the one route through sector N+1
+    assert max(_bounds_read(monkeypatch, lambda: oracle.build_monodromy(
+        "qboson", QBosonSpec(BoxSpec(3, 2), F(2, 7)), F(1, 2)))) == 4
+
+
+def test_a_string_pushed_past_sector_n_escapes_loudly():
+    for n, m in ((1, 0), (2, 2), (3, 1)):
+        for q in (F(0), F(-1), F(1, 3)):
+            tables = (oracle._site_layout(n, m),
+                      *oracle._symbolic_blocks(n, q))
+            basis = oracle.sector_basis(n, m)
+            for j in basis.sector_indices(n):
+                with pytest.raises(AssertionError, match="operator escaped"):
+                    oracle._b_string(tables, basis, {j: 1}, 1, n, [F(2, 5)])

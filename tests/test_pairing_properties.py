@@ -311,13 +311,12 @@ def test_box_sums_make_one_fraction_per_value():
     # determinants make a second when they flip its sign; det_quotient
     # makes the three Q*y, its two determinants and their quotient; and
     # graded_components makes one per piece.  mode_agreement_report makes
-    # one per sum-mode value and one per piece in its window, and its
-    # twisted_schur y-list still goes through Fraction times (from_points
-    # makes one Fraction per time, from int power sums over the lcm of
-    # the point denominators; twist and h_from_times still run on
-    # Fractions); its det_quotient series division reads the Fraction
-    # Q^d c_d as they are, through the exact-input gate.  One Fraction
-    # per term would add at least 20 to any count.
+    # one per sum-mode value and one per piece in its window (its
+    # twisted_schur y-list runs on ints, Newton's identity on int power
+    # sums over the lcm of the point denominators); its det_quotient
+    # series division reads the Fraction Q^d c_d as they are, through the
+    # exact-input gate.  One Fraction per term would add at least 20 to
+    # any count.
     box = BoxSpec(3, 3)
     xs, ys = [F(1, 2), F(-1, 3), F(2, 5)], [F(1, 5), F(2, 7), F(0)]
     spec = QBosonSpec(box, F(-3, 7))
@@ -337,7 +336,7 @@ def test_box_sums_make_one_fraction_per_value():
             lambda: scalar_product_q(xs, ys, spec, "det_quotient"), 6),
         "hl_sum pieces": (
             lambda: graded_components(xs, ys, spec, "hl_sum", 9), 10),
-        "mode report": (lambda: mode_agreement_report(xs, ys, spec), 151),
+        "mode report": (lambda: mode_agreement_report(xs, ys, spec), 51),
     }
     assert {name: _fractions_made(route)
             for name, (route, _) in counts.items()} == {
