@@ -51,6 +51,22 @@ def _model_q(args) -> Fraction:
     return q
 
 
+def _box_points(args, ket: int):
+    """(box, xs, ys) from --n, --m, --x and --y, within the caps, with N
+    points in --x and `ket` points in --y."""
+    check_caps(args.n, args.m)
+    xs, ys = _points(args.x), _points(args.y)
+    if len(xs) != args.n or len(ys) != ket:
+        raise ValueError(f"need N = {args.n} points in --x and {ket} in --y")
+    return BoxSpec(args.n, args.m), xs, ys
+
+
+def _spec(args, box: BoxSpec):
+    """The box for the phase model, else the q-boson spec at --q."""
+    q = _model_q(args)
+    return box if args.model == "phase" else QBosonSpec(box, q)
+
+
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -89,21 +105,14 @@ def _two_routes(evaluate: Callable[[str], Fraction], routes: Sequence[str],
 
 
 def _cmd_scalar(args) -> int:
-    check_caps(args.n, args.m)
-    xs, ys = _points(args.x), _points(args.y)
-    if len(xs) != args.n or len(ys) != args.n:
-        raise ValueError("need exactly N values in --x and in --y")
-    box = BoxSpec(args.n, args.m)
+    box, xs, ys = _box_points(args, args.n)
     return _two_routes(lambda mode: scalar_product(xs, ys, box, mode=mode),
                        ("det", "schur_sum"), args.mode)
 
 
 def _cmd_qscalar(args) -> int:
-    check_caps(args.n, args.m)
-    xs, ys = _points(args.x), _points(args.y)
-    if len(xs) != args.n or len(ys) != args.n:
-        raise ValueError("need exactly N values in --x and in --y")
-    spec = QBosonSpec(BoxSpec(args.n, args.m), parse_rational(args.q))
+    box, xs, ys = _box_points(args, args.n)
+    spec = QBosonSpec(box, parse_rational(args.q))
     if args.mode != "all":
         try:
             value = scalar_product_q(xs, ys, spec, mode=args.mode)
@@ -123,23 +132,16 @@ def _cmd_qscalar(args) -> int:
 
 
 def _cmd_corr(args) -> int:
-    check_caps(args.n, args.m)
-    xs, ys = _points(args.x), _points(args.y)
-    if len(xs) != args.n or len(ys) != args.n - 1:
-        raise ValueError("the one-point function pairs N points in --x "
-                         "with N-1 points in --y")
-    box = BoxSpec(args.n, args.m)
+    box, xs, ys = _box_points(args, args.n - 1)
     return _two_routes(
         lambda mode: correlation_Am(xs, ys, args.site, box, mode=mode),
         ("det", "skew_sum"), args.mode)
 
 
 def _cmd_oracle(args) -> int:
-    check_caps(args.n, args.m)
-    xs, ys = _points(args.x), _points(args.y)
-    box = BoxSpec(args.n, args.m)
-    q = _model_q(args)
-    spec = box if args.model == "phase" else QBosonSpec(box, q)
+    ket = args.n if args.site is None else args.n - 1
+    box, xs, ys = _box_points(args, ket)
+    spec = _spec(args, box)
     if args.site is not None and args.model != "phase":
         raise ValueError("--site comparison is only wired for the "
                          "phase model")
@@ -214,9 +216,7 @@ def _cmd_expand(args) -> int:
     us = _points(args.u)
     if not 0 < len(us) <= args.n:
         raise ValueError("need between 1 and N spectral values in --u")
-    box = BoxSpec(args.n, args.m)
-    q = _model_q(args)
-    spec = box if args.model == "phase" else QBosonSpec(box, q)
+    spec = _spec(args, BoxSpec(args.n, args.m))
     coeffs = oracle.bethe_state(args.model, spec, us)
     table = [{"partition": list(lam), "value": format_rational(value)}
              for lam, value in coeffs.items()]
@@ -250,10 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, required=True,
                        help="number of lattice momenta M (sites 0..M)")
 
+    def add_points(p):
+        p.add_argument("--x", required=True, help="comma-separated rationals")
+        p.add_argument("--y", required=True, help="comma-separated rationals")
+
     p = sub.add_parser("scalar", help="phase-model scalar product")
     add_size(p)
-    p.add_argument("--x", required=True, help="comma-separated rationals")
-    p.add_argument("--y", required=True, help="comma-separated rationals")
+    add_points(p)
     p.add_argument("--mode", choices=("det", "schur_sum", "both"),
                    default="both")
     p.set_defaults(func=_cmd_scalar)
@@ -261,8 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qscalar", help="q-boson scalar product")
     add_size(p)
     p.add_argument("--q", required=True, help="deformation Q as p/q")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    add_points(p)
     p.add_argument("--mode", choices=MODES + ("all",), default="all")
     p.set_defaults(func=_cmd_qscalar)
 
@@ -270,8 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_size(p)
     p.add_argument("--site", type=int, required=True,
                    help="lattice site m of the insertion")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    add_points(p)
     p.add_argument("--mode", choices=("det", "skew_sum", "both"),
                    default="both")
     p.set_defaults(func=_cmd_corr)
@@ -280,9 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Fock-space pairing vs. the formula route")
     p.add_argument("--model", choices=("phase", "qboson"), required=True)
     add_size(p)
-    p.add_argument("--q", default="0", help="deformation Q (qboson only)")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--q", default=None, help="deformation Q (qboson only)")
+    add_points(p)
     p.add_argument("--site", type=int, default=None,
                    help="optional creation insertion site")
     p.set_defaults(func=_cmd_oracle)
@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="coefficient table of a creation-operator state")
     p.add_argument("--model", choices=("phase", "qboson"), required=True)
     add_size(p)
-    p.add_argument("--q", default="0", help="deformation Q (qboson only)")
+    p.add_argument("--q", default=None, help="deformation Q (qboson only)")
     p.add_argument("--u", required=True,
                    help="comma-separated spectral parameters u (y = u^2)")
     p.add_argument("--out", default=None)

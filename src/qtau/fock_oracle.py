@@ -52,9 +52,9 @@ The strings need no extra sector.  Each site maps (w1, w2) to
 v in sector s, the upper component lies in sector s+1 and the lower one
 in sector s at every site, and B(y) returns the upper one.  C(x) on
 (v, 0) keeps the upper component in s and the lower in s-1 the same
-way.  A B string ends at sector <= N, the pairing's grading, so the B
-and C strings walk the bound-N basis only, and a raise that would leave
-it trips the guard instead of being dropped.
+way.  A B string ends at sector <= N, the pairing's grading, so
+``_strings`` walks every B and C string on the bound-N basis only, and
+a raise that would leave it trips the guard instead of being dropped.
 
 Everything but the N+2 raise numerators is independent of Q and built
 once per particle bound and M.  The bases are graded by particle
@@ -288,25 +288,27 @@ def _reduced(vec: Vector, den: int, basis: SectorBasis,
     return {i: value // g for i, value in vec.items()}, den // g
 
 
-def _b_string(tables, basis: SectorBasis, vec: Vector, den: int,
-              sector: int, ys: Sequence[Fraction]) -> Tuple[Vector, int]:
-    """B(y) applied for each y in turn to vec / den in `sector`; each
-    B(y) v is the first component of the transfer of (0, v) at (1, y)."""
-    for y in ys:
-        sector += 1
-        w1, _, grown = _transfer(tables, ONE, y, {}, vec)
-        vec, den = _reduced(w1, den * grown, basis, sector)
-    return vec, den
+def _tables(model: str, spec, extra: int = 0):
+    """(N, M, basis, tables) on the bound-(N + extra) basis, with tables =
+    (layout, deformed numerators, den) as ``_transfer`` reads them."""
+    n, m, q = _resolve(model, spec)
+    return (n, m, sector_basis(n + extra, m),
+            (_site_layout(n + extra, m), *_symbolic_blocks(n, q)))
 
 
-def _c_string(tables, basis: SectorBasis, vec: Vector, den: int,
-              sector: int, xs: Sequence[Fraction]) -> Tuple[Vector, int]:
-    """C(x) applied for each x in turn to vec / den in `sector`; each
-    C(x) v is the second component of the transfer of (v, 0) at (x, 1)."""
-    for x in xs:
-        sector -= 1
-        _, w2, grown = _transfer(tables, x, ONE, vec, {})
-        vec, den = _reduced(w2, den * grown, basis, sector)
+def _strings(tables, basis: SectorBasis, vec: Vector, den: int, sector: int,
+             ys: Sequence[Fraction] = (),
+             xs: Sequence[Fraction] = ()) -> Tuple[Vector, int]:
+    """B(y) for each y in ys, then C(x) for each x in xs, on vec / den in
+    `sector`.  B(y) v is the first component of the transfer of (0, v) at
+    (1, y), and C(x) v the second component of the transfer of (v, 0) at
+    (x, 1): each step starts from v in one component and reads the other."""
+    for alpha, beta, read, shift in ([(ONE, y, 0, 1) for y in ys]
+                                     + [(x, ONE, 1, -1) for x in xs]):
+        sector += shift
+        start = (vec, {}) if read else ({}, vec)
+        *out, grown = _transfer(tables, alpha, beta, *start)
+        vec, den = _reduced(out[read], den * grown, basis, sector)
     return vec, den
 
 
@@ -320,10 +322,8 @@ def build_monodromy(model: str, spec, u) -> Monodromy:
     u = _rational(u)
     if u == 0:
         raise ValueError("u = 0")
-    n, m, q = _resolve(model, spec)
     # the D block on sector N passes through sector N+1
-    tables = (_site_layout(n + 1, m), *_symbolic_blocks(n, q))
-    ext = sector_basis(n + 1, m)
+    n, m, ext, tables = _tables(model, spec, 1)
     x, scale = u * u, ONE / u ** (m + 1)
 
     def block(start: int, read: int, shift: int, factor: Fraction):
@@ -352,13 +352,11 @@ def bethe_state(model: str, spec, roots: Sequence) -> Dict[Partition, Fraction]:
     u-values: the j-th physical rapidity is y_j = roots[j]**2, so that
     callers fixing u keep every intermediate quantity rational.
     """
-    n, m, q = _resolve(model, spec)
+    n, m, basis, tables = _tables(model, spec)
     ys = [_rational(u) ** 2 for u in roots]
     if len(ys) > n:
         raise ValueError("more roots than the particle bound")
-    basis = sector_basis(n, m)
-    tables = (_site_layout(n, m), *_symbolic_blocks(n, q))
-    vec, den = _b_string(tables, basis, {0: 1}, 1, 0, ys)
+    vec, den = _strings(tables, basis, {0: 1}, 1, 0, ys)
     lo = basis.offsets[len(ys)]
     return {lam: Fraction(vec.get(lo + i, 0), den)
             for i, lam in enumerate(enumerate_in_box(len(ys), m))}
@@ -373,7 +371,7 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
     operator at that site, acting on the vacuum end of the product, and
     the gradings must then satisfy |y| = |x| - 1.
     """
-    n, m, q = _resolve(model, spec)
+    n, m, basis, tables = _tables(model, spec)
     xs, ys = [_rational(x) for x in xs], [_rational(y) for y in ys]
     if insertion is not None:
         _check_site(insertion)
@@ -382,19 +380,17 @@ def oracle_pairing(model: str, spec, xs: Sequence, ys: Sequence,
         raise ValueError("grading mismatch between x, y and the insertion")
     if expected > n:
         raise ValueError("pairing exceeds the basis particle bound")
-    basis = sector_basis(n, m)
-    tables = (_site_layout(n, m), *_symbolic_blocks(n, q))
     vec, den = {0: 1}, 1
     if insertion is not None:
         if not 0 <= insertion <= m:
             raise ValueError("insertion site out of range")
         layout, deformed, den = tables
-        # the site's raise on the vacuum, which is index 0
-        coeff = deformed[0] if insertion else den
-        vec, den = _reduced({layout[insertion][0][0]: coeff} if coeff
-                            else {}, den, basis, 1)
-    vec, den = _b_string(tables, basis, vec, den, expected - len(ys), ys)
-    vec, den = _c_string(tables, basis, vec, den, expected, xs)
+        raises, occupancies, _ = layout[insertion]
+        # the site's raise on the vacuum, read as the transfer reads it
+        vec, den = _reduced(_half_step(raises, occupancies,
+                                       deformed if insertion else None,
+                                       den, vec, {}, 1), den, basis, 1)
+    vec, den = _strings(tables, basis, vec, den, expected - len(ys), ys, xs)
     return Fraction(vec.get(0, 0), den)
 
 
@@ -404,13 +400,11 @@ def commutation_check(model: str, spec, y1, y2) -> bool:
     Both strings return vectors in lowest terms over a positive
     denominator, so equal vectors compare equal.
     """
-    n, m, q = _resolve(model, spec)
+    n, m, basis, tables = _tables(model, spec)
     y1, y2 = _rational(y1), _rational(y2)
-    tables = (_site_layout(n, m), *_symbolic_blocks(n, q))
-    basis = sector_basis(n, m)
     for s in range(n - 1):
         for j in basis.sector_indices(s):
-            if (_b_string(tables, basis, {j: 1}, 1, s, (y2, y1))
-                    != _b_string(tables, basis, {j: 1}, 1, s, (y1, y2))):
+            if (_strings(tables, basis, {j: 1}, 1, s, (y2, y1))
+                    != _strings(tables, basis, {j: 1}, 1, s, (y1, y2))):
                 return False
     return True

@@ -82,25 +82,23 @@ def hook_partition(arm: int, leg: int) -> Partition:
     return (arm + 1,) + (1,) * leg
 
 
-def partitions_of(d: int, max_part: int | None = None,
-                  max_len: int | None = None) -> List[Partition]:
+def partitions_of(d: int, max_len: int | None = None) -> List[Partition]:
     """Partitions of weight d, decreasing lex order; None is no bound."""
-    if d < 0 or any(b is not None and b < 0 for b in (max_part, max_len)):
-        raise ValueError("weight and bounds must be nonnegative")
-    cap = d if max_part is None else min(max_part, d)
+    if d < 0 or (max_len is not None and max_len < 0):
+        raise ValueError("weight and bound must be nonnegative")
     rows = d if max_len is None else max_len
 
     def rec(remaining: int, largest: int, slots: int):
         if remaining == 0:
             yield ()
             return
-        if slots == 0 or largest == 0:
+        if slots == 0:
             return
         for first in range(min(largest, remaining), 0, -1):
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    return list(rec(d, cap, rows))
+    return list(rec(d, d, rows))
 
 
 @lru_cache(maxsize=None)

@@ -112,6 +112,16 @@ def scalar_product(xs: Sequence, ys: Sequence, box: BoxSpec,
 # ---------------------------------------------------------------------------
 
 
+def _one_point(xs: Sequence, ys: Sequence, m: int,
+               box: BoxSpec) -> Tuple[PointSet, PointSet, int, int]:
+    """(xs, ys, N, M) of a one-point function, its inputs checked."""
+    xs, ys = as_points(xs), as_points(ys)
+    _check_site(m)
+    if len(xs) != box.n or len(ys) != box.n - 1:
+        raise ValueError("need N bra points and N-1 ket points")
+    return xs, ys, box.n, box.m
+
+
 def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
                    mode: str = "det") -> Fraction:
     """Pairing with one extra creation operator at site m.
@@ -128,12 +138,7 @@ def correlation_Am(xs: Sequence, ys: Sequence, m: int, box: BoxSpec,
     det(C)/Delta(x) = (-1)^(N(N-1)/2) det(C[x_0..x_i]), defined at
     coincident points too.
     """
-    xs = as_points(xs)
-    ys = as_points(ys)
-    _check_site(m)
-    n, mm = box.n, box.m
-    if len(xs) != n or len(ys) != n - 1:
-        raise ValueError("need N bra points and N-1 ket points")
+    xs, ys, n, mm = _one_point(xs, ys, m, box)
     if not 0 <= m <= mm:
         raise ValueError("site index m out of range")
     if mode == "skew_sum":
@@ -161,12 +166,7 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     ``correlation_Am``, the rows are divided differences in x, so
     det Q/Delta(x) = (-1)^(N(N-1)/2) det(Q[x_0..x_i]) at any points.
     """
-    xs = as_points(xs)
-    ys = as_points(ys)
-    _check_site(m)
-    n, mm = box.n, box.m
-    if len(xs) != n or len(ys) != n - 1:
-        raise ValueError("need N bra points and N-1 ket points")
+    xs, ys, n, mm = _one_point(xs, ys, m, box)
     if (mm + n - 1) % 2:
         raise ValueError("column exponent (M+N-1-2m)/2 must be an integer")
     expo = (mm + n - 1 - 2 * m) // 2

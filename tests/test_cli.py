@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from qtau import algebra_core, bethe, cli, fock_oracle, qboson_model, symfunc
 from qtau.cli import main
+from qtau.phase_model import scalar_product
 from qtau.suites import SUITES, CheckResult
 
 
@@ -310,3 +312,111 @@ def test_out_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--suite", "matrix-integral",
                        "--out", str(bad))
     assert code == 2 and "cannot write" in err
+
+
+def test_oracle_site_compares_with_the_one_point_function(capsys):
+    argv = ("--n", "2", "--m", "3", "--site", "1", "--x", "2,3", "--y", "5")
+    code, out, _ = run(capsys, "oracle", "--model", "phase", *argv)
+    assert code == 0 and "agreement: yes" in out
+    assert "oracle  = 16755" in out and "formula = 16755" in out
+    code, out, _ = run(capsys, "corr", *argv, "--mode", "skew_sum")
+    assert code == 0 and out.strip() == "16755"
+
+
+def test_route_mismatch_exits_1(capsys, monkeypatch):
+    def off_by_one(xs, ys, box, mode="det"):
+        value = scalar_product(xs, ys, box, mode=mode)
+        return value + 1 if mode == "det" else value
+
+    monkeypatch.setattr(cli, "scalar_product", off_by_one)
+    code, out, _ = run(capsys, "scalar", "--n", "2", "--m", "2",
+                       "--x", "1/2,1/3", "--y", "1/5,1/7")
+    assert code == 1
+    assert "det       = 51571/22050" in out
+    assert "schur_sum = 29521/22050" in out
+    assert out.rstrip().endswith("MISMATCH")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scalar", "--x", "1/2", "--y", "1/5,1/7"),
+    ("qscalar", "--q", "1/4", "--x", "1/2,1/3", "--y", "1/5"),
+    ("corr", "--site", "1", "--x", "1/2,1/3", "--y", "1/5,1/7"),
+    ("oracle", "--model", "phase", "--x", "1/2", "--y", "1/5"),
+    ("oracle", "--model", "qboson", "--q", "1/4", "--x", "1/2,1/3",
+     "--y", "1/5"),
+    ("oracle", "--model", "phase", "--site", "0", "--x", "1/2,1/3",
+     "--y", "1/5,1/7"),
+], ids=["scalar", "qscalar", "corr", "oracle", "oracle-grading",
+        "oracle-site"])
+def test_point_counts_are_usage_errors(capsys, monkeypatch, argv):
+    # the counts are read before any route runs, the oracle included
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a route ran on a refused input")
+
+    monkeypatch.setattr(fock_oracle, "oracle_pairing", unreachable)
+    code, out, err = run(capsys, argv[0], "--n", "2", "--m", "2", *argv[1:])
+    assert code == 2 and out == ""
+    assert "need N = 2 points in --x" in err
+
+
+@pytest.fixture
+def cold_kostka_tables():
+    """Empty the tables that a corrupted matrix product would feed, before
+    the test and after it."""
+    tables = (symfunc.kostka_tables, qboson_model.c_tilde_matrix)
+    for table in tables:
+        table.cache_clear()
+    yield
+    for table in tables:
+        table.cache_clear()
+
+
+def _corrupt_products_from_weight_3(monkeypatch):
+    """Raise entry (0, 0) of every product of 3 or more rows by one, so
+    every Kostka table of weight d >= 3 fails its K K^-1 = I check."""
+    def corrupted(a, b):
+        out = algebra_core.mat_mul_ring(a, b)
+        if len(out) >= 3:
+            out[0][0] = out[0][0] + 1
+        return out
+
+    monkeypatch.setattr(symfunc, "mat_mul_ring", corrupted)
+
+
+def test_verify_kostka_reports_a_failed_inverse(capsys, monkeypatch,
+                                                cold_kostka_tables):
+    _corrupt_products_from_weight_3(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "kostka",
+                       "--format", "text")
+    assert code == 1
+    status = {line.split()[0]: line.split()[2]
+              for line in out.splitlines()[:-1]}
+    for d in range(7):
+        expect = "PASS" if d < 3 else "FAIL"
+        assert status[f"kostka-inverse-d{d}"] == expect
+        assert status[f"kostka-ctilde-identity-d{d}"] == expect
+    assert status["kostka-example-weight2"] == "PASS"
+
+
+def test_kostka_table_that_fails_verification_exits_1(capsys, monkeypatch,
+                                                      cold_kostka_tables):
+    _corrupt_products_from_weight_3(monkeypatch)
+    code, out, err = run(capsys, "kostka", "--cutoff", "3")
+    assert code == 1 and out == ""
+    assert "Kostka inverse failed verification" in err
+
+
+def test_verify_bethe_reports_a_missed_continuation(capsys, monkeypatch):
+    solve = bethe.solve_qboson_continued
+
+    def missing_one(n, m, q, qn, **kwargs):
+        if (n, m) == (2, 4):
+            raise ArithmeticError("stage missed its residual target")
+        return solve(n, m, q, qn, **kwargs)
+
+    monkeypatch.setattr(bethe, "solve_qboson_continued", missing_one)
+    code, out, _ = run(capsys, "verify", "--suite", "bethe")
+    assert code == 1
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert checks["bethe-qboson-continuation"] is False
+    assert sum(not ok for ok in checks.values()) == 1

@@ -234,6 +234,21 @@ def test_commutation():
         "qboson", QBosonSpec(BoxSpec(3, 2), F(1, 4)), F(1, 2), F(1, 3))
 
 
+def test_commutation_check_sees_a_non_commuting_table(monkeypatch):
+    # doubling the raise numerator at occupancy 1 takes the site table
+    # off the q-boson family, and the B strings stop commuting
+    spec = QBosonSpec(BoxSpec(3, 3), F(1, 3))
+    assert oracle.commutation_check("qboson", spec, F(1, 2), F(1, 3))
+    blocks = oracle._symbolic_blocks
+
+    def bent(n, q):
+        nums, den = blocks(n, q)
+        return (nums[0], 2 * nums[1]) + nums[2:], den
+
+    monkeypatch.setattr(oracle, "_symbolic_blocks", bent)
+    assert not oracle.commutation_check("qboson", spec, F(1, 2), F(1, 3))
+
+
 def test_too_many_roots():
     with pytest.raises(ValueError):
         oracle.bethe_state("phase", BoxSpec(1, 2), [F(1, 2), F(1, 3)])

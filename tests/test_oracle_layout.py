@@ -32,7 +32,8 @@ def test_box_order_is_one_partitions_of_call_per_weight():
         for m in range(8):
             assert enumerate_in_box(n, m) == tuple(
                 lam for d in range(n * m + 1)
-                for lam in partitions_of(d, max_part=m, max_len=n))
+                for lam in partitions_of(d, max_len=n)
+                if not lam or lam[0] <= m)
 
 
 def test_sector_basis_converts_every_partition_of_every_sector():
@@ -94,4 +95,4 @@ def test_a_string_pushed_past_sector_n_escapes_loudly():
             basis = oracle.sector_basis(n, m)
             for j in basis.sector_indices(n):
                 with pytest.raises(AssertionError, match="operator escaped"):
-                    oracle._b_string(tables, basis, {j: 1}, 1, n, [F(2, 5)])
+                    oracle._strings(tables, basis, {j: 1}, 1, n, [F(2, 5)])

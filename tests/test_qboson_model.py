@@ -299,6 +299,21 @@ def test_c_tilde_verification_catches_one_perturbed_entry(where):
                     _verify_c_tilde(bad, tables.K, b, scaled)
 
 
+def test_c_tilde_verification_catches_a_perturbed_right_side():
+    # c~ itself is intact, so K^T c~ K = diag(b) holds and only the
+    # inverse identity c~ K = (K^-1)^T diag(b) can see the change
+    tables = kostka_tables(4)
+    b = [b_lambda(lam) for lam in tables.order]
+    ct = c_tilde_matrix(4)
+    scaled = [[b_k * c for c in row] for b_k, row in zip(b, tables.K_inv)]
+    n = len(ct)
+    for i in range(n):
+        for j in range(n):
+            for bad in _moved(scaled, i, j):
+                with pytest.raises(ArithmeticError, match="inverse identity"):
+                    _verify_c_tilde(ct, tables.K, b, bad)
+
+
 def test_kostka_inverse_check_catches_one_perturbed_entry():
     tables = kostka_tables(5)
     n = len(tables.order)
