@@ -42,14 +42,16 @@ A box sum needs the Jacobi-Trudi value of every partition in the n x m
 box.  Those are the maximal minors (Pluecker coordinates) of a single
 n x (n+m) matrix of one-row generators, so ``box_minors`` reads them all
 from one division-free Laplace sweep of that matrix, in which every
-sub-minor is computed once and shared.  The sweep keys sub-minors by the
-bitmask of their columns and lists each row's nonzero entries once; one
-table cached per box shape maps each full column mask straight to its
-partition.  The matrix rows come from ``_column``, the one helper
-that clears a graded generator list c_k = G_k / D^k to one scale; it
-also makes the determinant rows and columns of ``phase_model``.  A box
-whose every value is zero (mu longer than n, or wider than m) is
-settled before the sweep.  ``box_minors`` hands back ints over one
+sub-minor is computed once and shared.  The sweep follows a plan cached
+per box shape, ``_box_plan``: each level is a list of sub-minors in the
+``combinations`` order of their columns, each sub-minor pulls its terms
+from listed places of the level before it, and the last level lines up
+with the box's partitions.  A level depends only on n+m and the row, so
+``_laplace_level`` shares it among boxes of one width.  The matrix rows come from ``_column``, the
+one helper that clears a graded generator list c_k = G_k / D^k to one
+scale; it also makes the determinant rows and columns of
+``phase_model``.  A box whose every value is zero (mu longer than n, or
+wider than m) is settled before the sweep.  ``box_minors`` hands back ints over one
 scale, as ``det_int`` hands back an int; a Fraction is made only by the
 wrappers that return one (``det_rational``, ``jacobi_trudi``), by
 ``QPoly`` evaluation and by the series above.
@@ -579,12 +581,16 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
     One Laplace sweep down the rows gives the whole box: the minors of
     the first k rows over every k-subset of columns extend, along row k,
     to those of the first k+1 rows, so each sub-minor is computed once
-    and shared by every minor that contains it.  A sub-minor is keyed by
-    the bitmask of its columns, and entry (k, c) extends it with the
-    cofactor sign (-1)^(k + pos), pos the number of its columns left of
-    c.  Only +, - and * are used, and zero entries and zero sub-minors
-    are skipped.  Keys are partitions as ``partitions.enumerate_in_box``
-    writes them, in the ``combinations`` order of their columns.
+    and shared by every minor that contains it.  Each level is a list in
+    the ``combinations`` order of its column subsets, and the plan,
+    cached per (n, m) by ``_box_plan``, says which entries of row k and
+    which sub-minors of the level before each (k+1)-subset S pulls: minor(S) is the sum
+    over c in S of (-1)^(k + pos) a_kc minor(S - c), a_kc the entry of
+    row k in column c and pos the number of columns of S left of c.
+    Only +, - and * are used, and zero entries and zero sub-minors are
+    skipped.  The last level lines up with the plan's box shapes, which
+    are partitions as ``partitions.enumerate_in_box`` writes them, in
+    the ``combinations`` order of their columns.
     """
     if not isinstance(den, (int, Fraction)):
         raise TypeError(f"the generator denominator is an int or a "
@@ -603,39 +609,52 @@ def box_minors(gens: Sequence, den: int, n: int, m: int,
     mu = tuple(p for p in mu if p)
     mu += (0,) * (n - len(mu))
     starts = [mu[n - 1 - t] + t for t in range(n)]
-    index = _box_index(n, m)
+    levels, shapes = _box_plan(n, m)
     if len(mu) > n or any(r >= n + m for r in starts):
-        return {lam: 0 for _, lam in index}, 1
+        return dict.fromkeys(shapes, 0), 1
     columns = [_column(gens[:n + m - r], den, r) for r in starts]
     rows, scale = _cleared_rows([row for row, _ in columns])
-    minors: Dict[int, int] = {0: 1}
-    for k, row in enumerate(rows):
-        # the nonzero entries of row k, as (column bit, entry)
-        terms = [(1 << c, a) for c, a in enumerate(row) if a]
-        grown: Dict[int, int] = {}
-        for mask, minor in minors.items():
-            for bit, a in terms:
-                if mask & bit:
-                    continue
-                term = a * minor
-                if (k + (mask & (bit - 1)).bit_count()) & 1:
-                    term = -term
-                key = mask | bit
-                grown[key] = grown.get(key, 0) + term
-        minors = {mask: v for mask, v in grown.items() if v}
-    return ({lam: minors.get(mask, 0) for mask, lam in index},
+    minors = [1]
+    for row, level in zip(rows, levels):
+        grown = []
+        for terms in level:
+            acc = 0
+            for c, sub, odd in terms:
+                if (a := row[c]) and (v := minors[sub]):
+                    if odd:
+                        acc -= a * v
+                    else:
+                        acc += a * v
+            grown.append(acc)
+        minors = grown
+    return (dict(zip(shapes, minors)),
             scale * prod(s for _, s in columns))
 
 
 @lru_cache(maxsize=None)
-def _box_index(n: int, m: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """(column bitmask, partition) for each partition of the n x m box, in
-    the ``combinations`` order of its sorted columns P_0 < ... < P_{n-1},
-    where P_k = lam_{n-1-k} + k."""
-    return tuple((sum(1 << c for c in cols),
-                  tuple(cols[k] - k for k in reversed(range(n))
-                        if cols[k] > k))
-                 for cols in combinations(range(n + m), n))
+def _box_plan(n: int, m: int):
+    """(levels, shapes): the Laplace sweep of an n x (n+m) matrix, one
+    ``_laplace_level`` per row, and the partition of each maximal minor.
+    The shapes follow the n-subsets P_0 < ... < P_{n-1} of the columns,
+    P_k = lam_{n-1-k} + k, in the ``combinations`` order of the last
+    level."""
+    shapes = tuple(tuple(cols[k] - k for k in reversed(range(n))
+                         if cols[k] > k)
+                   for cols in combinations(range(n + m), n))
+    return tuple(_laplace_level(n + m, k) for k in range(n)), shapes
+
+
+@lru_cache(maxsize=None)
+def _laplace_level(width: int, k: int):
+    """For each (k+1)-subset S of range(width), in ``combinations`` order,
+    the terms (c, sub, odd) of minor(S) along row k: c a column of S, sub
+    the index of S - c among the k-subsets in the same order, and odd
+    the parity of k plus the number of columns of S left of c.  A level
+    depends only on the width, so boxes with one n+m share it."""
+    index = {s: i for i, s in enumerate(combinations(range(width), k))}
+    return tuple(tuple((c, index[s[:pos] + s[pos + 1:]], (k + pos) & 1)
+                       for pos, c in enumerate(s))
+                 for s in combinations(range(width), k + 1))
 
 
 def power_series_div(num: Sequence, den: Sequence, order: int):

@@ -11,7 +11,10 @@ Every partition sum -- the scalar product, the one-point function and
 the skew pairing -- is one box sum, ``correlation_skew``, which reads
 its Schur values from ``box_minors``: s_{mu/lam} over the whole box are
 the maximal minors of one N x (N+M) matrix [h_{j-i}], so one Laplace
-sweep per point set replaces an elimination per partition.  No
+sweep per point set replaces an elimination per partition.  The sweep's
+plan (which sub-minors each column subset pulls, and with which sign)
+depends only on the box, so it is built once per (N, M) and shared by
+every point set, lam and Q.  No
 determinant route divides by a Vandermonde: each lists its columns as
 polynomials in x and hands them to one divided-difference determinant,
 ``_newton_det``, so coincident points are ordinary inputs.  Both run on
@@ -160,7 +163,8 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
 
     This is the "fixed-parameter" determinant det Q/Delta(x): columns
     1..N-1 are H(x_j, y_k) and the last column is the bare power.  It
-    requires M+N-1 even so the exponent is an integer.  Kept as a
+    requires M+N-1 even so the exponent is an integer, and a site m of
+    the chain 0..M at which that exponent is nonnegative.  Kept as a
     measured quantity — the report suites compare it against the true
     correlation value instead of assuming a relation.  As in
     ``correlation_Am``, the rows are divided differences in x, so
@@ -170,7 +174,7 @@ def correlation_Am_power_column(xs: Sequence, ys: Sequence, m: int,
     if (mm + n - 1) % 2:
         raise ValueError("column exponent (M+N-1-2m)/2 must be an integer")
     expo = (mm + n - 1 - 2 * m) // 2
-    if m < 0 or expo < 0:
+    if not 0 <= m <= mm or expo < 0:
         raise ValueError("site index m out of range for the power column")
     det = _newton_det(xs, [_column([y.numerator ** k for k in range(mm + n)],
                                    y.denominator) for y in ys]

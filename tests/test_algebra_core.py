@@ -5,12 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from qtau import algebra_core
 from qtau.algebra_core import (QPoly, TruncatedSeries, box_minors,
                                det_rational, format_rational, h_from_times,
                                jacobi_trudi, mat_mul_ring, parse_rational,
                                power_series_div)
 from qtau.miwa import from_points
-from qtau.symfunc import q_coeff_list
+from qtau.symfunc import q_coeff_ints, q_coeff_list
 
 
 def test_parse_format_round_trip():
@@ -174,6 +175,30 @@ def test_box_minors_key_order():
     # mu longer than n: every value is 0 over scale 1
     assert box_minors(hs, 6, 2, 2, (1, 1, 1)) == (
         dict.fromkeys(_column_order(2, 2), 0), 1)
+
+
+def test_box_minors_at_the_desk_caps():
+    # the largest box, (4, 6), on signed points with a repeat, at Q = -2/3
+    pts, q = [F(1, 2), F(1, 2), F(-2, 3), F(3)], F(-2, 3)
+    gens = q_coeff_list(pts, q, 10)
+    for mu in ((), (2, 1)):
+        table, scale = box_minors(*q_coeff_ints(pts, q, 10), 4, 6, mu)
+        assert list(table) == _column_order(4, 6) and len(table) == 210
+        assert all(F(v, scale) == jacobi_trudi(gens, lam, mu)
+                   for lam, v in table.items())
+
+
+def test_box_minors_builds_one_plan_per_box():
+    plan = algebra_core._box_plan
+    plan.cache_clear()
+    hs = [1, 5, 19, 65, 211, 665]
+    try:
+        box_minors(hs, 6, 2, 3)
+        box_minors(hs, 6, 2, 3, (2, 1))
+        box_minors(hs, 6, 2, 3, (4,))
+        assert plan.cache_info().misses == 1
+    finally:
+        plan.cache_clear()
 
 
 def test_box_minors_rejects_a_zero_denominator():

@@ -371,26 +371,33 @@ def cold_kostka_tables():
         table.cache_clear()
 
 
-def _corrupt_products_from_weight_3(monkeypatch):
-    """Raise entry (0, 0) of every product of 3 or more rows by one, so
-    every Kostka table of weight d >= 3 fails its K K^-1 = I check."""
+def _corrupt_products(monkeypatch, rows=3):
+    """Raise entry (0, 0) of every product of ``rows`` or more rows by one,
+    so every Kostka table with that many partitions (weight d >= rows, for
+    rows 2 and 3) fails its K K^-1 = I check."""
     def corrupted(a, b):
         out = algebra_core.mat_mul_ring(a, b)
-        if len(out) >= 3:
+        if len(out) >= rows:
             out[0][0] = out[0][0] + 1
         return out
 
     monkeypatch.setattr(symfunc, "mat_mul_ring", corrupted)
 
 
-def test_verify_kostka_reports_a_failed_inverse(capsys, monkeypatch,
-                                                cold_kostka_tables):
-    _corrupt_products_from_weight_3(monkeypatch)
+def _kostka_report(capsys):
+    """Exit code and {check name: PASS or FAIL} of the kostka suite's text
+    report; empty when no report was printed."""
     code, out, _ = run(capsys, "verify", "--suite", "kostka",
                        "--format", "text")
+    return code, {line.split()[0]: line.split()[2]
+                  for line in out.splitlines()[:-1]}
+
+
+def test_verify_kostka_reports_a_failed_inverse(capsys, monkeypatch,
+                                                cold_kostka_tables):
+    _corrupt_products(monkeypatch)
+    code, status = _kostka_report(capsys)
     assert code == 1
-    status = {line.split()[0]: line.split()[2]
-              for line in out.splitlines()[:-1]}
     for d in range(7):
         expect = "PASS" if d < 3 else "FAIL"
         assert status[f"kostka-inverse-d{d}"] == expect
@@ -398,9 +405,23 @@ def test_verify_kostka_reports_a_failed_inverse(capsys, monkeypatch,
     assert status["kostka-example-weight2"] == "PASS"
 
 
+def test_verify_kostka_reports_a_failed_weight_2_table(capsys, monkeypatch,
+                                                       cold_kostka_tables):
+    # the weight-2 example reads the table that failed, so it fails too,
+    # and the report is still printed
+    _corrupt_products(monkeypatch, rows=2)
+    code, status = _kostka_report(capsys)
+    assert code == 1 and status
+    for d in range(7):
+        expect = "PASS" if d < 2 else "FAIL"
+        assert status[f"kostka-inverse-d{d}"] == expect
+        assert status[f"kostka-ctilde-identity-d{d}"] == expect
+    assert status["kostka-example-weight2"] == "FAIL"
+
+
 def test_kostka_table_that_fails_verification_exits_1(capsys, monkeypatch,
                                                       cold_kostka_tables):
-    _corrupt_products_from_weight_3(monkeypatch)
+    _corrupt_products(monkeypatch)
     code, out, err = run(capsys, "kostka", "--cutoff", "3")
     assert code == 1 and out == ""
     assert "Kostka inverse failed verification" in err

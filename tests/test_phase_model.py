@@ -102,6 +102,17 @@ def test_power_column_variant():
             != correlation_Am(xs, ys, 0, box, mode="det"))
 
 
+def test_power_column_refuses_a_site_past_the_chain():
+    # at N = 4, M = 1 the exponent (M+N-1-2m)/2 is 0 at m = 2, yet the
+    # chain's sites are 0..1, so both one-point routes refuse m = 2
+    box = BoxSpec(4, 1)
+    xs, ys = [F(2), F(3), F(5), F(7)], [F(1, 2), F(1, 3), F(1, 5)]
+    for route in (correlation_Am, correlation_Am_power_column):
+        with pytest.raises(ValueError, match="site index m out of range"):
+            route(xs, ys, 2, box)
+    assert isinstance(correlation_Am_power_column(xs, ys, 1, box), F)
+
+
 def test_correlation_skew():
     box = BoxSpec(2, 3)
     xs, ys = [F(1, 2), F(1, 3)], [F(1, 5), F(2, 7)]
