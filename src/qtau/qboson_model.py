@@ -89,9 +89,11 @@ def _graded_ints(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
                  degree: int, sweeps: dict) -> Tuple[List[int], int]:
     """(P, D) with P[d] / D the degree-d piece, one D for every piece.
 
-    hl_sum reads P_lam(x) = V(lam) / (L^{|lam|} B) (``hall_littlewood_ints``)
-    and b_lam(Q) = prod_i prod_{j <= m_i} (b^j - a^j) / b^{sum m_i(m_i+1)/2}
-    for Q = a/b, so its degree-d subsum S_d is over b^{N(N+1)/2} B_x B_y
+    hl_sum reads the box's P_lam(x) = V(lam) / (L^{|lam|} B) from one
+    ``hall_littlewood_ints`` sweep per point set, and
+    b_lam(Q) = prod_i prod_{j <= m_i} (b^j - a^j) / b^{sum m_i(m_i+1)/2}
+    for Q = a/b once per multiplicity tuple (``_box_weights``), so its
+    degree-d subsum S_d (zero values skipped) is over b^{N(N+1)/2} B_x B_y
     (L_x L_y)^d, and P[d] = S_d (L_x L_y)^{degree-d}.  The Schur-type
     modes read s_lam(x) and the y-side values, over scale_x scale_y,
     from one ``box_minors`` sweep of c_0..c_{N+M-1} each.  The twisted
@@ -111,19 +113,20 @@ def _graded_ints(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     out = [0] * (degree + 1)
     if mode == "hl_sum":
-        vx, lx, bx = hall_littlewood_ints(xs, q)
-        vy, ly, by = hall_littlewood_ints(ys, q)
+        vx, lx, bx = hall_littlewood_ints(xs, q, box.m)
+        vy, ly, by = hall_littlewood_ints(ys, q, box.m)
         a, b, top = q.numerator, q.denominator, box.n * (box.n + 1) // 2
         # phi[r] = (b - a)(b^2 - a^2)...(b^r - a^r)
         phi = [1]
         for r in range(1, box.n + 1):
             phi.append(phi[-1] * (b ** r - a ** r))
-        for lam in box.partitions():
-            d = weight(lam)
-            if d <= degree:
-                ms = multiplicities(lam).values()
-                out[d] += (prod(phi[c] for c in ms) * vx(lam) * vy(lam)
-                           * b ** (top - sum(c * (c + 1) // 2 for c in ms)))
+        shapes, mults = _box_weights(box)
+        weights = [prod(phi[c] for c in ms)
+                   * b ** (top - sum(c * (c + 1) // 2 for c in ms))
+                   for ms in mults]
+        for (d, k), u, v in zip(shapes, vx, vy):
+            if u and v and d <= degree:
+                out[d] += weights[k] * u * v
         lxy = lx * ly
         return ([p * lxy ** (degree - d) for d, p in enumerate(out)],
                 b ** top * bx * by * lxy ** degree)
@@ -152,6 +155,18 @@ def _graded_ints(xs: Sequence, ys: Sequence, spec: QBosonSpec, mode: str,
         if d <= degree:
             out[d] += s * sy[lam]
     return out, scale_x * scale_y
+
+
+@lru_cache(maxsize=None)
+def _box_weights(box: BoxSpec) -> Tuple[tuple, Tuple[Tuple[int, ...], ...]]:
+    """(shapes, mults): (|lam|, k) per shape of ``box.partitions()``, with
+    mults[k] its multiplicity tuple, so each b_lam is built once per tuple."""
+    index: Dict[Tuple[int, ...], int] = {}
+    shapes = tuple(
+        (weight(lam), index.setdefault(tuple(multiplicities(lam).values()),
+                                       len(index)))
+        for lam in box.partitions())
+    return shapes, tuple(index)
 
 
 def graded_components(xs: Sequence, ys: Sequence, spec: QBosonSpec,

@@ -455,8 +455,9 @@ def _suite_oracle_cross(cfg: SuiteConfig, rng: random.Random):
     spec = QBosonSpec(BoxSpec(2, 3), q)
     [(us,)] = _draws(rng, [(2,)])
     coeffs = oracle.bethe_state("qboson", spec, us)
-    V, L, B = hall_littlewood_ints([u * u for u in us], q)
-    ok = all(c * L ** weight(lam) * B == b_lambda(lam)(q) * V(lam)
+    vals, L, B = hall_littlewood_ints([u * u for u in us], q, spec.box.m)
+    V = dict(zip(enumerate_in_box(len(us), spec.box.m), vals))
+    ok = all(c * L ** weight(lam) * B == b_lambda(lam)(q) * V[lam]
              for lam, c in coeffs.items())
     yield CheckResult(
         "oracle-qboson-string-law", "bethe-state/hl-coefficients",

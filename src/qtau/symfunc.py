@@ -18,13 +18,15 @@ horizontal-strip branching rule
     P_lam(x_1..x_r; Q) = sum_mu psi_{lam/mu}(Q) x_r^{|lam/mu|} P_mu(x_1..x_{r-1}; Q)
 
 where psi picks up a factor (1 - Q^{m_j(mu)}) for every column length j
-whose multiplicity grows when the strip is removed.  Evaluated at the
-points, the recursion only multiplies and adds, so P_lam is defined at
-every Q, including the roots of unity where the symmetrization formula
-divides by zero.  It runs on Python ints: with x_i = X_i / L over the
-lcm L of the point denominators and Q = a/b, P_mu(x_1..x_r) is an int
-numerator over L^{|mu|} b^{r(r-1)/2} (the bound is argued at
-``hall_littlewood_ints``), and its callers compare or sum those
+whose multiplicity grows when the strip is removed; ``_strips`` is the
+one table of strips.  Evaluated at the points, the rule only multiplies
+and adds, so P_lam is defined at every Q, including the roots of unity
+where the symmetrization formula divides by zero.  It runs as one
+planned sweep on Python ints: level r of the plan, cached per (r, M),
+lists the strip terms of every shape in the r x M box, and one pass
+over the levels gives every P_lam of the N x M box as an int numerator
+over L^{|lam|} b^{N(N-1)/2}, for x_i = X_i / L and Q = a/b
+(``hall_littlewood_ints``).  Its callers compare or sum those
 numerators without making a Fraction per value.  Kept symbolic in Q, it
 gives the P-to-monomial table, each psi read from ``partitions._psi``;
 with every psi weight set to 1 it counts semistandard tableaux, which is
@@ -46,14 +48,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra_core import (ONE, ZERO, QPoly, TruncatedSeries, _exact,
                            _num_den, _over_lcm, _trimmed, as_points,
                            mat_mul_ring)
 from .miwa import from_points
-from .partitions import (Partition, _psi, multiplicities, normalize,
-                         partitions_of, weight)
+from .partitions import (Partition, _psi, enumerate_in_box, multiplicities,
+                         normalize, partitions_of, weight)
 
 
 def vandermonde(xs: Sequence) -> Fraction:
@@ -79,8 +81,10 @@ def _strips(
     Those mu are exactly the interlacing ones, lam_{i+1} <= mu_i <= lam_i,
     so every part but the last is positive and mu comes out sorted.
     psi_{lam/mu} = prod of (1 - Q^c) over the listed c, one c = m_j(mu)
-    for every j with m_j(mu) = m_j(lam) + 1.  Nothing here depends on Q,
-    so the table is built once per shape.
+    for every j with m_j(mu) = m_j(lam) + 1, read off the runs of equal
+    parts of mu, largest part first.  Nothing here depends on Q, so the
+    table is built once per shape; the Hall-Littlewood plan and the
+    chain sums both read it.
     """
     ell = len(lam)
     rows = [range(lam[i], (lam[i + 1] if i + 1 < ell else 0) - 1, -1)
@@ -90,9 +94,16 @@ def _strips(
     out = []
     for mu in itertools.product(*rows):
         mu = mu[:-1] if mu and not mu[-1] else mu  # () is the one strip of ()
-        psi = tuple(count for j, count in multiplicities(mu).items()
-                    if count == ml.get(j, 0) + 1)
-        out.append((mu, total - sum(mu), psi))
+        # parts are positive, so the sentinel 0 ends the last run of mu
+        psi, run, prev = [], 0, 0
+        for j in mu + (0,):
+            if j == prev:
+                run += 1
+                continue
+            if run == ml.get(prev, 0) + 1:
+                psi.append(run)
+            prev, run = j, 1
+        out.append((mu, total - sum(mu), tuple(psi)))
     return tuple(out)
 
 
@@ -136,14 +147,33 @@ def schur_monomial_table(d: int) -> Dict[Partition, Dict[Partition, int]]:
 # ---------------------------------------------------------------------------
 
 
-def hall_littlewood_ints(xs: Sequence, q
-                        ) -> Tuple[Callable[[Partition], int], int, int]:
-    """(V, L, B) with P_lam(x; Q) = V(lam) / (L^{|lam|} B) on one point set.
+@lru_cache(maxsize=None)
+def _hl_level(r: int, m: int) -> Tuple[tuple, Tuple[Tuple[int, ...], ...]]:
+    """Level r of the Hall-Littlewood sweep over the r x m box: (rows, keys).
 
-    lam is normalized.  The branching rule runs on Python ints.  Write
-    x_i = X_i / L with L the lcm of the point denominators, and Q = a/b
-    in lowest terms.  Then P_mu(x_1..x_r) is an int numerator V(mu, r)
-    over L^{|mu|} b^{r(r-1)/2}: the strip mu -> lam at level r contributes
+    rows[j] lists, for the j-th lam of ``enumerate_in_box(r, m)``, one
+    term (i, s, k) per strip lam/mu of ``_strips`` with l(mu) < r: mu is
+    shape i of level r - 1, s = |lam/mu| and keys[k] its psi exponents.
+    No level depends on the points or Q, so every N >= r shares it.
+    """
+    prev = {mu: i for i, mu in enumerate(enumerate_in_box(r - 1, m))}
+    keys: Dict[Tuple[int, ...], int] = {}
+    rows = tuple(tuple((prev[mu], size, keys.setdefault(psi, len(keys)))
+                       for mu, size, psi in _strips(lam) if len(mu) < r)
+                 for lam in enumerate_in_box(r, m))
+    return rows, tuple(keys)
+
+
+def hall_littlewood_ints(xs: Sequence, q, m: int
+                         ) -> Tuple[List[int], int, int]:
+    """(V, L, B) with P_lam(x; Q) = V[j] / (L^{|lam|} B) for the j-th lam
+    of the N x m box, N = len(xs), in ``enumerate_in_box(N, m)`` order.
+
+    The branching rule runs as one sweep over the levels r = 1..N of
+    ``_hl_level``, on Python ints.  Write x_i = X_i / L with L the lcm of
+    the point denominators, and Q = a/b in lowest terms.  Then
+    P_mu(x_1..x_r) is an int numerator V(mu, r) over
+    L^{|mu|} b^{r(r-1)/2}: the strip mu -> lam at level r contributes
 
         psi_{lam/mu} x_r^{|lam/mu|} P_mu(x_1..x_{r-1})
           = prod_c (b^c - a^c) b^{r-1-sum c} X_r^{|lam/mu|} V(mu, r-1)
@@ -152,54 +182,22 @@ def hall_littlewood_ints(xs: Sequence, q
     because each 1 - Q^c is (b^c - a^c)/b^c, the weights add up to
     |lam|, and (r-1)(r-2)/2 + r-1 = r(r-1)/2.  The exponent r-1-sum c is
     never negative: the c are multiplicities m_j(mu) of distinct parts,
-    so sum c <= l(mu), and only mu with l(mu) < r contribute.  The base
-    cases are V(mu, 1) = X_1^{mu_1} and V((), r) = b^{r(r-1)/2}.  No gcd
-    is taken inside the recursion; V(lam) is V(lam, N) and B is
-    b^{N(N-1)/2}.
-
-    V(mu, r) is memoised by (mu, r) for as long as the returned function
-    lives, so a sum over a box of partitions reuses every value the
-    recursion meets.
+    so sum c <= l(mu) < r.  From V((), 0) = 1, each level makes one
+    factor per psi key, the powers of X_r and one int list; no gcd is
+    taken.  B is b^{N(N-1)/2}.  A shape with more than N parts is not
+    in the box: P_lam is 0 there.
     """
     ints, scale = _over_lcm(as_points(xs))
     a, b = _num_den(q)
-    n = len(ints)
-    # c = m_j(mu) <= l(mu) < n, and so is r - 1 - sum c
-    one_minus = [b ** c - a ** c for c in range(n)]
-    b_pow = [b ** k for k in range(n)]
-    # psi exponents -> (prod_c (b^c - a^c), sum c)
-    factors: Dict[Tuple[int, ...], Tuple[int, int]] = {}
-    memo: Dict[Tuple[Partition, int], int] = {}
-
-    def value(lam: Partition, r: int) -> int:
-        if len(lam) > r:
-            return 0
-        if not lam:
-            return b ** (r * (r - 1) // 2)
-        if r == 1:
-            return ints[0] ** lam[0]
-        key = (lam, r)
-        acc = memo.get(key)
-        if acc is None:
-            x = ints[r - 1]
-            acc = 0
-            for mu, size, psi_exps in _strips(lam):
-                # zero terms: l(mu) >= r leaves too few variables for
-                # P_mu, and x^size vanishes at x = 0 unless size = 0
-                if len(mu) >= r or (size and not x):
-                    continue
-                factor = factors.get(psi_exps)
-                if factor is None:
-                    factor = factors[psi_exps] = (
-                        prod(one_minus[c] for c in psi_exps), sum(psi_exps))
-                psi, spent = factor
-                if psi:
-                    acc += (psi * b_pow[r - 1 - spent] * x ** size
-                            * value(mu, r - 1))
-            memo[key] = acc
-        return acc
-
-    return (lambda lam: value(lam, n)), scale, b ** (n * (n - 1) // 2)
+    vals = [1]
+    for r, x in enumerate(ints, 1):
+        rows, keys = _hl_level(r, m)
+        xp = [x ** s for s in range(m + 1)]
+        f = [prod(b ** c - a ** c for c in psi) * b ** (r - 1 - sum(psi))
+             for psi in keys]
+        vals = [sum(f[k] * xp[s] * vals[i] for i, s, k in row)
+                for row in rows]
+    return vals, scale, b ** (len(ints) * (len(ints) - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ those and are slower or defined on fewer inputs:
 - ``hall_littlewood_fraction`` is not an independent route: it is the
   library's branching rule with a Fraction at every step, the reference
   for the int numerators of ``hall_littlewood_ints``;
+- ``horizontal_strips`` finds the strips of a shape by columns, taking
+  one cell or none off the foot of each column, and reads psi from a
+  ``multiplicities`` dict per strip, the reference for ``_strips``;
 - ``big_schur_matrix`` and ``schur_in_miwa_matrix`` write the deformed
   and time-coordinate Schur determinants out entry by entry;
 - ``det_fraction`` is Gaussian elimination over Fractions, the reference
@@ -45,8 +48,8 @@ from math import prod
 
 from qtau.algebra_core import (ONE, ZERO, TruncatedSeries, as_points,
                                h_from_times, jacobi_trudi, power_series_div)
-from qtau.partitions import (frobenius, hook_partition, multiplicities,
-                             normalize, weight)
+from qtau.partitions import (conjugate, frobenius, hook_partition,
+                             multiplicities, normalize, weight)
 from qtau.symfunc import (_strips, hl_monomial_table, q_coeff_list,
                           vandermonde, xy_names)
 
@@ -200,6 +203,28 @@ def hall_littlewood_fraction(xs, q):
         return memo[key]
 
     return lambda lam: value(normalize(lam), len(xs))
+
+
+def horizontal_strips(lam):
+    """Every (mu, |lam/mu|, psi) with lam/mu a horizontal strip.
+
+    A horizontal strip has at most one cell per column, so mu's columns
+    are lam's with one cell or none cut from each, kept where they stay
+    weakly decreasing.  psi lists m_j(mu) for every j with
+    m_j(mu) = m_j(lam) + 1, largest j first.
+    """
+    cols = conjugate(lam)
+    ml = multiplicities(lam)
+    out = []
+    for cut in itertools.product((0, 1), repeat=len(cols)):
+        left = [c - e for c, e in zip(cols, cut)]
+        if any(a < b for a, b in zip(left, left[1:])):
+            continue
+        mu = conjugate(tuple(c for c in left if c))
+        psi = tuple(c for j, c in multiplicities(mu).items()
+                    if c == ml.get(j, 0) + 1)
+        out.append((mu, sum(cut), psi))
+    return out
 
 
 def _matrix_det(gens, lam) -> Fraction:

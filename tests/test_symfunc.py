@@ -4,15 +4,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from qtau import symfunc
 from qtau.algebra_core import QPoly, TruncatedSeries, h_from_times, jacobi_trudi
-from qtau.partitions import partitions_of
+from qtau.partitions import enumerate_in_box, partitions_of
+from qtau.phase_model import BoxSpec
+from qtau.qboson_model import QBosonSpec, scalar_product_q
 from qtau.suites import _ssyt_count
 from qtau.symfunc import (_strips, cauchy_kernel_series, hall_littlewood_ints,
                           hl_series, kostka_tables, kostka_tables_json,
                           q_coeff_list,
                           supersymmetric_times, vandermonde, xy_names)
-from symfunc_reference import (cauchy_kernel_two_factor, monomial_eval,
-                               schur_bialternant, schur_value)
+from symfunc_reference import (cauchy_kernel_two_factor,
+                               hall_littlewood_fraction, horizontal_strips,
+                               monomial_eval, schur_bialternant, schur_value)
 
 KERNEL_QS = (0, 1, -1, 2, F(-3, 7), F(1, 4))
 
@@ -53,18 +57,26 @@ def test_monomial_eval():
     assert monomial_eval((1, 1, 1), xs) == 0
 
 
+def hl_box(xs, q, m):
+    """(lam -> V(lam), L, B) over the len(xs) x m box; a shape with more
+    parts than points is not in the box and reads 0, its P_lam."""
+    vals, L, B = hall_littlewood_ints(xs, q, m)
+    V = dict(zip(enumerate_in_box(len(xs), m), vals))
+    return (lambda lam: V.get(lam, 0)), L, B
+
+
 def test_hall_littlewood_eval():
     # P_lam(x; Q) = V(lam) / (L^{|lam|} B): L = 6 and B = 4 at Q = 1/4
     a, b = F(1, 2), F(1, 3)
-    V, L, B = hall_littlewood_ints([a, b], F(1, 4))
+    V, L, B = hl_box([a, b], F(1, 4), 1)
     assert (L, B) == (6, 4)
     assert V((1,)) == (a + b) * L * B
     assert V((1, 1)) == a * b * L ** 2 * B
-    V, L, B = hall_littlewood_ints([a, b], F(0))
+    V, L, B = hl_box([a, b], F(0), 2)
     assert B == 1 and V((2,)) == (a * a + a * b + b * b) * L ** 2
     # Q = 0 reduces to Schur for all |lam| <= 4
     ys = [F(2, 5), F(1, 7), F(1, 2)]
-    V, L, B = hall_littlewood_ints(ys, F(0))
+    V, L, B = hl_box(ys, F(0), 4)
     for d in range(5):
         for lam in partitions_of(d):
             assert F(V(lam), L ** d * B) == schur_value(lam, ys)
@@ -75,8 +87,44 @@ def test_hall_littlewood_eval_at_q_minus_one():
     # divides by zero here; P_(2)(x; -1) = m_2 + 2 m_11 = (x1+x2+x3)^2,
     # which is 961/900 over L^2 B = 30^2
     xs = [F(1, 2), F(1, 3), F(1, 5)]
-    V, L, B = hall_littlewood_ints(xs, -1)
+    V, L, B = hl_box(xs, -1, 2)
     assert (V((2,)), L, B) == (961, 30, 1)
+
+
+def test_hall_littlewood_sweep_matches_fraction_branching_up_to_5_by_8():
+    # every shape of every box with N <= 5, M <= 8; the points hold a
+    # zero and, from N = 3 on, a repeated point
+    pool = [F(-2, 3), F(3, 5), F(7, 2), F(-1, 4), F(5, 7)]
+    for q in (0, 1, -1, 2, F(-2, 3)):
+        for n in range(6):
+            xs = ([F(0)] + pool[:n - 1])[:n]
+            if n >= 3:
+                xs[2] = xs[1]
+            ref = hall_littlewood_fraction(xs, q)
+            for m in range(9):
+                vals, L, B = hall_littlewood_ints(xs, q, m)
+                box = enumerate_in_box(n, m)
+                assert len(vals) == len(box)
+                for lam, v in zip(box, vals):
+                    assert v == ref(lam) * L ** sum(lam) * B, (q, xs, lam)
+
+
+def test_hl_sum_builds_each_plan_level_once():
+    # levels are keyed by (r, M), so a (4,4) sum after a (3,4) sum
+    # builds level (4, 4) alone and reads (1..3, 4) from the cache
+    symfunc._hl_level.cache_clear()
+    xs, ys = [F(1, 2), F(-2, 3), F(3)], [F(2), F(-1, 5), F(1, 4)]
+    scalar_product_q(xs, ys, QBosonSpec(BoxSpec(3, 4), F(1, 3)), "hl_sum")
+    assert symfunc._hl_level.cache_info().misses == 3
+    scalar_product_q(xs + [F(5, 7)], ys + [F(0)],
+                     QBosonSpec(BoxSpec(4, 4), F(1, 3)), "hl_sum")
+    info = symfunc._hl_level.cache_info()
+    assert (info.misses, info.currsize) == (4, 4)
+
+
+def test_strips_match_the_column_reference():
+    for lam in enumerate_in_box(5, 8):
+        assert sorted(_strips(lam)) == sorted(horizontal_strips(lam)), lam
 
 
 def test_kostka_tables():

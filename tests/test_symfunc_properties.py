@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from qtau.algebra_core import det_rational, h_from_times, jacobi_trudi
 from qtau.miwa import from_points, twist
-from qtau.partitions import b_lambda, contains, partitions_of, weight
+from qtau.partitions import (b_lambda, contains, enumerate_in_box,
+                             partitions_of, weight)
 from qtau.phase_model import BoxSpec, giambelli_check
 from qtau.qboson_model import QBosonSpec, scalar_product_q
 from qtau.symfunc import hall_littlewood_ints, q_coeff_list
@@ -42,9 +43,18 @@ def points(draw, min_size=1):
 SETTINGS = settings(max_examples=30, deadline=None)
 
 
+def hl_ints(xs, q):
+    """(lam -> V(lam), L, B) from one ``hall_littlewood_ints`` sweep over
+    the len(xs) x 6 box, which holds every lam of PARTITIONS with at most
+    len(xs) parts; a longer lam is not in the box and reads 0, its P_lam."""
+    vals, L, B = hall_littlewood_ints(xs, q, 6)
+    V = dict(zip(enumerate_in_box(len(xs), 6), vals))
+    return (lambda lam: V.get(lam, 0)), L, B
+
+
 def hl_value(xs, q):
     """lam -> P_lam(x; Q), one Fraction from ``hall_littlewood_ints``."""
-    V, L, B = hall_littlewood_ints(xs, q)
+    V, L, B = hl_ints(xs, q)
     return lambda lam: F(V(lam), L ** weight(lam) * B)
 
 
@@ -67,11 +77,12 @@ SHAPES = [lam for d in range(7) for lam in partitions_of(d)]
 @SETTINGS
 @given(st.one_of(st.just([]), points()), QS)
 def test_hall_littlewood_matches_fraction_branching(xs, q):
-    # every |lam| <= 6, so shapes longer than the point set come up too;
-    # and the kernel's stated bound: V(lam) = P_lam(x; Q) L^{|lam|} B is
+    # every |lam| <= 6: a shape longer than the point set is outside the
+    # swept box and reads 0 by definition, which the reference must give
+    # too; and the kernel's stated bound: V(lam) = P_lam(x; Q) L^{|lam|} B is
     # an int, for L the lcm of the point denominators, Q = a/b and
     # B = b^{N(N-1)/2}
-    V, L, B = hall_littlewood_ints(xs, q)
+    V, L, B = hl_ints(xs, q)
     assert L == lcm(*(F(x).denominator for x in xs))
     assert B == F(q).denominator ** (len(xs) * (len(xs) - 1) // 2)
     ref = hall_littlewood_fraction(xs, q)
